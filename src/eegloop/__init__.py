@@ -67,7 +67,7 @@ from .loopback import (
     quantization_error_bound,
     replay_capture,
 )
-from .pipeline import Epoch, EpochQueue, TimingReport, assemble, bench, run_live
+from .pipeline import Epoch, EpochQueue, TimingReport, assemble, run_live
 from .synth import ClassProfile, SyntheticSpec, generate_dataset, load_dataset
 
 __version__ = "0.1.0"
@@ -105,7 +105,6 @@ __all__ = [
     "adc_sample",
     "assemble",
     "bandpass_filter",
-    "bench",
     "check_nyquist",
     "class_index",
     "confusion",

@@ -194,20 +194,28 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cv_report(result: ev.CvResult, config: ev.CvConfig, epoch_length_s: int, n: int) -> dict:
-    pooled = result.pooled_metrics
+def _metrics_doc(
+    cm: ev.ConfusionMatrix,
+    report: ev.MetricsReport,
+    epoch_length_s: int,
+    *,
+    folds: int | None,
+    seed: int | None,
+    accuracy_mean: float,
+    accuracy_per_fold: list[float],
+) -> dict:
     return {
         "epoch_length_s": epoch_length_s,
-        "num_epochs": n,
-        "folds": config.folds,
-        "seed": config.seed,
-        "accuracy_mean": result.mean_accuracy,
-        "accuracy_per_fold": [m.accuracy for m in result.per_fold],
+        "num_epochs": int(cm.counts.sum()),
+        "folds": folds,
+        "seed": seed,
+        "accuracy_mean": accuracy_mean,
+        "accuracy_per_fold": accuracy_per_fold,
         "per_class": {
-            name: {"precision": pooled.precision[name], "recall": pooled.recall[name]}
-            for name in result.pooled.classes
+            name: {"precision": report.precision[name], "recall": report.recall[name]}
+            for name in cm.classes
         },
-        "pooled_confusion": result.pooled.counts.tolist(),
+        "pooled_confusion": cm.counts.tolist(),
     }
 
 
@@ -217,19 +225,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         model = gbt.load_model(Path(args.model).read_bytes())
         cm = ev.confusion(labels, gbt.predict_labels(model, fvs))
         report = ev.metrics(cm)
-        doc = {
-            "epoch_length_s": epoch_length_s,
-            "num_epochs": len(fvs),
-            "folds": None,
-            "seed": None,
-            "accuracy_mean": report.accuracy,
-            "accuracy_per_fold": [],
-            "per_class": {
-                name: {"precision": report.precision[name], "recall": report.recall[name]}
-                for name in cm.classes
-            },
-            "pooled_confusion": cm.counts.tolist(),
-        }
+        doc = _metrics_doc(cm, report, epoch_length_s, folds=None, seed=None,
+                           accuracy_mean=report.accuracy, accuracy_per_fold=[])
     else:
         train_config = _build_train_config(args)
         cv_config = ev.CvConfig(folds=args.folds, seed=args.seed or 0)
@@ -239,7 +236,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             return lambda fv: gbt.predict_class(model, fv)[0]
 
         result = ev.kfold_cv(fvs, labels, trainer, cv_config)
-        doc = _cv_report(result, cv_config, epoch_length_s, len(fvs))
+        doc = _metrics_doc(
+            result.pooled, result.pooled_metrics, epoch_length_s,
+            folds=cv_config.folds, seed=cv_config.seed,
+            accuracy_mean=result.mean_accuracy,
+            accuracy_per_fold=[m.accuracy for m in result.per_fold],
+        )
     _write_json(args.out, doc)
     print(args.out)
     return 0
@@ -323,15 +325,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     summary = {
         **queue.counters(),
         "complete": report.complete,
+        "error": report.error,
         "collection_s": report.collection_time_s,
         "processing_s": report.processing_time_s,
         "ratio_percent": report.ratio_percent,
     }
     print(json.dumps(summary, sort_keys=True))
+    if not report.complete:
+        print(f"error: run incomplete: {report.error}", file=sys.stderr)
+        return 2
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if min(args.batch_sizes) < 1:
+        raise ValueError("batch sizes must be >= 1")
     model = gbt.load_model(Path(args.model).read_bytes())
     processor = _make_processor(model)
     rng = np.random.default_rng(args.seed or 0)
@@ -350,7 +358,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
             for i in range(max(args.batch_sizes))
         ]
-        timing = pipeline.bench(args.batch_sizes, processor, epochs)
         # Inference-only latency, separated from preprocessing and extraction.
         config = features.PreprocessConfig()
         fvs = [features.featurize(e, config) for e in epochs]
@@ -358,8 +365,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for fv in fvs:
             gbt.predict_class(model, fv)
         predict_us = (time.perf_counter_ns() - t0) / 1e3 / len(fvs)
-        for row in timing:
-            rows.append({"epoch_length_s": length_s, **row, "predict_per_epoch_us": predict_us})
+        for size in args.batch_sizes:
+            _, report = pipeline.run_live(epochs[:size], processor, deterministic=True)
+            rows.append(
+                {
+                    "epoch_length_s": length_s,
+                    "num_epochs": report.num_epochs,
+                    "collection_s": report.collection_time_s,
+                    "processing_s": report.processing_time_s,
+                    "ratio_percent": report.ratio_percent,
+                    "predict_per_epoch_us": predict_us,
+                }
+            )
     with Path(args.out).open("w", newline="") as fh:
         writer = csv.DictWriter(
             fh,

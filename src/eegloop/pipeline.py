@@ -7,12 +7,20 @@ consumer that classifies each one. The queue accounts for every epoch:
 and overflow is counted rather than raised so the sampling side is never
 stalled by a slow consumer.
 
-Two execution modes are supported. The threaded mode runs one producer
-thread against the calling thread as consumer, pacing delivery from a
-:class:`~eegloop.loopback.SampleClock` (``acceleration=math.inf`` delivers
-each epoch as soon as the queue has room, pausing the virtual clock
-instead of dropping). The deterministic mode interleaves produce and
-consume steps on a single thread for reproducible logs.
+Two execution modes share one consume step. The threaded mode runs one
+producer thread against the calling thread as consumer, which blocks on
+the queue until an epoch arrives or the producer closes it. Delivery is
+paced from a :class:`~eegloop.loopback.SampleClock`: a finite
+acceleration hands over each epoch at its absolute deadline, while
+``acceleration=math.inf`` delivers each epoch as soon as the queue has
+room, pausing the virtual clock instead of dropping. The deterministic
+mode interleaves produce and consume steps on a single thread for
+reproducible logs.
+
+Both modes treat failures alike. A source that raises ends the run with
+a partial report whose ``error`` names the cause. A processor that
+raises stops the producer, and the exception propagates out of
+:func:`run_live`.
 """
 
 from __future__ import annotations
@@ -30,8 +38,6 @@ from .classes import CLASS_NAMES
 from .loopback import SampleClock
 
 EPOCH_LENGTHS_S = (4, 16, 32, 64)
-
-_POLL_S = 0.0002
 
 
 @dataclass
@@ -90,7 +96,9 @@ class EpochQueue:
     """Bounded FIFO with produced/consumed/dropped accounting.
 
     ``enqueue`` never blocks: when the queue is full the epoch is counted
-    as dropped and refused. Safe for one producer and one consumer thread.
+    as dropped and refused. ``get`` and ``wait_for_room`` block until the
+    queue changes or is closed; a closed queue stays closed. Safe for one
+    producer and one consumer thread.
     """
 
     def __init__(self, capacity: int = 8):
@@ -101,33 +109,56 @@ class EpochQueue:
         self.consumed = 0
         self.dropped = 0
         self._items: deque[Epoch] = deque()
-        self._lock = threading.Lock()
+        self._closed = False
+        self._changed = threading.Condition()
 
     def enqueue(self, epoch: Epoch) -> bool:
         """Append an epoch; returns False (and counts a drop) when full."""
-        with self._lock:
+        with self._changed:
             self.produced += 1
             if len(self._items) >= self.capacity:
                 self.dropped += 1
                 return False
             self._items.append(epoch)
+            self._changed.notify_all()
             return True
 
     def dequeue(self) -> Epoch | None:
         """Pop the oldest epoch, or None when empty."""
-        with self._lock:
+        with self._changed:
             if not self._items:
                 return None
             self.consumed += 1
+            self._changed.notify_all()
             return self._items.popleft()
 
+    def get(self) -> Epoch | None:
+        """Block until an epoch is queued; None once closed and drained."""
+        with self._changed:
+            self._changed.wait_for(lambda: self._items or self._closed)
+            return self.dequeue()
+
+    def wait_for_room(self) -> bool:
+        """Block until the queue has room; False once it is closed."""
+        with self._changed:
+            self._changed.wait_for(
+                lambda: len(self._items) < self.capacity or self._closed
+            )
+            return not self._closed
+
+    def close(self) -> None:
+        """Wake every waiter; ``get`` then drains and ``wait_for_room`` fails."""
+        with self._changed:
+            self._closed = True
+            self._changed.notify_all()
+
     def __len__(self) -> int:
-        with self._lock:
+        with self._changed:
             return len(self._items)
 
     def counters(self) -> dict[str, int]:
         """Atomic snapshot of the conservation counters."""
-        with self._lock:
+        with self._changed:
             return {
                 "produced": self.produced,
                 "consumed": self.consumed,
@@ -138,18 +169,30 @@ class EpochQueue:
 
 @dataclass
 class TimingReport:
-    """Collection versus processing time over one run."""
+    """Collection versus processing time over one run.
+
+    ``error`` holds the source failure that ended the run early, as
+    ``"Type: message"``; a run that ended with its source is complete.
+    """
 
     num_epochs: int
     collection_time_s: float
     processing_time_s: float
-    complete: bool = True
+    error: str | None = None
+
+    @property
+    def complete(self) -> bool:
+        return self.error is None
 
     @property
     def ratio_percent(self) -> float:
         if self.collection_time_s == 0:
             return math.inf if self.processing_time_s > 0 else 0.0
         return 100.0 * self.processing_time_s / self.collection_time_s
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_live(
@@ -167,18 +210,25 @@ def run_live(
     queue. Collection time is analytic, ``sum(epoch.length_s)`` over the
     produced epochs, so accelerated runs report the real-time figure.
 
-    A failing source terminates the run with the partial report flagged
-    ``complete=False``. ``timer`` must return monotonic nanoseconds; it is
-    injectable so deterministic runs can produce byte-identical logs.
+    In threaded mode the producer hands epochs over through blocking
+    queue calls and closes the queue when the source ends; the consumer
+    runs until the queue is closed and drained. A finite clock
+    acceleration delivers each epoch once the recording up to its end,
+    divided by the acceleration, has elapsed since the start; an infinite
+    one delivers it as soon as the queue has room.
+
+    A failing source ends the run: the partial report carries the cause in
+    ``error`` and ``complete`` is false. A failing processor stops the
+    producer, after which its exception propagates, in both modes.
+    ``timer`` must return monotonic nanoseconds; it is injectable so
+    deterministic runs can produce byte-identical logs.
     """
     q = queue if queue is not None else EpochQueue()
     log: list[dict] = []
     collected_s = 0.0
+    error: str | None = None
 
-    def consume_one() -> bool:
-        epoch = q.dequeue()
-        if epoch is None:
-            return False
+    def consume(epoch: Epoch) -> None:
         t0 = timer()
         label = processor(epoch)
         elapsed_us = (timer() - t0) // 1000
@@ -190,99 +240,60 @@ def run_live(
                 "processing_us": int(elapsed_us),
             }
         )
-        return True
 
-    complete = True
     if deterministic:
-        try:
-            for epoch in source:
-                collected_s += epoch.length_s
-                if q.enqueue(epoch):
-                    consume_one()
-        except Exception:
-            complete = False
-        while consume_one():
-            pass
+        epochs = iter(source)
+        while True:
+            try:
+                epoch = next(epochs)
+            except StopIteration:
+                break
+            except Exception as exc:
+                error = _describe(exc)
+                break
+            collected_s += epoch.length_s
+            if q.enqueue(epoch):
+                consume(q.dequeue())
     else:
-        done = threading.Event()
-        failed = threading.Event()
-        stop = threading.Event()  # consumer died; unblock the producer
-        state_lock = threading.Lock()
+        stop = threading.Event()  # consumer exited; wakes a pacing producer
 
         def produce() -> None:
-            nonlocal collected_s
+            nonlocal collected_s, error
+            start = time.monotonic()
+            due_s = 0.0
             try:
                 for epoch in source:
                     if clock.acceleration == math.inf:
                         # Virtual clock: pause delivery instead of dropping.
-                        while len(q) >= q.capacity and not stop.is_set():
-                            time.sleep(_POLL_S)
-                        if stop.is_set():
+                        if not q.wait_for_room():
                             return
                     else:
-                        time.sleep(epoch.length_s / clock.acceleration)
-                    with state_lock:
-                        collected_s += epoch.length_s
+                        due_s += epoch.length_s / clock.acceleration
+                        if stop.wait(max(0.0, start + due_s - time.monotonic())):
+                            return
+                    collected_s += epoch.length_s
                     q.enqueue(epoch)
-            except Exception:
-                failed.set()
+            except Exception as exc:
+                error = _describe(exc)
             finally:
-                done.set()
+                q.close()
 
         producer = threading.Thread(target=produce, name="epoch-producer", daemon=True)
         producer.start()
         try:
-            while True:
-                if not consume_one():
-                    if done.is_set() and len(q) == 0:
-                        break
-                    time.sleep(_POLL_S)
+            while (epoch := q.get()) is not None:
+                consume(epoch)
         finally:
             stop.set()
+            q.close()
             producer.join()
-        complete = not failed.is_set()
 
     processing_s = sum(entry["processing_us"] for entry in log) / 1e6
     report = TimingReport(
         num_epochs=q.produced,
         collection_time_s=collected_s,
         processing_time_s=processing_s,
-        complete=complete,
+        error=error,
     )
     return log, report
 
-
-def bench(
-    batch_sizes: list[int],
-    processor: Callable[[Epoch], str],
-    epochs: list[Epoch],
-    timer: Callable[[], int] = time.perf_counter_ns,
-) -> list[dict]:
-    """Time sequential processing of epoch batches of increasing size.
-
-    Returns one row per batch size, in input order, with the analytic
-    collection time and the measured processing time.
-    """
-    if not batch_sizes or min(batch_sizes) < 1:
-        raise ValueError("batch sizes must be >= 1")
-    if len(epochs) < max(batch_sizes):
-        raise ValueError(
-            f"need {max(batch_sizes)} epochs, got {len(epochs)}"
-        )
-    rows = []
-    for size in batch_sizes:
-        batch = epochs[:size]
-        t0 = timer()
-        for epoch in batch:
-            processor(epoch)
-        processing_s = (timer() - t0) / 1e9
-        collection_s = float(sum(e.length_s for e in batch))
-        rows.append(
-            {
-                "num_epochs": size,
-                "collection_s": collection_s,
-                "processing_s": processing_s,
-                "ratio_percent": 100.0 * processing_s / collection_s,
-            }
-        )
-    return rows

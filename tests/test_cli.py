@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from eegloop import pipeline
 from eegloop.classes import CLASS_NAMES
 from eegloop.cli import main
 
@@ -189,6 +190,44 @@ class TestRun:
         assert code != 0
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("mode", [["--acceleration", "max"], ["--deterministic"]],
+                             ids=["threaded", "deterministic"])
+    def test_processor_failure_exits_nonzero(self, workspace, tmp_path, capsys, mode):
+        _, data, model = workspace
+        doc = json.loads(model.read_text())
+        doc["feature_schema"]["schema_id"] = "0" * 16
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        code = main(["run", "--input", str(data / "sham_wake.edf"),
+                     "--model", str(edited), "--epoch-length", "4", *mode])
+        assert code != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "schema" in err
+
+    @pytest.mark.parametrize("mode", [["--acceleration", "max"], ["--deterministic"]],
+                             ids=["threaded", "deterministic"])
+    def test_source_failure_exits_nonzero_with_cause(self, workspace, capsys,
+                                                     monkeypatch, mode):
+        _, data, model = workspace
+        assemble = pipeline.assemble
+
+        def failing_assemble(*args):
+            epochs = assemble(*args)
+            yield next(epochs)
+            raise OSError("sensor unplugged")
+
+        monkeypatch.setattr(pipeline, "assemble", failing_assemble)
+        code = main(["run", "--input", str(data / "sham_wake.edf"),
+                     "--model", str(model), "--epoch-length", "4", *mode])
+        assert code != 0
+        out, err = capsys.readouterr()
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["complete"] is False
+        assert summary["error"] == "OSError: sensor unplugged"
+        assert summary["produced"] == summary["consumed"] == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_raw_samples_on_stdin(self, workspace, capsys, monkeypatch):
         import io
 
@@ -216,6 +255,9 @@ class TestBench:
             "epoch_length_s", "num_epochs", "collection_s", "processing_s",
             "ratio_percent",
         ]
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["16", "1"], ["16", "5"], ["32", "1"], ["32", "5"],
+        ]
 
     def test_predict_latency_column_is_sane(self, workspace, tmp_path):
         _, _, model = workspace
@@ -224,3 +266,10 @@ class TestBench:
                      "--epoch-lengths", "16", "--batch-sizes", "2"]) == 0
         row = out.read_text().strip().splitlines()[1].split(",")
         assert 0 < float(row[5]) < 1e5
+
+    def test_bad_batch_size_rejected(self, workspace, tmp_path, capsys):
+        _, _, model = workspace
+        code = main(["bench", "--model", str(model), "--out", str(tmp_path / "b.csv"),
+                     "--batch-sizes", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")

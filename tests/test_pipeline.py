@@ -2,6 +2,9 @@
 
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegloop.loopback import SampleClock
-from eegloop.pipeline import Epoch, EpochQueue, TimingReport, assemble, bench, run_live
+from eegloop.pipeline import Epoch, EpochQueue, TimingReport, assemble, run_live
 
 
 def make_epoch(i=0, length_s=4, rate_hz=16.0, fill=0.0):
@@ -118,6 +121,33 @@ class TestEpochQueue:
         # FIFO: consumed prefix matches the accepted order
         assert seen == expected_order[: len(seen)]
 
+    def test_blocking_hand_off_under_fast_thread_switching(self):
+        q = EpochQueue(capacity=2)
+        n = 300
+
+        def produce():
+            for i in range(n):
+                if not q.wait_for_room():
+                    return
+                q.enqueue(make_epoch(i, fill=float(i)))
+            q.close()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            producer = threading.Thread(target=produce)
+            producer.start()
+            fills = []
+            while (epoch := q.get()) is not None:
+                fills.append(epoch.samples[0])
+            producer.join(timeout=10)
+        finally:
+            sys.setswitchinterval(old)
+        assert not producer.is_alive()
+        assert fills == [float(i) for i in range(n)]
+        assert q.counters() == {"produced": n, "consumed": n, "dropped": 0, "queued": 0}
+        assert not q.wait_for_room()
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             EpochQueue(capacity=0)
@@ -132,6 +162,7 @@ class TestRunLive:
         assert {entry["label"] for entry in log} == {"sham_wake"}
         assert [entry["start_index"] for entry in log] == [e.start_index for e in source]
         assert report.num_epochs == 10
+        assert report.processing_time_s == pytest.approx(10 * 1e-6)
         assert report.complete
 
     def test_collection_time_is_analytic(self):
@@ -159,10 +190,30 @@ class TestRunLive:
             yield make_epoch(1)
             raise IOError("sensor unplugged")
 
-        log, report = run_live(bad_source(), lambda e: "sham_wake",
-                               deterministic=True, timer=FakeTimer())
-        assert not report.complete
-        assert len(log) == 2
+        for deterministic in (True, False):
+            q = EpochQueue(capacity=8)
+            log, report = run_live(bad_source(), lambda e: "sham_wake",
+                                   clock=SampleClock(rate_hz=16.0, acceleration=math.inf),
+                                   queue=q, deterministic=deterministic,
+                                   timer=FakeTimer())
+            assert not report.complete
+            assert report.error == "OSError: sensor unplugged"
+            assert len(log) == 2
+            assert q.counters() == {"produced": 2, "consumed": 2, "dropped": 0,
+                                    "queued": 0}
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_processor_failure_raises(self, deterministic):
+        def failing(epoch):
+            if epoch.start_index > 0:
+                raise RuntimeError("model exploded")
+            return "sham_wake"
+
+        source = [make_epoch(i) for i in range(10)]
+        with pytest.raises(RuntimeError, match="model exploded"):
+            run_live(iter(source), failing,
+                     clock=SampleClock(rate_hz=16.0, acceleration=math.inf),
+                     deterministic=deterministic, timer=FakeTimer())
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_threaded_virtual_clock_never_drops(self, seed):
@@ -190,6 +241,34 @@ class TestRunLive:
         assert len(log) == 5
         assert q.counters()["dropped"] == 0
 
+    def test_paced_producer_keeps_absolute_deadlines(self):
+        # 20 epochs at a 10 ms interval, each costing ~5 ms to read: relative
+        # sleeps would take 20 * 15 ms = 300 ms.
+        def slow_source():
+            for i in range(20):
+                time.sleep(0.005)
+                yield make_epoch(i)
+
+        start = time.monotonic()
+        log, report = run_live(slow_source(), lambda e: "sham_wake",
+                               clock=SampleClock(rate_hz=16.0, acceleration=400.0))
+        elapsed = time.monotonic() - start
+        assert len(log) == 20 and report.complete
+        assert 0.2 <= elapsed < 0.27
+
+    def test_paced_processor_failure_stops_producer_promptly(self):
+        # Eight 4 s epochs at 16x: one 0.25 s interval each, 2 s in all.
+        def failing(epoch):
+            raise RuntimeError("model exploded")
+
+        source = [make_epoch(i) for i in range(8)]
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="model exploded"):
+            run_live(iter(source), failing,
+                     clock=SampleClock(rate_hz=16.0, acceleration=16.0))
+        assert time.monotonic() - start < 0.6
+        assert not any(t.name == "epoch-producer" for t in threading.enumerate())
+
     def test_timing_report_ratio(self):
         report = TimingReport(num_epochs=1, collection_time_s=64.0,
                               processing_time_s=0.02)
@@ -197,12 +276,21 @@ class TestRunLive:
 
 
 class TestBench:
+    """Batch timing as `eegloop bench` does it: one deterministic run per size."""
+
+    @staticmethod
+    def bench(batch_sizes, processor, epochs):
+        return [run_live(epochs[:size], processor, deterministic=True)[1]
+                for size in batch_sizes]
+
     def test_row_per_batch_size(self):
         epochs = [make_epoch(i) for i in range(100)]
-        rows = bench([1, 10, 100], lambda e: "sham_wake", epochs)
-        assert [r["num_epochs"] for r in rows] == [1, 10, 100]
-        assert all(set(r) == {"num_epochs", "collection_s", "processing_s",
-                              "ratio_percent"} for r in rows)
+        reports = self.bench([1, 10, 100], lambda e: "sham_wake", epochs)
+        assert [r.num_epochs for r in reports] == [1, 10, 100]
+        assert all(r.complete for r in reports)
+        assert [r.collection_time_s for r in reports] == [4.0, 40.0, 400.0]
+        assert all(r.ratio_percent == pytest.approx(
+            100 * r.processing_time_s / r.collection_time_s) for r in reports)
 
     def test_fixed_cost_processor_scales_roughly_linearly(self):
         epochs = [make_epoch(i) for i in range(200)]
@@ -213,14 +301,6 @@ class TestBench:
                 pass
             return "sham_wake"
 
-        rows = bench([100, 200], fixed_cost, epochs)
-        scale = rows[1]["processing_s"] / rows[0]["processing_s"]
+        reports = self.bench([100, 200], fixed_cost, epochs)
+        scale = reports[1].processing_time_s / reports[0].processing_time_s
         assert scale < 3 * 2  # doubling the batch stays within 3x of doubling time
-
-    def test_insufficient_epochs_rejected(self):
-        with pytest.raises(ValueError, match="need"):
-            bench([10], lambda e: "sham_wake", [make_epoch(0)])
-
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError, match="batch"):
-            bench([0], lambda e: "sham_wake", [make_epoch(0)])
