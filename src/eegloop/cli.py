@@ -1,8 +1,11 @@
 """Command-line surface: synth, train, evaluate, replay, run, bench.
 
-Every command reads an optional JSON config file (validated before any
-work starts), lets flags override file values, derives all randomness
-from one explicit seed, and exits nonzero with a single ``error: ...``
+Settings are the library's own dataclasses: ``synth``, ``train`` and
+``evaluate`` read an optional JSON config file of dataclass fields
+(checked before any work starts) and let flags override file values,
+and every value is checked by the class or constructor that uses it.
+``synth``, ``evaluate`` and ``bench`` take ``--seed``. Every command
+exits nonzero with a single ``error: ...``
 line on stderr when anything fails. Verbosity is controlled only by the
 ``EEGLOOP_LOG`` environment variable.
 """
@@ -11,89 +14,67 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluate as ev
 from . import features, gbt, loopback, pipeline, synth
-from .edf import parse_edf, to_trace
+from .edf import EdfSignalHeader, SignalTrace, parse_edf, to_trace
 
 log = logging.getLogger("eegloop")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings for one live run."""
-
-    input_source: str  # EDF path, or "-" for floats on stdin
-    model_path: str
-    epoch_length_s: int = 64
-    rate_hz: float = 256.0
-    capacity: int = 8
-    acceleration: float = 1.0
-    deterministic: bool = False
-    log_path: str | None = None
-    timing_path: str | None = None
-    signal: int = 0
-
-    def __post_init__(self) -> None:
-        if self.epoch_length_s not in pipeline.EPOCH_LENGTHS_S:
-            raise ValueError(
-                f"epoch length must be one of {pipeline.EPOCH_LENGTHS_S}"
-            )
-        if self.capacity < 1:
-            raise ValueError("queue capacity must be >= 1")
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
-        if self.acceleration < 1:
-            raise ValueError("acceleration must be >= 1")
-        if self.input_source != "-" and not Path(self.input_source).exists():
-            raise ValueError(f"input not found: {self.input_source}")
-        if not Path(self.model_path).exists():
-            raise ValueError(f"model not found: {self.model_path}")
+def _fits(value, hint) -> bool:
+    """Whether the JSON value ``value`` can set a field annotated ``hint``."""
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, typing.get_origin(hint) or hint)
 
 
-_SYNTH_FIELDS = {
-    "seed": int,
-    "epochs_per_class": int,
-    "epoch_length_s": int,
-    "rate_hz": (int, float),
-    "amplitude_uv": (int, float),
-    "noise_level": (int, float),
-    "amplitude_jitter": (int, float),
-    "profiles": dict,
-}
+def _settings(cls, path: str | None, args: argparse.Namespace, **parsers):
+    """Build the dataclass ``cls`` from a JSON config file, then flags.
 
-_TRAIN_FIELDS = {
-    "rounds": int,
-    "max_depth": int,
-    "learning_rate": (int, float),
-    "l2_lambda": (int, float),
-    "min_child_weight": (int, float),
-    "seed": int,
-}
+    The file may set any field of ``cls`` with a value of the field's
+    type; ``parsers`` turn a field's JSON value into the field's value. A
+    flag whose ``dest`` is a field name overrides the file, and ``cls``
+    checks the result.
+    """
+    hints = typing.get_type_hints(cls)
+    types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    values = {}
+    if path is not None:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"config {path} must hold a JSON object")
+        for key, value in doc.items():
+            if key not in types:
+                raise ValueError(f"config {path}: unknown field {key!r}")
+            if not _fits(value, types[key]):
+                raise ValueError(f"config {path}: field {key!r} has the wrong type")
+            values[key] = parsers.get(key, lambda v: v)(value)
+    for name in types:
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    return cls(**values)
 
 
-def _load_config(path: str | None, allowed: dict) -> dict:
-    if path is None:
-        return {}
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
-    for key, value in doc.items():
-        if key not in allowed:
-            raise ValueError(f"config {path}: unknown field {key!r}")
-        if not isinstance(value, allowed[key]):
-            raise ValueError(f"config {path}: field {key!r} has the wrong type")
-    return doc
+def _add_field_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """One ``--field-name`` flag per field of the dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            type=hints[f.name])
 
 
 def _write_json(path: str | Path, doc: dict) -> None:
@@ -103,10 +84,7 @@ def _write_json(path: str | Path, doc: dict) -> None:
 def _parse_acceleration(text: str) -> float:
     if text.lower() in ("max", "inf"):
         return math.inf
-    value = float(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("acceleration must be >= 1 or 'max'")
-    return value
+    return float(text)
 
 
 def _parse_profiles(doc: dict) -> dict[str, synth.ClassProfile]:
@@ -117,27 +95,6 @@ def _parse_profiles(doc: dict) -> dict[str, synth.ClassProfile]:
             power_scale=entry.get("power_scale", 1.0),
         )
     return profiles
-
-
-def _build_synth_spec(args: argparse.Namespace) -> synth.SyntheticSpec:
-    values = _load_config(args.config, _SYNTH_FIELDS)
-    if "profiles" in values:
-        values["profiles"] = _parse_profiles(values["profiles"])
-    for flag in ("seed", "epochs_per_class", "epoch_length_s", "rate_hz",
-                 "amplitude_uv", "noise_level", "amplitude_jitter"):
-        override = getattr(args, flag)
-        if override is not None:
-            values[flag] = override
-    return synth.SyntheticSpec(**values)
-
-
-def _build_train_config(args: argparse.Namespace) -> gbt.TrainConfig:
-    values = _load_config(getattr(args, "train_config", None), _TRAIN_FIELDS)
-    for flag in _TRAIN_FIELDS:
-        override = getattr(args, flag, None)
-        if override is not None:
-            values[flag] = override
-    return gbt.TrainConfig(**values)
 
 
 def _featurize_dataset(
@@ -159,17 +116,25 @@ def _make_processor(model: gbt.GbtModel):
     return processor
 
 
-def _read_samples(config: RunConfig) -> tuple[np.ndarray, float]:
-    if config.input_source == "-":
-        samples = np.loadtxt(sys.stdin, dtype=np.float64).reshape(-1)
-        return samples, config.rate_hz
-    header, sig_headers, digital = parse_edf(Path(config.input_source).read_bytes())
-    trace = to_trace(header, sig_headers[config.signal], digital[config.signal])
-    return trace.samples, trace.rate_hz
+def _read_signal(path: str, index: int) -> tuple[EdfSignalHeader, SignalTrace]:
+    """The header and physical trace of signal ``index`` in an EDF file."""
+    header, sig_headers, digital = parse_edf(Path(path).read_bytes())
+    if not 0 <= index < len(sig_headers):
+        raise ValueError(
+            f"{path}: no signal {index}; the file has {len(sig_headers)} signal(s)"
+        )
+    return sig_headers[index], to_trace(header, sig_headers[index], digital[index])
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers: {text!r}") from None
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = _build_synth_spec(args)
+    spec = _settings(synth.SyntheticSpec, args.config, args, profiles=_parse_profiles)
     index_path = synth.generate_dataset(spec, args.out)
     log.info("wrote dataset under %s", args.out)
     print(str(index_path))
@@ -177,7 +142,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _build_train_config(args)
+    config = _settings(gbt.TrainConfig, args.train_config, args)
     fvs, labels, _ = _featurize_dataset(args.data)
     model = gbt.train(list(zip(fvs, labels)), config)
     Path(args.out).write_bytes(gbt.save_model(model))
@@ -185,7 +150,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         _write_json(
             args.log_file,
             {
-                "config": asdict(config),
+                "config": dataclasses.asdict(config),
                 "num_epochs": len(fvs),
                 "log_loss_per_round": model.training_loss,
             },
@@ -228,7 +193,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         doc = _metrics_doc(cm, report, epoch_length_s, folds=None, seed=None,
                            accuracy_mean=report.accuracy, accuracy_per_fold=[])
     else:
-        train_config = _build_train_config(args)
+        train_config = _settings(gbt.TrainConfig, args.train_config, args)
         cv_config = ev.CvConfig(folds=args.folds, seed=args.seed or 0)
 
         def trainer(train_fvs, train_labels):
@@ -248,9 +213,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    header, sig_headers, digital = parse_edf(Path(args.edf).read_bytes())
-    sig = sig_headers[args.signal]
-    trace = to_trace(header, sig, digital[args.signal])
+    sig, trace = _read_signal(args.edf, args.signal)
     if args.gain is not None:
         mapping = loopback.VoltageMapping(args.gain, args.offset)
     else:
@@ -282,36 +245,29 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        input_source=args.input,
-        model_path=args.model,
-        epoch_length_s=args.epoch_length_s,
-        rate_hz=args.rate_hz,
-        capacity=args.capacity,
-        acceleration=args.acceleration,
-        deterministic=args.deterministic,
-        log_path=args.log_file,
-        timing_path=args.timing,
-        signal=args.signal,
-    )
-    model = gbt.load_model(Path(config.model_path).read_bytes())
-    samples, rate_hz = _read_samples(config)
-    source = pipeline.assemble(samples, config.epoch_length_s, rate_hz)
-    queue = pipeline.EpochQueue(capacity=config.capacity)
-    clock = loopback.SampleClock(rate_hz=rate_hz, acceleration=config.acceleration)
+    queue = pipeline.EpochQueue(capacity=args.capacity)
+    model = gbt.load_model(Path(args.model).read_bytes())
+    if args.input == "-":
+        samples = np.loadtxt(sys.stdin, dtype=np.float64).reshape(-1)
+        rate_hz = args.rate_hz
+    else:
+        trace = _read_signal(args.input, args.signal)[1]
+        samples, rate_hz = trace.samples, trace.rate_hz
+    clock = loopback.SampleClock(rate_hz=rate_hz, acceleration=args.acceleration)
+    source = pipeline.assemble(samples, args.epoch_length_s, rate_hz)
     entries, report = pipeline.run_live(
         source,
         _make_processor(model),
         clock=clock,
         queue=queue,
-        deterministic=config.deterministic,
+        deterministic=args.deterministic,
     )
-    if config.log_path:
-        with Path(config.log_path).open("w") as fh:
+    if args.log_file:
+        with Path(args.log_file).open("w") as fh:
             for entry in entries:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    if config.timing_path:
-        with Path(config.timing_path).open("w", newline="") as fh:
+    if args.timing:
+        with Path(args.timing).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["num_epochs", "collection_s", "processing_s", "ratio_percent"])
             writer.writerow(
@@ -338,13 +294,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if min(args.batch_sizes) < 1:
+    epoch_lengths = _int_list(args.epoch_lengths, "--epoch-lengths")
+    batch_sizes = _int_list(args.batch_sizes, "--batch-sizes")
+    if min(batch_sizes) < 1:
         raise ValueError("batch sizes must be >= 1")
     model = gbt.load_model(Path(args.model).read_bytes())
     processor = _make_processor(model)
     rng = np.random.default_rng(args.seed or 0)
     rows = []
-    for length_s in args.epoch_lengths:
+    for length_s in epoch_lengths:
         spec = synth.SyntheticSpec(
             epochs_per_class=1, epoch_length_s=length_s, rate_hz=args.rate_hz,
             seed=args.seed or 0,
@@ -356,7 +314,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 length_s=length_s,
                 rate_hz=args.rate_hz,
             )
-            for i in range(max(args.batch_sizes))
+            for i in range(max(batch_sizes))
         ]
         # Inference-only latency, separated from preprocessing and extraction.
         config = features.PreprocessConfig()
@@ -365,7 +323,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for fv in fvs:
             gbt.predict_class(model, fv)
         predict_us = (time.perf_counter_ns() - t0) / 1e3 / len(fvs)
-        for size in args.batch_sizes:
+        for size in batch_sizes:
             _, report = pipeline.run_live(epochs[:size], processor, deterministic=True)
             rows.append(
                 {
@@ -419,12 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model JSON path")
     p.add_argument("--train-config", dest="train_config", help="JSON training config")
     p.add_argument("--log", dest="log_file", help="write a JSON training log here")
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--l2-lambda", dest="l2_lambda", type=float)
-    p.add_argument("--min-child-weight", dest="min_child_weight", type=float)
-    p.add_argument("--seed", type=int)
+    _add_field_flags(p, gbt.TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="k-fold cross-validate (or score a fixed model)")
@@ -434,11 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-config", dest="train_config")
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--l2-lambda", dest="l2_lambda", type=float)
-    p.add_argument("--min-child-weight", dest="min_child_weight", type=float)
+    _add_field_flags(p, gbt.TrainConfig)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("replay", help="replay an EDF through the converter models")
@@ -473,10 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time epoch processing across batch sizes")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--epoch-lengths", dest="epoch_lengths", default="16,32,64",
-                   type=lambda s: [int(x) for x in s.split(",")])
-    p.add_argument("--batch-sizes", dest="batch_sizes", default="1,10,100",
-                   type=lambda s: [int(x) for x in s.split(",")])
+    p.add_argument("--epoch-lengths", dest="epoch_lengths", default="16,32,64")
+    p.add_argument("--batch-sizes", dest="batch_sizes", default="1,10,100")
     p.add_argument("--rate", dest="rate_hz", type=float, default=256.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

@@ -204,7 +204,8 @@ def parse_edf(
     ``header.num_signals`` keeps the on-file count.
 
     Raises ``EdfError`` on truncated input, non-numeric numeric fields, an
-    inconsistent ``header_bytes``, or a data section shorter than the
+    inconsistent ``header_bytes``, a signal header that fails
+    :meth:`EdfSignalHeader.validate`, or a data section shorter than the
     declared records.
     """
     if len(data) < _FIXED_HEADER_BYTES:
@@ -259,10 +260,10 @@ def parse_edf(
         EdfSignalHeader(**{name: columns[name][i] for name in columns})
         for i in range(ns)
     ]
+    for sig in signal_headers:
+        sig.validate()
 
     samples_per_record = [h.samples_per_record for h in signal_headers]
-    if any(s < 1 for s in samples_per_record):
-        raise EdfError("samples_per_record must be >= 1 for every signal")
     record_samples = sum(samples_per_record)
     record_bytes = record_samples * 2
     body = len(data) - header.header_bytes

@@ -45,7 +45,6 @@ class TreeNode:
     threshold: float = 0.0
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    default_left: bool = True
     weight: float | None = None
 
     @property
@@ -66,7 +65,6 @@ class TrainConfig:
     learning_rate: float = 0.3
     l2_lambda: float = 1.0
     min_child_weight: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.rounds < 0:
@@ -266,13 +264,13 @@ def _node_to_dict(node: TreeNode) -> dict:
     return {
         "feature_index": node.feature_index,
         "threshold": node.threshold,
-        "default_left": node.default_left,
         "left": _node_to_dict(node.left),
         "right": _node_to_dict(node.right),
     }
 
 
 def _node_from_dict(doc: dict, num_features: int) -> TreeNode:
+    # Older files also carry an unused "default_left" on each split; it is ignored.
     if not isinstance(doc, dict):
         raise ModelFormatError("tree node must be an object")
     if "weight" in doc:
@@ -294,7 +292,6 @@ def _node_from_dict(doc: dict, num_features: int) -> TreeNode:
     return TreeNode(
         feature_index=feature_index,
         threshold=float(threshold),
-        default_left=bool(doc.get("default_left", True)),
         left=_node_from_dict(left, num_features),
         right=_node_from_dict(right, num_features),
     )

@@ -40,6 +40,24 @@ from .loopback import SampleClock
 EPOCH_LENGTHS_S = (4, 16, 32, 64)
 
 
+def samples_per_epoch(length_s: int, rate_hz: float) -> int:
+    """Samples in one epoch of ``length_s`` seconds at ``rate_hz``.
+
+    The length must be one of :data:`EPOCH_LENGTHS_S`, and the epoch must
+    hold a positive whole number of samples.
+    """
+    if length_s not in EPOCH_LENGTHS_S:
+        raise ValueError(
+            f"epoch length must be one of {EPOCH_LENGTHS_S}, got {length_s}"
+        )
+    n = length_s * rate_hz
+    if n <= 0 or n != int(n):
+        raise ValueError(
+            f"{length_s} s at {rate_hz} Hz is not a positive whole number of samples"
+        )
+    return int(n)
+
+
 @dataclass
 class Epoch:
     """A fixed-duration window of physical samples from one stream."""
@@ -53,12 +71,8 @@ class Epoch:
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.length_s not in EPOCH_LENGTHS_S:
-            raise ValueError(
-                f"epoch length must be one of {EPOCH_LENGTHS_S}, got {self.length_s}"
-            )
-        expected = self.length_s * self.rate_hz
-        if expected != int(expected) or self.samples.size != int(expected):
+        expected = samples_per_epoch(self.length_s, self.rate_hz)
+        if self.samples.size != expected:
             raise ValueError(
                 f"epoch needs exactly {expected} samples "
                 f"({self.length_s} s at {self.rate_hz} Hz), got {self.samples.size}"
@@ -78,18 +92,15 @@ def assemble(
 
     Emits ``floor(len(samples) / (length_s * rate_hz))`` epochs with start
     indices at exact multiples of the epoch sample count; a trailing
-    partial window is discarded.
+    partial window is discarded. The length and rate are checked here,
+    before the first epoch is asked for.
     """
-    per_epoch = length_s * rate_hz
-    if per_epoch != int(per_epoch):
-        raise ValueError(
-            f"{length_s} s at {rate_hz} Hz is not a whole number of samples"
-        )
-    per_epoch = int(per_epoch)
+    per_epoch = samples_per_epoch(length_s, rate_hz)
     samples = np.asarray(samples, dtype=np.float64)
-    for k in range(samples.size // per_epoch):
-        start = k * per_epoch
-        yield Epoch(samples[start : start + per_epoch], start, length_s, rate_hz, label)
+    return (
+        Epoch(samples[start : start + per_epoch], start, length_s, rate_hz, label)
+        for start in range(0, samples.size - per_epoch + 1, per_epoch)
+    )
 
 
 class EpochQueue:

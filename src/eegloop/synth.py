@@ -28,7 +28,7 @@ import numpy as np
 
 from .classes import CLASS_NAMES
 from .edf import EdfFileHeader, EdfSignalHeader, parse_edf, to_trace, write_edf
-from .pipeline import Epoch
+from .pipeline import Epoch, samples_per_epoch
 
 LABEL_INDEX_NAME = "labels.csv"
 
@@ -75,13 +75,11 @@ class SyntheticSpec:
             raise ValueError("epochs_per_class must be >= 1")
         if self.amplitude_uv <= 0 or self.noise_level < 0:
             raise ValueError("amplitude must be positive and noise non-negative")
+        samples_per_epoch(self.epoch_length_s, self.rate_hz)
 
     @property
     def samples_per_epoch(self) -> int:
-        n = self.epoch_length_s * self.rate_hz
-        if n != int(n):
-            raise ValueError("epoch length times rate must be a whole sample count")
-        return int(n)
+        return samples_per_epoch(self.epoch_length_s, self.rate_hz)
 
 
 def _spectral_envelope(freqs: np.ndarray, profile: ClassProfile, spec: SyntheticSpec) -> np.ndarray:

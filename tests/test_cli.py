@@ -23,6 +23,10 @@ def workspace(tmp_path_factory):
     return root, data, model
 
 
+def assert_one_error_line(err):
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestSynth:
     def test_writes_one_edf_per_class_and_index(self, workspace):
         _, data, _ = workspace
@@ -82,6 +86,32 @@ class TestTrain:
         losses = doc["log_loss_per_round"]
         assert len(losses) == 7
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+    def test_train_config_file_with_flag_override(self, workspace, tmp_path):
+        _, data, _ = workspace
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"rounds": 5, "max_depth": 2}))
+        log_path = tmp_path / "train_log.json"
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--train-config", str(config), "--rounds", "3",
+                     "--log", str(log_path)]) == 0
+        doc = json.loads(log_path.read_text())
+        assert doc["config"]["rounds"] == 3
+        assert doc["config"]["max_depth"] == 2
+        assert len(doc["log_loss_per_round"]) == 1 + 3
+
+    @pytest.mark.parametrize("entry", [{"seed": 0}, {"roundz": 3}, {"rounds": "3"},
+                                       {"rounds": 3.0}, {"learning_rate": True}],
+                             ids=["seed", "unknown", "string", "float_for_int", "bool"])
+    def test_bad_train_config_rejected(self, workspace, tmp_path, capsys, entry):
+        _, data, _ = workspace
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps(entry))
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     "--train-config", str(config)]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestEvaluate:
@@ -151,6 +181,15 @@ class TestReplay:
         assert main(["replay", "--edf", str(data / "sham_wake.edf"),
                      "--gain", "0.05", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["clip_count"] > 0
+
+    def test_signal_out_of_range_fails_cleanly(self, workspace, capsys):
+        _, data, _ = workspace
+        assert main(["replay", "--edf", str(data / "sham_wake.edf"),
+                     "--signal", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error_line(err)
+        assert "1 signal" in err
 
 
 class TestRun:
@@ -228,6 +267,25 @@ class TestRun:
         assert summary["produced"] == summary["consumed"] == 1
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags, cause",
+        [(["--epoch-length", "5"], "epoch length"),
+         (["--capacity", "0"], "capacity"),
+         (["--acceleration", "0.5"], "acceleration"),
+         (["--input", "/nonexistent/input.edf"], "No such file"),
+         (["--signal", "5"], "1 signal")],
+        ids=["epoch_length", "capacity", "acceleration", "missing_input", "signal"],
+    )
+    def test_invalid_setting_fails_cleanly(self, workspace, capsys, flags, cause):
+        _, data, model = workspace
+        code = main(["run", "--input", str(data / "sham_wake.edf"), "--model",
+                     str(model), "--epoch-length", "4", "--deterministic", *flags])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no summary
+        assert_one_error_line(err)
+        assert cause in err
+
     def test_raw_samples_on_stdin(self, workspace, capsys, monkeypatch):
         import io
 
@@ -269,7 +327,16 @@ class TestBench:
 
     def test_bad_batch_size_rejected(self, workspace, tmp_path, capsys):
         _, _, model = workspace
-        code = main(["bench", "--model", str(model), "--out", str(tmp_path / "b.csv"),
-                     "--batch-sizes", "0"])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        for sizes in ["0", "", "1,x"]:
+            code = main(["bench", "--model", str(model), "--out",
+                         str(tmp_path / "b.csv"), "--batch-sizes", sizes])
+            assert code == 2
+            assert_one_error_line(capsys.readouterr().err)
+
+    def test_bad_epoch_lengths_rejected(self, workspace, tmp_path, capsys):
+        _, _, model = workspace
+        for lengths in ["", "16,x", "5"]:
+            code = main(["bench", "--model", str(model), "--out",
+                         str(tmp_path / "b.csv"), "--epoch-lengths", lengths])
+            assert code == 2
+            assert_one_error_line(capsys.readouterr().err)

@@ -169,6 +169,24 @@ class TestMalformedInput:
         with pytest.raises(EdfError, match="data section"):
             parse_edf(data[:-5])
 
+    # Byte ranges of one signal's header fields, after the 256-byte fixed header.
+    @pytest.mark.parametrize(
+        "field, start, text",
+        [
+            ("physical_min must differ", 368, b"-1000"),  # physical_max = physical_min
+            ("digital_min must be < digital_max", 384, b"-32768"),  # digital_max
+            ("samples_per_record", 472, b"0"),
+            ("signed 16 bits", 384, b"40000"),  # digital_max
+        ],
+        ids=["physical_range", "digital_range", "samples_per_record", "digital_width"],
+    )
+    def test_invalid_signal_header_rejected(self, field, start, text):
+        header, sigs, signals = make_file()
+        data = bytearray(write_edf(header, sigs, signals))
+        data[start : start + 8] = text.ljust(8)
+        with pytest.raises(EdfError, match=field):
+            parse_edf(bytes(data))
+
     def test_writer_rejects_partial_records(self):
         header, sigs, _ = make_file(num_records=2, samples_per_record=4)
         with pytest.raises(EdfError, match="samples"):

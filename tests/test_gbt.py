@@ -132,7 +132,7 @@ class TestTraining:
         assert predict_class(model, fv(3.2))[0] == CLASS_NAMES[0]
 
     def test_two_runs_serialize_identically(self):
-        config = TrainConfig(rounds=6, seed=123)
+        config = TrainConfig(rounds=6)
         m1 = train(quadrant_dataset(seed=9), config)
         m2 = train(quadrant_dataset(seed=9), config)
         assert save_model(m1) == save_model(m2)
@@ -251,4 +251,29 @@ class TestModelFormat:
         assert doc["format_version"] == 1
         assert doc["classes"] == list(CLASS_NAMES)
         assert doc["feature_schema"]["schema_id"]
-        assert doc["trees"][0][0]["default_left"] is True
+        assert "default_left" not in doc["trees"][0][0]
+
+    def test_file_with_default_left_loads_unchanged(self):
+        # Files written before the unused "default_left" split field was
+        # dropped carry it on every split, under the same format version.
+        model = train(quadrant_dataset(seed=4), TrainConfig(rounds=6))
+        data = save_model(model)
+        doc = json.loads(data)
+
+        def add_default_left(node):
+            if "weight" not in node:
+                node["default_left"] = True
+                add_default_left(node["left"])
+                add_default_left(node["right"])
+
+        for round_trees in doc["trees"]:
+            for tree in round_trees:
+                add_default_left(tree)
+        older = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        assert older.replace(b'"default_left":true,', b"") == data
+        loaded = load_model(older)
+        assert save_model(loaded) == data
+        probe = FeatureVector(np.random.default_rng(3).uniform(-1, 4, NUM_FEATURES))
+        np.testing.assert_array_equal(
+            predict_margins(loaded, probe), predict_margins(model, probe)
+        )

@@ -79,3 +79,7 @@ class TestClassStructure:
             SyntheticSpec(profiles={"sham_wake": None})
         with pytest.raises(ValueError, match="epochs_per_class"):
             SyntheticSpec(epochs_per_class=0)
+        with pytest.raises(ValueError, match="epoch length"):
+            SyntheticSpec(epoch_length_s=8)
+        with pytest.raises(ValueError, match="whole number"):
+            SyntheticSpec(epoch_length_s=4, rate_hz=100.1)
