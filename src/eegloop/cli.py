@@ -22,6 +22,7 @@ import os
 import sys
 import time
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,10 +91,19 @@ def _parse_acceleration(text: str) -> float:
 def _parse_profiles(doc: dict) -> dict[str, synth.ClassProfile]:
     profiles = {}
     for name, entry in doc.items():
-        profiles[name] = synth.ClassProfile(
-            bumps=tuple(tuple(b) for b in entry["bumps"]),
-            power_scale=entry.get("power_scale", 1.0),
-        )
+        if not (isinstance(entry, dict) and "bumps" in entry
+                and entry.keys() <= {"bumps", "power_scale"}):
+            raise ValueError(
+                f"profile {name!r} needs 'bumps' and may set only 'power_scale'"
+            )
+        bumps, power_scale = entry["bumps"], entry.get("power_scale", 1.0)
+        if not isinstance(bumps, list) or not all(
+            isinstance(b, list) and len(b) == 3 and all(_fits(v, float) for v in b)
+            for b in bumps
+        ) or not _fits(power_scale, float):
+            raise ValueError(f"profile {name!r}: bumps must be [center_hz, width_hz, "
+                             "weight] numbers and power_scale a number")
+        profiles[name] = synth.ClassProfile(tuple(map(tuple, bumps)), power_scale)
     return profiles
 
 
@@ -248,7 +258,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     queue = pipeline.EpochQueue(capacity=args.capacity)
     model = gbt.load_model(Path(args.model).read_bytes())
     if args.input == "-":
-        samples = np.loadtxt(sys.stdin, dtype=np.float64).reshape(-1)
+        with warnings.catch_warnings():
+            # An empty stdin is reported below as one error line.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            samples = np.loadtxt(sys.stdin, dtype=np.float64).reshape(-1)
+        if samples.size == 0:
+            raise ValueError("stdin holds no samples")
         rate_hz = args.rate_hz
     else:
         trace = _read_signal(args.input, args.signal)[1]

@@ -5,6 +5,12 @@ signal (field-major order), and data records of little-endian signed
 16-bit samples interleaved per signal. Digital codes map linearly onto
 physical units through the per-signal calibration fields.
 
+The reader and the writer walk one (name, width, type) table per header.
+Every header byte is ASCII, reserved bytes included; numbers are plain
+decimals (no ``nan``, ``inf`` or ``1_0``); the record duration and the
+physical limits are finite; ``header_bytes`` is derived from the signal
+count, and the reader checks the stored value against it.
+
 Only continuous, plain EDF is handled here: annotation signals (the
 EDF+ "EDF Annotations" channel) are skipped with a warning, and the
 24-bit BDF variant is rejected by virtue of its non-numeric header.
@@ -12,6 +18,8 @@ EDF+ "EDF Annotations" channel) are skipped with a warning, and the
 
 from __future__ import annotations
 
+import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -19,36 +27,42 @@ import numpy as np
 
 ANNOTATION_LABEL = "EDF Annotations"
 
-_FIXED_HEADER_BYTES = 256
-_PER_SIGNAL_HEADER_BYTES = 256
+# The fixed header and each signal's header are 256 bytes long.
+_BLOCK_BYTES = 256
 
-# (field name, byte width) for the fixed header, in file order.
+# (field name, byte width, type) for the fixed header, in file order.
 _FIXED_FIELDS = (
-    ("version", 8),
-    ("patient_id", 80),
-    ("recording_id", 80),
-    ("start_date", 8),
-    ("start_time", 8),
-    ("header_bytes", 8),
-    ("reserved", 44),
-    ("num_records", 8),
-    ("record_duration_s", 8),
-    ("num_signals", 4),
+    ("version", 8, str),
+    ("patient_id", 80, str),
+    ("recording_id", 80, str),
+    ("start_date", 8, str),
+    ("start_time", 8, str),
+    ("header_bytes", 8, int),
+    ("reserved", 44, str),
+    ("num_records", 8, int),
+    ("record_duration_s", 8, float),
+    ("num_signals", 4, int),
 )
 
-# (field name, byte width per signal) for the signal headers, in file order.
+# (field name, byte width per signal, type) for the signal headers, in file order.
 _SIGNAL_FIELDS = (
-    ("label", 16),
-    ("transducer", 80),
-    ("physical_dimension", 8),
-    ("physical_min", 8),
-    ("physical_max", 8),
-    ("digital_min", 8),
-    ("digital_max", 8),
-    ("prefiltering", 80),
-    ("samples_per_record", 8),
-    ("reserved", 32),
+    ("label", 16, str),
+    ("transducer", 80, str),
+    ("physical_dimension", 8, str),
+    ("physical_min", 8, float),
+    ("physical_max", 8, float),
+    ("digital_min", 8, int),
+    ("digital_max", 8, int),
+    ("prefiltering", 80, str),
+    ("samples_per_record", 8, int),
+    ("reserved", 32, str),
 )
+
+# The plain ASCII decimals a numeric field may hold.
+_NUMBER = {
+    int: re.compile(r"[+-]?[0-9]+"),
+    float: re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"),
+}
 
 
 class EdfError(ValueError):
@@ -64,7 +78,6 @@ class EdfFileHeader:
     recording_id: str = ""
     start_date: str = "01.01.01"
     start_time: str = "00.00.00"
-    header_bytes: int = 0
     num_records: int = -1
     record_duration_s: float = 1.0
     num_signals: int = 0
@@ -77,14 +90,24 @@ class EdfFileHeader:
         record_duration_s: float = 1.0,
         **fields: str,
     ) -> "EdfFileHeader":
-        """Build a header with ``header_bytes`` filled in from the signal count."""
+        """Build a header for ``num_signals`` signals and ``num_records`` records."""
         return cls(
-            header_bytes=_FIXED_HEADER_BYTES + num_signals * _PER_SIGNAL_HEADER_BYTES,
             num_records=num_records,
             record_duration_s=record_duration_s,
             num_signals=num_signals,
             **fields,
         )
+
+    @property
+    def header_bytes(self) -> int:
+        """Length of the fixed header plus every signal header."""
+        return _BLOCK_BYTES * (self.num_signals + 1)
+
+    def validate(self) -> None:
+        if self.num_signals < 1:
+            raise EdfError(f"num_signals must be >= 1, got {self.num_signals}")
+        if not 0 < self.record_duration_s < math.inf:
+            raise EdfError("record duration must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -104,6 +127,8 @@ class EdfSignalHeader:
     def validate(self) -> None:
         if self.digital_min >= self.digital_max:
             raise EdfError("digital_min must be < digital_max")
+        if not (math.isfinite(self.physical_min) and math.isfinite(self.physical_max)):
+            raise EdfError("physical limits must be finite")
         if self.physical_min == self.physical_max:
             raise EdfError("physical_min must differ from physical_max")
         if self.samples_per_record < 1:
@@ -170,27 +195,30 @@ def to_trace(
     return SignalTrace(digital_to_physical(np.asarray(digital), sig_hdr), rate)
 
 
-def _decode_text(raw: bytes, field: str) -> str:
+def _decode(raw: bytes, field: str, kind: type) -> str | int | float:
     try:
-        return raw.decode("ascii").rstrip(" ")
+        text = raw.decode("ascii").rstrip(" ")
     except UnicodeDecodeError as exc:
         raise EdfError(f"non-ASCII bytes in header field {field!r}") from exc
+    if kind is str:
+        return text
+    text = text.strip()
+    if not _NUMBER[kind].fullmatch(text):
+        raise EdfError(f"non-numeric value {text!r} in header field {field!r}")
+    return kind(text)
 
 
-def _decode_int(raw: bytes, field: str) -> int:
-    text = _decode_text(raw, field).strip()
-    try:
-        return int(text)
-    except ValueError:
-        raise EdfError(f"non-numeric value {text!r} in header field {field!r}") from None
-
-
-def _decode_float(raw: bytes, field: str) -> float:
-    text = _decode_text(raw, field).strip()
-    try:
-        return float(text)
-    except ValueError:
-        raise EdfError(f"non-numeric value {text!r} in header field {field!r}") from None
+def _decode_fields(data: bytes, fields: tuple, count: int) -> list[dict]:
+    """Decode ``count`` field-major headers from ``data``, dropping reserved fields."""
+    rows: list[dict] = [{} for _ in range(count)]
+    pos = 0
+    for name, width, kind in fields:
+        for row in rows:
+            row[name] = _decode(data[pos : pos + width], name, kind)
+            pos += width
+    for row in rows:
+        del row["reserved"]
+    return rows
 
 
 def parse_edf(
@@ -203,62 +231,30 @@ def parse_edf(
     concatenated in order). Annotation signals are skipped with a warning;
     ``header.num_signals`` keeps the on-file count.
 
-    Raises ``EdfError`` on truncated input, non-numeric numeric fields, an
-    inconsistent ``header_bytes``, a signal header that fails
-    :meth:`EdfSignalHeader.validate`, or a data section shorter than the
-    declared records.
+    Raises ``EdfError`` on truncated input, non-ASCII header bytes,
+    numeric fields that are not plain decimals, an inconsistent
+    ``header_bytes``, a header that fails its ``validate()``, or a data
+    section shorter than the declared records.
     """
-    if len(data) < _FIXED_HEADER_BYTES:
+    if len(data) < _BLOCK_BYTES:
         raise EdfError(f"file too short for EDF header: {len(data)} bytes")
 
-    pos = 0
-    fixed: dict[str, object] = {}
-    for name, width in _FIXED_FIELDS:
-        raw = data[pos : pos + width]
-        pos += width
-        if name in ("header_bytes", "num_records", "num_signals"):
-            fixed[name] = _decode_int(raw, name)
-        elif name == "record_duration_s":
-            fixed[name] = _decode_float(raw, name)
-        elif name == "reserved":
-            continue
-        else:
-            fixed[name] = _decode_text(raw, name)
-
-    header = EdfFileHeader(**fixed)  # type: ignore[arg-type]
+    (fixed,) = _decode_fields(data, _FIXED_FIELDS, 1)
+    stored_header_bytes = fixed.pop("header_bytes")
+    header = EdfFileHeader(**fixed)
+    header.validate()
     ns = header.num_signals
-    if ns < 1:
-        raise EdfError(f"num_signals must be >= 1, got {ns}")
-    if header.record_duration_s <= 0:
-        raise EdfError("record duration must be positive")
-    expected_header_bytes = _FIXED_HEADER_BYTES + ns * _PER_SIGNAL_HEADER_BYTES
-    if header.header_bytes != expected_header_bytes:
+    if stored_header_bytes != header.header_bytes:
         raise EdfError(
-            f"header_bytes {header.header_bytes} inconsistent with "
-            f"{ns} signals (expected {expected_header_bytes})"
+            f"header_bytes {stored_header_bytes} inconsistent with "
+            f"{ns} signals (expected {header.header_bytes})"
         )
     if len(data) < header.header_bytes:
         raise EdfError("file truncated inside signal headers")
 
-    # Signal header fields are stored field-major: all labels, then all
-    # transducers, and so on.
-    columns: dict[str, list] = {}
-    for name, width in _SIGNAL_FIELDS:
-        values = []
-        for _ in range(ns):
-            raw = data[pos : pos + width]
-            pos += width
-            if name in ("digital_min", "digital_max", "samples_per_record"):
-                values.append(_decode_int(raw, name))
-            elif name in ("physical_min", "physical_max"):
-                values.append(_decode_float(raw, name))
-            else:
-                values.append(_decode_text(raw, name))
-        columns[name] = values
-    columns.pop("reserved")
+    signal_block = data[_BLOCK_BYTES : header.header_bytes]
     signal_headers = [
-        EdfSignalHeader(**{name: columns[name][i] for name in columns})
-        for i in range(ns)
+        EdfSignalHeader(**row) for row in _decode_fields(signal_block, _SIGNAL_FIELDS, ns)
     ]
     for sig in signal_headers:
         sig.validate()
@@ -296,27 +292,25 @@ def parse_edf(
     return header, out_headers, out_samples
 
 
-def _encode_text(value: str, width: int, field: str) -> bytes:
+def _encode(value: str | int | float, width: int, field: str, kind: type) -> bytes:
+    if kind is str:
+        text = value
+    elif kind is int or float(value).is_integer():
+        text = str(int(value))
+    else:
+        text = repr(float(value))
+    if kind is not str and (len(text) > width or float(text) != float(value)):
+        raise EdfError(
+            f"value {value!r} for field {field!r} has no exact "
+            f"{width}-character representation"
+        )
     try:
-        raw = value.encode("ascii")
+        raw = text.encode("ascii")
     except UnicodeEncodeError as exc:
         raise EdfError(f"field {field!r} is not ASCII") from exc
     if len(raw) > width:
         raise EdfError(f"field {field!r} longer than {width} bytes: {value!r}")
     return raw.ljust(width)
-
-
-def _format_number(value: float | int, width: int, field: str) -> bytes:
-    if isinstance(value, (int, np.integer)) or float(value).is_integer():
-        text = str(int(value))
-    else:
-        text = repr(float(value))
-    if len(text) > width or float(text) != float(value):
-        raise EdfError(
-            f"value {value!r} for field {field!r} has no exact "
-            f"{width}-character representation"
-        )
-    return text.encode("ascii").ljust(width)
 
 
 def write_edf(
@@ -334,17 +328,9 @@ def write_edf(
     ns = header.num_signals
     if ns != len(signal_headers) or ns != len(signals):
         raise EdfError("header.num_signals disagrees with provided signals")
-    if ns < 1:
-        raise EdfError("at least one signal is required")
+    header.validate()
     if header.num_records < 1:
         raise EdfError("num_records must be >= 1 when writing")
-    if header.record_duration_s <= 0:
-        raise EdfError("record duration must be positive")
-    expected_header_bytes = _FIXED_HEADER_BYTES + ns * _PER_SIGNAL_HEADER_BYTES
-    if header.header_bytes != expected_header_bytes:
-        raise EdfError(
-            f"header_bytes {header.header_bytes} inconsistent with {ns} signals"
-        )
     for sig, samples in zip(signal_headers, signals):
         sig.validate()
         expected = header.num_records * sig.samples_per_record
@@ -354,27 +340,13 @@ def write_edf(
                 f"{header.num_records} x {sig.samples_per_record}"
             )
 
+    # Field-major, like the reader; reserved fields have no attribute and are blank.
     parts = [
-        _encode_text(header.version, 8, "version"),
-        _encode_text(header.patient_id, 80, "patient_id"),
-        _encode_text(header.recording_id, 80, "recording_id"),
-        _encode_text(header.start_date, 8, "start_date"),
-        _encode_text(header.start_time, 8, "start_time"),
-        _format_number(header.header_bytes, 8, "header_bytes"),
-        _encode_text("", 44, "reserved"),
-        _format_number(header.num_records, 8, "num_records"),
-        _format_number(header.record_duration_s, 8, "record_duration_s"),
-        _format_number(header.num_signals, 4, "num_signals"),
+        _encode(getattr(hdr, name, ""), width, name, kind)
+        for fields, hdrs in ((_FIXED_FIELDS, [header]), (_SIGNAL_FIELDS, signal_headers))
+        for name, width, kind in fields
+        for hdr in hdrs
     ]
-    for name, width in _SIGNAL_FIELDS:
-        for sig in signal_headers:
-            if name == "reserved":
-                parts.append(_encode_text("", width, name))
-            elif name in ("digital_min", "digital_max", "samples_per_record",
-                          "physical_min", "physical_max"):
-                parts.append(_format_number(getattr(sig, name), width, name))
-            else:
-                parts.append(_encode_text(getattr(sig, name), width, name))
 
     digital = [
         np.asarray(physical_to_digital(np.asarray(s, dtype=np.float64), sig)).astype("<i2")

@@ -31,6 +31,7 @@ from .edf import EdfFileHeader, EdfSignalHeader, parse_edf, to_trace, write_edf
 from .pipeline import Epoch, samples_per_epoch
 
 LABEL_INDEX_NAME = "labels.csv"
+_INDEX_COLUMNS = ("file", "epoch_index", "class")
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     index_path = out / LABEL_INDEX_NAME
     with index_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["file", "epoch_index", "class"])
+        writer.writerow(_INDEX_COLUMNS)
         writer.writerows(rows)
     return index_path
 
@@ -167,7 +168,13 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
     if not index_path.exists():
         raise FileNotFoundError(f"label index not found: {index_path}")
     with index_path.open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in _INDEX_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(
+                f"label index {index_path} lacks column(s) {', '.join(missing)}"
+            )
+        rows = list(reader)
     if not rows:
         raise ValueError(f"label index {index_path} holds no entries")
 
@@ -183,7 +190,7 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
                 raise ValueError(f"{filename}: record duration must be whole seconds")
             traces[filename] = (trace.samples, trace.rate_hz, int(length_s))
         samples, rate_hz, length_s = traces[filename]
-        per_epoch = int(length_s * rate_hz)
+        per_epoch = samples_per_epoch(length_s, rate_hz)
         idx = int(row["epoch_index"])
         start = idx * per_epoch
         if start + per_epoch > samples.size:

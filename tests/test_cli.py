@@ -60,6 +60,24 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    @pytest.mark.parametrize(
+        "entry, cause",
+        [({}, "'bumps'"),
+         ({"bumps": [["a", 1.0, 1.0]]}, "bumps must be"),
+         ({"bumps": [[6.5, 1.5]]}, "bumps must be"),
+         ({"bumps": [], "power_scale": "x"}, "power_scale")],
+        ids=["missing_bumps", "non_numeric_bump", "short_bump", "non_numeric_power_scale"],
+    )
+    def test_bad_profiles_entry_rejected(self, tmp_path, capsys, entry, cause):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"profiles": {"sham_wake": entry}}))
+        assert main(["synth", "--out", str(tmp_path / "x"),
+                     "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "'sham_wake'" in err and cause in err
+
+
 class TestTrain:
     def test_same_seed_same_model_bytes(self, workspace, tmp_path):
         _, data, model = workspace
@@ -299,6 +317,20 @@ class TestRun:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["produced"] == 3
         assert summary["dropped"] == 0
+
+    @pytest.mark.parametrize("text", ["", "# no samples\n"], ids=["empty", "comment_only"])
+    def test_empty_stdin_fails_cleanly(self, workspace, capsys, monkeypatch, text):
+        import io
+
+        _, _, model = workspace
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["run", "--input", "-", "--model", str(model),
+                     "--epoch-length", "4", "--rate", "256",
+                     "--deterministic"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error_line(err)
+        assert "stdin holds no samples" in err
 
 
 class TestBench:

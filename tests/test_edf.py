@@ -1,5 +1,8 @@
 """EDF parser/writer round trips, calibration maps, and malformed inputs."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from eegloop.edf import (
+    _FIXED_FIELDS,
+    _SIGNAL_FIELDS,
     EdfError,
     EdfFileHeader,
     EdfSignalHeader,
@@ -177,8 +182,12 @@ class TestMalformedInput:
             ("digital_min must be < digital_max", 384, b"-32768"),  # digital_max
             ("samples_per_record", 472, b"0"),
             ("signed 16 bits", 384, b"40000"),  # digital_max
+            ("non-numeric", 360, b"nan"),  # physical_min
+            ("non-numeric", 368, b"inf"),  # physical_max
+            ("finite", 368, b"1e999"),  # physical_max overflows to inf
         ],
-        ids=["physical_range", "digital_range", "samples_per_record", "digital_width"],
+        ids=["physical_range", "digital_range", "samples_per_record", "digital_width",
+             "physical_nan", "physical_inf", "physical_overflow"],
     )
     def test_invalid_signal_header_rejected(self, field, start, text):
         header, sigs, signals = make_file()
@@ -186,6 +195,38 @@ class TestMalformedInput:
         data[start : start + 8] = text.ljust(8)
         with pytest.raises(EdfError, match=field):
             parse_edf(bytes(data))
+
+    # Byte ranges of fixed header fields.
+    @pytest.mark.parametrize(
+        "cause, start, text",
+        [
+            ("non-numeric", 244, b"nan"),  # record duration
+            ("non-numeric", 244, b"inf"),
+            ("positive and finite", 244, b"0"),
+            ("positive and finite", 244, b"1e999"),
+            ("non-numeric", 236, b"1_0"),  # num_records
+            ("non-ASCII", 200, b"\xff"),  # reserved
+        ],
+        ids=["duration_nan", "duration_inf", "duration_zero", "duration_overflow",
+             "num_records_underscore", "reserved_non_ascii"],
+    )
+    def test_invalid_fixed_header_rejected(self, cause, start, text):
+        header, sigs, signals = make_file()
+        data = bytearray(write_edf(header, sigs, signals))
+        data[start : start + len(text)] = text
+        with pytest.raises(EdfError, match=cause):
+            parse_edf(bytes(data))
+
+    @pytest.mark.parametrize(
+        "fields, cause",
+        [({"physical_max": math.inf}, "physical limits must be finite"),
+         ({"record_duration_s": math.inf}, "positive and finite")],
+        ids=["physical_max", "record_duration"],
+    )
+    def test_writer_rejects_infinite_value(self, fields, cause):
+        header, sigs, signals = make_file(**fields)
+        with pytest.raises(EdfError, match=cause):
+            write_edf(header, sigs, signals)
 
     def test_writer_rejects_partial_records(self):
         header, sigs, _ = make_file(num_records=2, samples_per_record=4)
@@ -197,6 +238,61 @@ class TestMalformedInput:
         bad = [EdfSignalHeader(digital_min=5, digital_max=5, samples_per_record=4)]
         with pytest.raises(EdfError):
             write_edf(header, bad, signals)
+
+
+def numeric_fields(num_signals):
+    """(offset, width) of each numeric header field for ``num_signals`` signals."""
+    found, pos = [], 0
+    for fields, count in ((_FIXED_FIELDS, 1), (_SIGNAL_FIELDS, num_signals)):
+        for _, width, kind in fields:
+            for _ in range(count):
+                if kind is not str:
+                    found.append((pos, width))
+                pos += width
+    return found
+
+
+# A valid 2-signal file. A mutation either fills a numeric field with a
+# number-like token or writes a byte, often printable, anywhere in the header.
+FUZZ_FILE = write_edf(*make_file(num_signals=2, num_records=3, samples_per_record=5))
+HEADER_LEN = 256 * 3
+TOKENS = [b"0", b"-1", b"+7", b".5", b"1e999", b"nan", b"inf", b"1_0", b"99999999"]
+fuzz_patch = st.one_of(
+    st.tuples(st.sampled_from(numeric_fields(2)), st.sampled_from(TOKENS)).map(
+        lambda field_token: (field_token[0][0], field_token[1].ljust(field_token[0][1]))
+    ),
+    st.tuples(
+        st.integers(0, HEADER_LEN - 1),
+        st.one_of(st.integers(32, 126), st.integers(0, 255)).map(lambda b: bytes([b])),
+    ),
+)
+
+
+class TestParserFuzz:
+    @given(
+        st.lists(fuzz_patch, min_size=1, max_size=3),
+        st.one_of(st.none(), st.integers(0, len(FUZZ_FILE))),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_mutated_header_parses_or_raises_edf_error(self, patches, cut):
+        data = bytearray(FUZZ_FILE)
+        for pos, token in patches:
+            data[pos : pos + len(token)] = token
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a label may turn into an annotation
+                header, sig_headers, digital = parse_edf(bytes(data[:cut]))
+        except EdfError:
+            return
+        header.validate()
+        record_counts = set()
+        for sig, codes in zip(sig_headers, digital, strict=True):
+            sig.validate()
+            assert codes.size % sig.samples_per_record == 0
+            record_counts.add(codes.size // sig.samples_per_record)
+        assert len(record_counts) <= 1
+        if header.num_records >= 0:
+            assert record_counts <= {header.num_records}
 
 
 class TestAnnotationsAndTraces:

@@ -55,6 +55,13 @@ class TestLabelIndex:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path)
 
+    def test_index_missing_a_column_rejected(self, tmp_path):
+        index = generate_dataset(SMALL, tmp_path)
+        rows = index.read_text().splitlines()
+        index.write_text("\n".join(line.rsplit(",", 1)[0] for line in rows) + "\n")
+        with pytest.raises(ValueError, match="lacks column\\(s\\) class"):
+            load_dataset(tmp_path)
+
 
 class TestClassStructure:
     def test_sleep_classes_have_more_relative_delta_than_wake(self, tmp_path):
