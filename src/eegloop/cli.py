@@ -20,7 +20,6 @@ import logging
 import math
 import os
 import sys
-import time
 import typing
 import warnings
 from pathlib import Path
@@ -80,6 +79,24 @@ def _add_field_flags(parser: argparse.ArgumentParser, cls) -> None:
 
 def _write_json(path: str | Path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(path: str | Path, rows: list[dict]) -> None:
+    """A header named by the first row's keys, then one line per row."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _timing_row(report: pipeline.TimingReport) -> dict:
+    """The timing fields of a run report, as the summary and CSVs give them."""
+    return {
+        "num_epochs": report.num_epochs,
+        "collection_s": report.collection_time_s,
+        "processing_s": report.processing_time_s,
+        "ratio_percent": report.ratio_percent,
+    }
 
 
 def _parse_acceleration(text: str) -> float:
@@ -204,7 +221,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                            accuracy_mean=report.accuracy, accuracy_per_fold=[])
     else:
         train_config = _settings(gbt.TrainConfig, args.train_config, args)
-        cv_config = ev.CvConfig(folds=args.folds, seed=args.seed or 0)
+        cv_config = ev.CvConfig(folds=args.folds, seed=args.seed)
 
         def trainer(train_fvs, train_labels):
             model = gbt.train(list(zip(train_fvs, train_labels)), train_config)
@@ -224,14 +241,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     sig, trace = _read_signal(args.edf, args.signal)
+    dac = None if args.bypass else loopback.DacModel(args.dac_bits, args.vref)
+    adc = None if args.bypass else loopback.AdcModel(args.adc_bits, args.vref)
     if args.gain is not None:
         mapping = loopback.VoltageMapping(args.gain, args.offset)
     else:
         mapping = loopback.VoltageMapping.centered(
             sig.physical_min, sig.physical_max, args.vref, args.span
         )
-    dac = None if args.bypass else loopback.DacModel(args.dac_bits, args.vref)
-    adc = None if args.bypass else loopback.AdcModel(args.adc_bits, args.vref)
     result = loopback.replay_capture(trace, mapping, dac, adc)
     doc = {
         "edf": str(args.edf),
@@ -282,24 +299,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             for entry in entries:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
     if args.timing:
-        with Path(args.timing).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["num_epochs", "collection_s", "processing_s", "ratio_percent"])
-            writer.writerow(
-                [
-                    report.num_epochs,
-                    report.collection_time_s,
-                    report.processing_time_s,
-                    report.ratio_percent,
-                ]
-            )
+        _write_csv(args.timing, [_timing_row(report)])
     summary = {
         **queue.counters(),
+        **_timing_row(report),
         "complete": report.complete,
         "error": report.error,
-        "collection_s": report.collection_time_s,
-        "processing_s": report.processing_time_s,
-        "ratio_percent": report.ratio_percent,
     }
     print(json.dumps(summary, sort_keys=True))
     if not report.complete:
@@ -315,55 +320,34 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("batch sizes must be >= 1")
     model = gbt.load_model(Path(args.model).read_bytes())
     processor = _make_processor(model)
-    rng = np.random.default_rng(args.seed or 0)
+    config = features.PreprocessConfig()
+
+    def timed(epochs, classify) -> pipeline.TimingReport:
+        _, report = pipeline.run_live(epochs, classify, deterministic=True)
+        if not report.complete:
+            raise ValueError(f"bench run incomplete: {report.error}")
+        return report
+
+    rng = np.random.default_rng(args.seed)
     rows = []
     for length_s in epoch_lengths:
         spec = synth.SyntheticSpec(
             epochs_per_class=1, epoch_length_s=length_s, rate_hz=args.rate_hz,
-            seed=args.seed or 0,
+            seed=args.seed,
         )
-        epochs = [
-            pipeline.Epoch(
-                synth.generate_epoch_samples("sham_wake", spec, rng),
-                start_index=i * spec.samples_per_epoch,
-                length_s=length_s,
-                rate_hz=args.rate_hz,
-            )
-            for i in range(max(batch_sizes))
-        ]
+        stream = np.concatenate([
+            synth.generate_epoch_samples("sham_wake", spec, rng)
+            for _ in range(max(batch_sizes))
+        ])
+        epochs = list(pipeline.assemble(stream, length_s, args.rate_hz))
         # Inference-only latency, separated from preprocessing and extraction.
-        config = features.PreprocessConfig()
-        fvs = [features.featurize(e, config) for e in epochs]
-        t0 = time.perf_counter_ns()
-        for fv in fvs:
-            gbt.predict_class(model, fv)
-        predict_us = (time.perf_counter_ns() - t0) / 1e3 / len(fvs)
-        for size in batch_sizes:
-            _, report = pipeline.run_live(epochs[:size], processor, deterministic=True)
-            rows.append(
-                {
-                    "epoch_length_s": length_s,
-                    "num_epochs": report.num_epochs,
-                    "collection_s": report.collection_time_s,
-                    "processing_s": report.processing_time_s,
-                    "ratio_percent": report.ratio_percent,
-                    "predict_per_epoch_us": predict_us,
-                }
-            )
-    with Path(args.out).open("w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "epoch_length_s",
-                "num_epochs",
-                "collection_s",
-                "processing_s",
-                "ratio_percent",
-                "predict_per_epoch_us",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+        fvs = {e.start_index: features.featurize(e, config) for e in epochs}
+        predict = timed(epochs, lambda e: gbt.predict_class(model, fvs[e.start_index])[0])
+        predict_us = predict.processing_time_s * 1e6 / predict.num_epochs
+        rows += [{"epoch_length_s": length_s,
+                  **_timing_row(timed(epochs[:size], processor)),
+                  "predict_per_epoch_us": predict_us} for size in batch_sizes]
+    _write_csv(args.out, rows)
     print(args.out)
     return 0
 

@@ -3,8 +3,8 @@
 The physical rig this package emulates drives an EEG recording out of a
 12-bit DAC, across a wire, and back into a 10-bit ADC, then compares the
 recaptured waveform against the stored one. Here both converters are
-deterministic quantizer models joined by a pluggable wire function, so
-the same fidelity measurements run entirely in software.
+deterministic quantizer models joined by an ideal wire, so the same
+fidelity measurements run entirely in software.
 
 Conventions: the DAC rounds to the nearest output level on the grid
 ``code / (2**bits - 1) * vref``; the ADC truncates, ``floor(2**bits *
@@ -13,8 +13,8 @@ volts / vref)``. Both saturate at their code limits and never raise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -59,8 +59,8 @@ class AdcModel:
 def _check_converter(bits: int, vref: float) -> None:
     if not 1 <= bits <= 16:
         raise ValueError(f"converter bits must be in [1, 16], got {bits}")
-    if vref <= 0:
-        raise ValueError("vref_volts must be positive")
+    if not 0 < vref < math.inf:
+        raise ValueError(f"vref_volts must be positive and finite, got {vref}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,11 @@ class VoltageMapping:
     offset_volts: float
 
     def __post_init__(self) -> None:
-        if self.gain_volts_per_unit == 0:
-            raise ValueError("gain must be nonzero")
+        gain = self.gain_volts_per_unit
+        if not math.isfinite(gain) or gain == 0:
+            raise ValueError(f"gain must be finite and nonzero, got {gain}")
+        if not math.isfinite(self.offset_volts):
+            raise ValueError(f"offset must be finite, got {self.offset_volts}")
 
     @classmethod
     def centered(
@@ -215,21 +218,19 @@ def replay_capture(
     mapping: VoltageMapping,
     dac: DacModel | None = _DEFAULT_DAC,
     adc: AdcModel | None = _DEFAULT_ADC,
-    wire: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> LoopbackResult:
     """Replay a stored trace through the DAC and recapture it via the ADC.
 
-    Each sample is mapped to volts, quantized by the DAC model, passed
-    through ``wire`` (identity by default; the seam where a physical bus
-    driver would plug in), sampled by the ADC model, and mapped back to
-    physical units. Defaults are the modelled hardware: a 12-bit DAC into
-    a 10-bit ADC at 3.3 V. ``dac=None`` or ``adc=None`` bypasses that
-    converter; bypassing both reproduces the input exactly.
+    Each sample is mapped to volts, quantized by the DAC model, sampled
+    by the ADC model, and mapped back to physical units. Defaults are the
+    modelled hardware: a 12-bit DAC into a 10-bit ADC at 3.3 V.
+    ``dac=None`` or ``adc=None`` bypasses that converter; bypassing both
+    reproduces the input exactly.
     """
     x = trace.samples
     if x.size == 0:
         raise ValueError("cannot replay an empty trace")
-    if dac is None and adc is None and wire is None:
+    if dac is None and adc is None:
         observed = x.copy()
         clip_count = 0
     else:
@@ -238,8 +239,6 @@ def replay_capture(
         if dac is not None:
             clipped |= (v < 0) | (v > dac.vref_volts)
             _, v = dac_emit(x, mapping, dac)
-        if wire is not None:
-            v = np.asarray(wire(v), dtype=np.float64)
         if adc is not None:
             clipped |= (v < 0) | (v > adc.vref_volts)
             code = adc_sample(v, adc)

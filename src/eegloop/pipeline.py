@@ -17,14 +17,15 @@ room, pausing the virtual clock instead of dropping. The deterministic
 mode interleaves produce and consume steps on a single thread for
 reproducible logs.
 
-Both modes treat failures alike. A source that raises ends the run with
-a partial report whose ``error`` names the cause. A processor that
-raises stops the producer, and the exception propagates out of
-:func:`run_live`.
+Both modes have one failure rule: whatever fails, source or processor,
+ends the run, stops the producer, and :func:`run_live` returns the
+partial log with a report whose ``error`` names the cause. Nothing is
+raised, and the queue's counters and the log agree on every exit.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 import time
@@ -36,6 +37,8 @@ import numpy as np
 
 from .classes import CLASS_NAMES
 from .loopback import SampleClock
+
+logger = logging.getLogger(__name__)
 
 EPOCH_LENGTHS_S = (4, 16, 32, 64)
 
@@ -51,7 +54,7 @@ def samples_per_epoch(length_s: int, rate_hz: float) -> int:
             f"epoch length must be one of {EPOCH_LENGTHS_S}, got {length_s}"
         )
     n = length_s * rate_hz
-    if n <= 0 or n != int(n):
+    if not 0 < n < math.inf or n != int(n):
         raise ValueError(
             f"{length_s} s at {rate_hz} Hz is not a positive whole number of samples"
         )
@@ -182,7 +185,7 @@ class EpochQueue:
 class TimingReport:
     """Collection versus processing time over one run.
 
-    ``error`` holds the source failure that ended the run early, as
+    ``error`` holds the failure that ended the run early, as
     ``"Type: message"``; a run that ended with its source is complete.
     """
 
@@ -203,6 +206,8 @@ class TimingReport:
 
 
 def _describe(exc: Exception) -> str:
+    """``"Type: message"`` for the report; the traceback goes to the debug log."""
+    logger.debug("run stopped by a failure", exc_info=exc)
     return f"{type(exc).__name__}: {exc}"
 
 
@@ -216,9 +221,9 @@ def run_live(
 ) -> tuple[list[dict], TimingReport]:
     """Stream epochs from ``source`` through the queue into ``processor``.
 
-    Every produced epoch is either classified (one log entry with its label
-    and processing time in microseconds) or counted as dropped by the
-    queue. Collection time is analytic, ``sum(epoch.length_s)`` over the
+    Every produced epoch is either logged (its label and processing time
+    in microseconds), counted as dropped, or still queued when the run
+    ends. Collection time is analytic, ``sum(epoch.length_s)`` over the
     produced epochs, so accelerated runs report the real-time figure.
 
     In threaded mode the producer hands epochs over through blocking
@@ -228,20 +233,29 @@ def run_live(
     divided by the acceleration, has elapsed since the start; an infinite
     one delivers it as soon as the queue has room.
 
-    A failing source ends the run: the partial report carries the cause in
-    ``error`` and ``complete`` is false. A failing processor stops the
-    producer, after which its exception propagates, in both modes.
+    Any failure, of the source or of the processor, ends the run in both
+    modes and stops the producer; the partial log comes back with the
+    cause, ``"Type: message"``, in the report's ``error`` (the
+    processor's if both fail). The epoch whose processor raised is logged
+    with ``label`` None. ``produced == consumed + dropped + queued`` and
+    ``consumed == len(log)`` hold on every exit.
     ``timer`` must return monotonic nanoseconds; it is injectable so
     deterministic runs can produce byte-identical logs.
     """
     q = queue if queue is not None else EpochQueue()
     log: list[dict] = []
     collected_s = 0.0
-    error: str | None = None
+    source_error: str | None = None
+    processor_error: str | None = None
 
-    def consume(epoch: Epoch) -> None:
+    def consume(epoch: Epoch) -> bool:
+        """Classify and log one epoch; False once the processor has failed."""
+        nonlocal processor_error
         t0 = timer()
-        label = processor(epoch)
+        try:
+            label = processor(epoch)
+        except Exception as exc:
+            label, processor_error = None, _describe(exc)
         elapsed_us = (timer() - t0) // 1000
         log.append(
             {
@@ -251,6 +265,7 @@ def run_live(
                 "processing_us": int(elapsed_us),
             }
         )
+        return processor_error is None
 
     if deterministic:
         epochs = iter(source)
@@ -260,16 +275,16 @@ def run_live(
             except StopIteration:
                 break
             except Exception as exc:
-                error = _describe(exc)
+                source_error = _describe(exc)
                 break
             collected_s += epoch.length_s
-            if q.enqueue(epoch):
-                consume(q.dequeue())
+            if q.enqueue(epoch) and not consume(q.dequeue()):
+                break
     else:
         stop = threading.Event()  # consumer exited; wakes a pacing producer
 
         def produce() -> None:
-            nonlocal collected_s, error
+            nonlocal collected_s, source_error
             start = time.monotonic()
             due_s = 0.0
             try:
@@ -285,7 +300,7 @@ def run_live(
                     collected_s += epoch.length_s
                     q.enqueue(epoch)
             except Exception as exc:
-                error = _describe(exc)
+                source_error = _describe(exc)
             finally:
                 q.close()
 
@@ -293,7 +308,8 @@ def run_live(
         producer.start()
         try:
             while (epoch := q.get()) is not None:
-                consume(epoch)
+                if not consume(epoch):
+                    break
         finally:
             stop.set()
             q.close()
@@ -304,7 +320,7 @@ def run_live(
         num_epochs=q.produced,
         collection_time_s=collected_s,
         processing_time_s=processing_s,
-        error=error,
+        error=processor_error or source_error,
     )
     return log, report
 

@@ -27,6 +27,15 @@ def assert_one_error_line(err):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def mismatched_model(model, tmp_path):
+    """A copy of ``model`` whose feature schema no extractor produces."""
+    doc = json.loads(model.read_text())
+    doc["feature_schema"]["schema_id"] = "0" * 16
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    return edited
+
+
 class TestSynth:
     def test_writes_one_edf_per_class_and_index(self, workspace):
         _, data, _ = workspace
@@ -209,6 +218,22 @@ class TestReplay:
         assert_one_error_line(err)
         assert "1 signal" in err
 
+    @pytest.mark.parametrize(
+        "flags, cause",
+        [(["--vref", "nan"], "vref"),
+         (["--span", "nan"], "gain"),
+         (["--gain", "inf"], "gain"),
+         (["--gain", "1", "--offset", "nan"], "offset")],
+        ids=["vref_nan", "span_nan", "gain_inf", "offset_nan"],
+    )
+    def test_non_finite_setting_fails_cleanly(self, workspace, capsys, flags, cause):
+        _, data, _ = workspace
+        assert main(["replay", "--edf", str(data / "sham_wake.edf"), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no report
+        assert_one_error_line(err)
+        assert cause in err
+
 
 class TestRun:
     def test_log_schema_and_zero_loss(self, workspace, tmp_path, capsys):
@@ -251,16 +276,39 @@ class TestRun:
                              ids=["threaded", "deterministic"])
     def test_processor_failure_exits_nonzero(self, workspace, tmp_path, capsys, mode):
         _, data, model = workspace
-        doc = json.loads(model.read_text())
-        doc["feature_schema"]["schema_id"] = "0" * 16
-        edited = tmp_path / "edited.json"
-        edited.write_text(json.dumps(doc))
+        edited = mismatched_model(model, tmp_path)
         code = main(["run", "--input", str(data / "sham_wake.edf"),
                      "--model", str(edited), "--epoch-length", "4", *mode])
         assert code != 0
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "schema" in err
+
+    @pytest.mark.parametrize("mode", [["--acceleration", "max"], ["--deterministic"]],
+                             ids=["threaded", "deterministic"])
+    def test_processor_failure_writes_partial_outputs(self, workspace, tmp_path,
+                                                      capsys, mode):
+        _, data, model = workspace
+        log_path, timing = tmp_path / "log.jsonl", tmp_path / "timing.csv"
+        code = main(["run", "--input", str(data / "sham_wake.edf"),
+                     "--model", str(mismatched_model(model, tmp_path)),
+                     "--epoch-length", "4", "--log", str(log_path),
+                     "--timing", str(timing), *mode])
+        assert code == 2
+        out, err = capsys.readouterr()
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["complete"] is False
+        assert "schema" in summary["error"]
+        entries = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert summary["consumed"] == len(entries) >= 1
+        assert entries[-1]["label"] is None
+        assert summary["num_epochs"] == summary["produced"] == (
+            summary["consumed"] + summary["dropped"] + summary["queued"])
+        header, row = timing.read_text().strip().splitlines()
+        assert header == "num_epochs,collection_s,processing_s,ratio_percent"
+        assert row.split(",")[0] == str(summary["produced"])
+        assert_one_error_line(err)
+        assert err.startswith("error: run incomplete: ")
 
     @pytest.mark.parametrize("mode", [["--acceleration", "max"], ["--deterministic"]],
                              ids=["threaded", "deterministic"])
@@ -318,6 +366,20 @@ class TestRun:
         assert summary["produced"] == 3
         assert summary["dropped"] == 0
 
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_stdin_rate_fails_cleanly(self, workspace, capsys, monkeypatch,
+                                                 rate):
+        import io
+
+        _, _, model = workspace
+        monkeypatch.setattr("sys.stdin", io.StringIO("0.0\n" * 2048))
+        assert main(["run", "--input", "-", "--model", str(model),
+                     "--epoch-length", "4", "--rate", rate]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error_line(err)
+        assert "whole number of samples" in err
+
     @pytest.mark.parametrize("text", ["", "# no samples\n"], ids=["empty", "comment_only"])
     def test_empty_stdin_fails_cleanly(self, workspace, capsys, monkeypatch, text):
         import io
@@ -356,6 +418,17 @@ class TestBench:
                      "--epoch-lengths", "16", "--batch-sizes", "2"]) == 0
         row = out.read_text().strip().splitlines()[1].split(",")
         assert 0 < float(row[5]) < 1e5
+
+    def test_processor_failure_fails_cleanly(self, workspace, tmp_path, capsys):
+        _, _, model = workspace
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--model", str(mismatched_model(model, tmp_path)),
+                     "--out", str(out), "--epoch-lengths", "16",
+                     "--batch-sizes", "2"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "schema" in err
 
     def test_bad_batch_size_rejected(self, workspace, tmp_path, capsys):
         _, _, model = workspace

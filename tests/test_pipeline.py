@@ -12,12 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegloop.loopback import SampleClock
-from eegloop.pipeline import Epoch, EpochQueue, TimingReport, assemble, run_live
+from eegloop.pipeline import (Epoch, EpochQueue, TimingReport, assemble, run_live,
+                              samples_per_epoch)
 
 
 def make_epoch(i=0, length_s=4, rate_hz=16.0, fill=0.0):
     n = int(length_s * rate_hz)
     return Epoch(np.full(n, fill), start_index=i * n, length_s=length_s, rate_hz=rate_hz)
+
+
+def assert_accounted(queue, log):
+    """The queue's conservation identity, and one log entry per consumed epoch."""
+    c = queue.counters()
+    assert c["produced"] == c["consumed"] + c["dropped"] + c["queued"]
+    assert c["consumed"] == len(log)
 
 
 class FakeTimer:
@@ -64,6 +72,13 @@ class TestAssemble:
     def test_non_integer_epoch_size_rejected(self):
         with pytest.raises(ValueError, match="whole number"):
             list(assemble(np.zeros(100), 4, 0.3))
+
+    @pytest.mark.parametrize("rate_hz", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, rate_hz):
+        with pytest.raises(ValueError, match="whole number"):
+            samples_per_epoch(4, rate_hz)
+        with pytest.raises(ValueError, match="whole number"):
+            assemble(np.zeros(100), 4, rate_hz)
 
     def test_samples_sliced_in_order(self):
         stream = np.arange(2 * 64, dtype=float)
@@ -203,17 +218,62 @@ class TestRunLive:
                                     "queued": 0}
 
     @pytest.mark.parametrize("deterministic", [True, False])
-    def test_processor_failure_raises(self, deterministic):
+    def test_processor_failure_ends_run_with_partial_log(self, deterministic):
         def failing(epoch):
             if epoch.start_index > 0:
                 raise RuntimeError("model exploded")
             return "sham_wake"
 
         source = [make_epoch(i) for i in range(10)]
-        with pytest.raises(RuntimeError, match="model exploded"):
-            run_live(iter(source), failing,
-                     clock=SampleClock(rate_hz=16.0, acceleration=math.inf),
-                     deterministic=deterministic, timer=FakeTimer())
+        q = EpochQueue(capacity=8)
+        log, report = run_live(iter(source), failing,
+                               clock=SampleClock(rate_hz=16.0, acceleration=math.inf),
+                               queue=q, deterministic=deterministic, timer=FakeTimer())
+        assert not report.complete
+        assert report.error == "RuntimeError: model exploded"
+        assert [entry["label"] for entry in log] == ["sham_wake", None]
+        assert log[-1]["processing_us"] == 1
+        assert_accounted(q, log)
+        if deterministic:
+            assert q.counters() == {"produced": 2, "consumed": 2, "dropped": 0,
+                                    "queued": 0}
+
+    def test_threaded_processor_failure_accounts_for_queued_epochs(self):
+        q = EpochQueue(capacity=4)
+
+        def failing(epoch):
+            # Fail only once the producer has filled the queue behind us.
+            deadline = time.monotonic() + 5
+            while len(q) < q.capacity and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise RuntimeError("model exploded")
+
+        source = [make_epoch(i) for i in range(20)]
+        log, report = run_live(iter(source), failing,
+                               clock=SampleClock(rate_hz=16.0, acceleration=math.inf),
+                               queue=q)
+        assert report.error == "RuntimeError: model exploded"
+        assert [entry["label"] for entry in log] == [None]
+        assert q.counters() == {"produced": 5, "consumed": 1, "dropped": 0, "queued": 4}
+        assert report.num_epochs == 5
+        assert_accounted(q, log)
+
+    def test_threaded_processor_error_wins_over_source_error(self):
+        def bad_source():
+            yield make_epoch(0)
+            raise IOError("sensor unplugged")
+
+        def failing(epoch):
+            time.sleep(0.05)  # the source fails meanwhile
+            raise RuntimeError("model exploded")
+
+        q = EpochQueue(capacity=8)
+        log, report = run_live(bad_source(), failing,
+                               clock=SampleClock(rate_hz=16.0, acceleration=math.inf),
+                               queue=q)
+        assert report.error == "RuntimeError: model exploded"
+        assert [entry["label"] for entry in log] == [None]
+        assert_accounted(q, log)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_threaded_virtual_clock_never_drops(self, seed):
@@ -262,12 +322,16 @@ class TestRunLive:
             raise RuntimeError("model exploded")
 
         source = [make_epoch(i) for i in range(8)]
+        q = EpochQueue(capacity=8)
         start = time.monotonic()
-        with pytest.raises(RuntimeError, match="model exploded"):
-            run_live(iter(source), failing,
-                     clock=SampleClock(rate_hz=16.0, acceleration=16.0))
+        log, report = run_live(iter(source), failing,
+                               clock=SampleClock(rate_hz=16.0, acceleration=16.0),
+                               queue=q)
         assert time.monotonic() - start < 0.6
         assert not any(t.name == "epoch-producer" for t in threading.enumerate())
+        assert report.error == "RuntimeError: model exploded"
+        assert log[-1]["label"] is None
+        assert_accounted(q, log)
 
     def test_timing_report_ratio(self):
         report = TimingReport(num_epochs=1, collection_time_s=64.0,
