@@ -12,22 +12,14 @@ import numpy as np
 
 from eegloop import (
     AdcModel,
-    BandLimit,
     DacModel,
-    SampleClock,
     SignalTrace,
     VoltageMapping,
-    check_nyquist,
     quantization_error_bound,
     replay_capture,
 )
 from eegloop.loopback import HARDWARE_LOOPBACK_REFERENCE_MSE
 from eegloop.synth import SyntheticSpec, generate_epoch_samples
-
-clock = SampleClock(rate_hz=256.0)
-band = BandLimit(max_hz=60.0)
-print(f"sampling {clock.rate_hz} Hz against a {band.max_hz} Hz band limit:",
-      "nyquist ok" if check_nyquist(clock, band) else "UNDERSAMPLED")
 
 # One 16 s epoch of delta-dominant synthetic EEG as the stored waveform.
 spec = SyntheticSpec(epochs_per_class=1, epoch_length_s=16, seed=42)

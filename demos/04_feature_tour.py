@@ -49,6 +49,6 @@ print(f"entropy, tone vs noisy tone:   "
       f"{vectors['10 Hz tone'].values[entropy]:.3f} vs "
       f"{vectors['tone + noise'].values[entropy]:.3f}")
 
-# Degenerate inputs are flagged, not normalized into garbage.
+# A constant input is passed through unchanged, not normalized into garbage.
 flat = preprocess(Epoch(np.full(N, 3.3), 0, 16, RATE), PreprocessConfig())
-print("\nconstant epoch meta:", flat.meta)
+print("\nconstant epoch unchanged:", bool(np.all(flat.samples == 3.3)))

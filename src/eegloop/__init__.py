@@ -34,7 +34,6 @@ from .features import (
     SCHEMA_ID,
     FeatureVector,
     PreprocessConfig,
-    bandpass_filter,
     extract,
     featurize,
     preprocess,
@@ -55,13 +54,11 @@ from .gbt import (
 )
 from .loopback import (
     AdcModel,
-    BandLimit,
     DacModel,
     LoopbackResult,
     SampleClock,
     VoltageMapping,
     adc_sample,
-    check_nyquist,
     dac_emit,
     mse,
     quantization_error_bound,
@@ -74,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdcModel",
-    "BandLimit",
     "CLASS_NAMES",
     "ClassProfile",
     "ConfusionMatrix",
@@ -104,8 +100,6 @@ __all__ = [
     "VoltageMapping",
     "adc_sample",
     "assemble",
-    "bandpass_filter",
-    "check_nyquist",
     "class_index",
     "confusion",
     "dac_emit",

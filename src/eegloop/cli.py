@@ -54,7 +54,10 @@ def _settings(cls, path: str | None, args: argparse.Namespace, **parsers):
     types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
     values = {}
     if path is not None:
-        doc = json.loads(Path(path).read_text())
+        try:
+            doc = json.loads(Path(path).read_text())
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
+            raise ValueError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ValueError(f"config {path} must hold a JSON object")
         for key, value in doc.items():
@@ -285,8 +288,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         trace = _read_signal(args.input, args.signal)[1]
         samples, rate_hz = trace.samples, trace.rate_hz
-    clock = loopback.SampleClock(rate_hz=rate_hz, acceleration=args.acceleration)
     source = pipeline.assemble(samples, args.epoch_length_s, rate_hz)
+    clock = loopback.SampleClock(rate_hz=rate_hz, acceleration=args.acceleration)
     entries, report = pipeline.run_live(
         source,
         _make_processor(model),

@@ -16,7 +16,7 @@ guarantees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -29,11 +29,11 @@ class ConfusionMatrix:
     """Counts indexed by [true class][predicted class]."""
 
     counts: np.ndarray
-    classes: tuple[str, ...] = CLASS_NAMES
+    classes: ClassVar[tuple[str, ...]] = CLASS_NAMES
 
     def __post_init__(self) -> None:
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        k = len(self.classes)
+        k = len(CLASS_NAMES)
         if self.counts.shape != (k, k):
             raise ValueError(f"expected a {k}x{k} matrix, got {self.counts.shape}")
         if np.any(self.counts < 0):
@@ -56,9 +56,7 @@ class ConfusionMatrix:
         return self.total - self.tp(c) - self.fp(c) - self.fn(c)
 
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if self.classes != other.classes:
-            raise ValueError("cannot add confusion matrices over different classes")
-        return ConfusionMatrix(self.counts + other.counts, self.classes)
+        return ConfusionMatrix(self.counts + other.counts)
 
 
 @dataclass
@@ -96,9 +94,7 @@ class CvResult:
 
 
 def confusion(
-    true_labels: Sequence[str],
-    predicted_labels: Sequence[str],
-    classes: tuple[str, ...] = CLASS_NAMES,
+    true_labels: Sequence[str], predicted_labels: Sequence[str]
 ) -> ConfusionMatrix:
     """Count (true, predicted) pairs into a confusion matrix."""
     if len(true_labels) != len(predicted_labels):
@@ -108,16 +104,11 @@ def confusion(
         )
     if not true_labels:
         raise ValueError("cannot build a confusion matrix from zero labels")
-    k = len(classes)
+    k = len(CLASS_NAMES)
     counts = np.zeros((k, k), dtype=np.int64)
-    index = {name: i for i, name in enumerate(classes)}
     for t, p in zip(true_labels, predicted_labels):
-        if t not in index:
-            raise ValueError(f"unknown true label {t!r}")
-        if p not in index:
-            raise ValueError(f"unknown predicted label {p!r}")
-        counts[index[t], index[p]] += 1
-    return ConfusionMatrix(counts, classes)
+        counts[class_index(t), class_index(p)] += 1
+    return ConfusionMatrix(counts)
 
 
 def metrics(cm: ConfusionMatrix) -> MetricsReport:
@@ -126,7 +117,7 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
         raise ValueError("confusion matrix is empty")
     precision: dict[str, float | None] = {}
     recall: dict[str, float | None] = {}
-    for c, name in enumerate(cm.classes):
+    for c, name in enumerate(CLASS_NAMES):
         predicted = cm.tp(c) + cm.fp(c)
         actual = cm.tp(c) + cm.fn(c)
         precision[name] = cm.tp(c) / predicted if predicted else None

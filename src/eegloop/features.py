@@ -127,11 +127,12 @@ class FeatureVector:
     schema_id: str = SCHEMA_ID
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=np.float64)
-        )
-        if not np.all(np.isfinite(self.values)):
+        # A private read-only copy: the values checked here stay the values used.
+        values = np.array(self.values, dtype=np.float64)
+        values.flags.writeable = False
+        if not np.all(np.isfinite(values)):
             raise ValueError("feature values must be finite")
+        object.__setattr__(self, "values", values)
 
 
 def bandpass_sos(config: PreprocessConfig, rate_hz: float) -> np.ndarray:
@@ -146,34 +147,25 @@ def bandpass_sos(config: PreprocessConfig, rate_hz: float) -> np.ndarray:
     )
 
 
-def bandpass_filter(
-    x: np.ndarray, rate_hz: float, config: PreprocessConfig = PreprocessConfig()
-) -> np.ndarray:
-    """Apply the band-pass forward-only (causal), as a live system must."""
-    return sps.sosfilt(bandpass_sos(config, rate_hz), np.asarray(x, dtype=np.float64))
-
-
 def preprocess(epoch: Epoch, config: PreprocessConfig = PreprocessConfig()) -> Epoch:
-    """Band-pass filter and optionally z-score one epoch.
+    """Band-pass filter forward-only (causal) and optionally z-score one epoch.
 
     Returns a new epoch; after normalization the samples have mean 0 and
     unit variance to within 1e-6. A constant input cannot be normalized
-    and is returned unchanged with ``meta["preprocess_skipped"]`` set.
+    and is returned unchanged, and a filtered epoch whose std is zero or
+    non-finite is returned filtered but not normalized. Raises
+    ``ValueError`` when the configured band does not fit below the
+    epoch's Nyquist frequency.
     """
-    config.validate(epoch.rate_hz)
-    meta = dict(epoch.meta)
+    sos = bandpass_sos(config, epoch.rate_hz)
     if np.ptp(epoch.samples) == 0:
-        meta["preprocess_skipped"] = True
-        return replace(epoch, samples=epoch.samples.copy(), meta=meta)
-    out = bandpass_filter(epoch.samples, epoch.rate_hz, config)
+        return replace(epoch, samples=epoch.samples.copy())
+    out = sps.sosfilt(sos, epoch.samples)
     if config.normalize:
         std = out.std()
         if std > 0 and np.isfinite(std):
             out = (out - out.mean()) / std
-        else:
-            meta["normalize_skipped"] = True
-    meta["preprocessed"] = True
-    return replace(epoch, samples=out, meta=meta)
+    return replace(epoch, samples=out)
 
 
 def _moments(x: np.ndarray) -> tuple[float, float, float]:

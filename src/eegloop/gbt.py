@@ -16,11 +16,12 @@ seconds, and single-vector inference stays well under a millisecond.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classes import CLASS_NAMES
+from .classes import CLASS_NAMES, class_index
 from .features import FeatureVector, schema_descriptor
 
 MODEL_FORMAT_VERSION = 1
@@ -73,15 +74,16 @@ class TrainConfig:
             raise ValueError("max_depth must be >= 1")
         if not 0 < self.learning_rate <= 1:
             raise ValueError("learning_rate must be in (0, 1]")
-        if self.l2_lambda < 0:
+        if not self.l2_lambda >= 0:
             raise ValueError("l2_lambda must be >= 0")
+        if not self.min_child_weight >= 0:
+            raise ValueError("min_child_weight must be >= 0")
 
 
 @dataclass
 class GbtModel:
     """A trained forest: ``trees[round][class_index]`` roots plus scaling."""
 
-    classes: tuple[str, ...]
     trees: list[list[TreeNode]]
     base_score: float
     learning_rate: float
@@ -185,9 +187,7 @@ def train(
                 f"current schema {schema['schema_id']}"
             )
     X = np.vstack([fv.values for fv, _ in dataset])
-    if not np.all(np.isfinite(X)):
-        raise ValueError("training features contain non-finite values")
-    y = np.array([CLASS_NAMES.index(label) for _, label in dataset])
+    y = np.array([class_index(label) for _, label in dataset])
     if np.unique(y).size < 2:
         raise ValueError("training dataset must contain at least 2 classes")
 
@@ -215,7 +215,6 @@ def train(
         loss_history.append(logloss())
 
     return GbtModel(
-        classes=CLASS_NAMES,
         trees=forest,
         base_score=0.0,
         learning_rate=config.learning_rate,
@@ -238,9 +237,7 @@ def predict_margins(model: GbtModel, fv: FeatureVector) -> np.ndarray:
             f"schema {model.schema_id}"
         )
     values = fv.values
-    if not np.all(np.isfinite(values)):
-        raise ValueError("feature vector contains non-finite values")
-    margins = np.full(len(model.classes), model.base_score)
+    margins = np.full(len(CLASS_NAMES), model.base_score)
     for round_trees in model.trees:
         for c, tree in enumerate(round_trees):
             margins[c] += model.learning_rate * _route(tree, values)
@@ -250,7 +247,7 @@ def predict_margins(model: GbtModel, fv: FeatureVector) -> np.ndarray:
 def predict_class(model: GbtModel, fv: FeatureVector) -> tuple[str, np.ndarray]:
     """Predicted label (ties break to the lowest class index) and softmax probabilities."""
     margins = predict_margins(model, fv)
-    return model.classes[int(np.argmax(margins))], _softmax(margins)
+    return CLASS_NAMES[int(np.argmax(margins))], _softmax(margins)
 
 
 def predict_labels(model: GbtModel, fvs: list[FeatureVector]) -> list[str]:
@@ -269,15 +266,22 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
+def _finite(value, what: str) -> float:
+    """``value`` as a float, or ``ModelFormatError`` unless it is a finite number."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        pass
+    raise ModelFormatError(f"{what} must be a finite number, got {value!r}")
+
+
 def _node_from_dict(doc: dict, num_features: int) -> TreeNode:
     # Older files also carry an unused "default_left" on each split; it is ignored.
     if not isinstance(doc, dict):
         raise ModelFormatError("tree node must be an object")
     if "weight" in doc:
-        weight = doc["weight"]
-        if not isinstance(weight, (int, float)) or not np.isfinite(weight):
-            raise ModelFormatError(f"leaf weight must be finite, got {weight!r}")
-        return TreeNode.leaf(float(weight))
+        return TreeNode.leaf(_finite(doc["weight"], "leaf weight"))
     try:
         feature_index = doc["feature_index"]
         threshold = doc["threshold"]
@@ -285,13 +289,11 @@ def _node_from_dict(doc: dict, num_features: int) -> TreeNode:
         right = doc["right"]
     except KeyError as exc:
         raise ModelFormatError(f"tree node missing field {exc}") from None
-    if not isinstance(feature_index, int) or not 0 <= feature_index < num_features:
+    if type(feature_index) is not int or not 0 <= feature_index < num_features:
         raise ModelFormatError(f"feature_index {feature_index!r} out of range")
-    if not isinstance(threshold, (int, float)) or not np.isfinite(threshold):
-        raise ModelFormatError(f"threshold must be finite, got {threshold!r}")
     return TreeNode(
         feature_index=feature_index,
-        threshold=float(threshold),
+        threshold=_finite(threshold, "threshold"),
         left=_node_from_dict(left, num_features),
         right=_node_from_dict(right, num_features),
     )
@@ -305,7 +307,7 @@ def save_model(model: GbtModel) -> bytes:
     """
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "classes": list(model.classes),
+        "classes": list(CLASS_NAMES),
         "base_score": float(model.base_score),
         "learning_rate": float(model.learning_rate),
         "feature_schema": model.schema,
@@ -315,10 +317,13 @@ def save_model(model: GbtModel) -> bytes:
 
 
 def load_model(data: bytes) -> GbtModel:
-    """Parse and validate model bytes; predictions match the saved model exactly."""
+    """Parse and validate model bytes; predictions match the saved model exactly.
+
+    Any malformed input raises ``ModelFormatError``.
+    """
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must hold a JSON object")
@@ -332,28 +337,29 @@ def load_model(data: bytes) -> GbtModel:
         if key not in doc:
             raise ModelFormatError(f"model file missing field {key!r}")
     schema = doc["feature_schema"]
-    if not isinstance(schema, dict) or "schema_id" not in schema or "features" not in schema:
-        raise ModelFormatError("feature_schema must carry features and schema_id")
-    classes = doc["classes"]
-    if (
-        not isinstance(classes, list)
-        or not classes
-        or not all(isinstance(c, str) for c in classes)
+    if not (
+        isinstance(schema, dict)
+        and isinstance(schema.get("schema_id"), str)
+        and isinstance(schema.get("features"), list)
     ):
-        raise ModelFormatError("classes must be a non-empty list of strings")
+        raise ModelFormatError("feature_schema needs a features list and a schema_id")
+    if doc["classes"] != list(CLASS_NAMES):
+        raise ModelFormatError(f"classes must be {list(CLASS_NAMES)}")
     num_features = len(schema["features"])
     trees_doc = doc["trees"]
     if not isinstance(trees_doc, list):
         raise ModelFormatError("trees must be a list of rounds")
     forest = []
     for round_trees in trees_doc:
-        if not isinstance(round_trees, list) or len(round_trees) != len(classes):
+        if not isinstance(round_trees, list) or len(round_trees) != len(CLASS_NAMES):
             raise ModelFormatError("each round must hold one tree per class")
-        forest.append([_node_from_dict(t, num_features) for t in round_trees])
+        try:
+            forest.append([_node_from_dict(t, num_features) for t in round_trees])
+        except RecursionError:  # Python 3.12+ parses JSON deeper than it recurses
+            raise ModelFormatError("a tree nests too deeply") from None
     return GbtModel(
-        classes=tuple(classes),
         trees=forest,
-        base_score=float(doc["base_score"]),
-        learning_rate=float(doc["learning_rate"]),
+        base_score=_finite(doc["base_score"], "base_score"),
+        learning_rate=_finite(doc["learning_rate"], "learning_rate"),
         schema=schema,
     )

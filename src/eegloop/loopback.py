@@ -113,21 +113,10 @@ class SampleClock:
     acceleration: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0:
+        if not self.rate_hz > 0:
             raise ValueError("rate_hz must be positive")
-        if self.acceleration < 1:
+        if not self.acceleration >= 1:
             raise ValueError("acceleration must be >= 1")
-
-
-@dataclass(frozen=True)
-class BandLimit:
-    """Highest frequency component expected in the signal."""
-
-    max_hz: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.max_hz <= 0:
-            raise ValueError("max_hz must be positive")
 
 
 @dataclass
@@ -145,11 +134,6 @@ class LoopbackResult:
         return float(
             np.max(np.abs(self.observed_trace.samples - self.expected_trace.samples))
         )
-
-
-def check_nyquist(clock: SampleClock, band: BandLimit) -> bool:
-    """True iff the sampling rate is at least twice the band limit."""
-    return clock.rate_hz >= 2 * band.max_hz
 
 
 def dac_emit(

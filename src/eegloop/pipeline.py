@@ -30,12 +30,12 @@ import math
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .classes import CLASS_NAMES
+from .classes import class_index
 from .loopback import SampleClock
 
 logger = logging.getLogger(__name__)
@@ -70,7 +70,6 @@ class Epoch:
     length_s: int
     rate_hz: float
     label: str | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -80,8 +79,8 @@ class Epoch:
                 f"epoch needs exactly {expected} samples "
                 f"({self.length_s} s at {self.rate_hz} Hz), got {self.samples.size}"
             )
-        if self.label is not None and self.label not in CLASS_NAMES:
-            raise ValueError(f"unknown label {self.label!r}")
+        if self.label is not None:
+            class_index(self.label)
 
     @property
     def num_samples(self) -> int:

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: outputs, determinism, error paths."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -127,13 +128,18 @@ class TestTrain:
         assert doc["config"]["max_depth"] == 2
         assert len(doc["log_loss_per_round"]) == 1 + 3
 
-    @pytest.mark.parametrize("entry", [{"seed": 0}, {"roundz": 3}, {"rounds": "3"},
-                                       {"rounds": 3.0}, {"learning_rate": True}],
-                             ids=["seed", "unknown", "string", "float_for_int", "bool"])
+    @pytest.mark.parametrize(
+        "entry",
+        [{"seed": 0}, {"roundz": 3}, {"rounds": "3"}, {"rounds": 3.0},
+         {"learning_rate": True}, {"l2_lambda": math.nan}, {"min_child_weight": math.nan},
+         {"min_child_weight": -5}, "[" * 100_000],
+        ids=["seed", "unknown", "string", "float_for_int", "bool", "nan_l2_lambda",
+             "nan_min_child_weight", "negative_min_child_weight", "deep_nesting"],
+    )
     def test_bad_train_config_rejected(self, workspace, tmp_path, capsys, entry):
         _, data, _ = workspace
         config = tmp_path / "train.json"
-        config.write_text(json.dumps(entry))
+        config.write_text(entry if isinstance(entry, str) else json.dumps(entry))
         out = tmp_path / "m.json"
         assert main(["train", "--data", str(data), "--out", str(out),
                      "--train-config", str(config)]) == 2
@@ -272,6 +278,22 @@ class TestRun:
         assert code != 0
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda text: "[" * 100_000, lambda text: text.replace('"sham_wake"', '"a"')],
+        ids=["deep_nesting", "classes"],
+    )
+    def test_malformed_model_fails_cleanly(self, workspace, tmp_path, capsys, edit):
+        _, data, model = workspace
+        edited = tmp_path / "malformed.json"
+        edited.write_text(edit(model.read_text()))
+        code = main(["run", "--input", str(data / "sham_wake.edf"),
+                     "--model", str(edited), "--epoch-length", "4", "--deterministic"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error_line(err)
+
     @pytest.mark.parametrize("mode", [["--acceleration", "max"], ["--deterministic"]],
                              ids=["threaded", "deterministic"])
     def test_processor_failure_exits_nonzero(self, workspace, tmp_path, capsys, mode):
@@ -338,9 +360,11 @@ class TestRun:
         [(["--epoch-length", "5"], "epoch length"),
          (["--capacity", "0"], "capacity"),
          (["--acceleration", "0.5"], "acceleration"),
+         (["--acceleration", "nan"], "acceleration"),
          (["--input", "/nonexistent/input.edf"], "No such file"),
          (["--signal", "5"], "1 signal")],
-        ids=["epoch_length", "capacity", "acceleration", "missing_input", "signal"],
+        ids=["epoch_length", "capacity", "acceleration", "nan_acceleration",
+             "missing_input", "signal"],
     )
     def test_invalid_setting_fails_cleanly(self, workspace, capsys, flags, cause):
         _, data, model = workspace

@@ -13,7 +13,6 @@ from eegloop.features import (
     SCHEMA_ID,
     FeatureVector,
     PreprocessConfig,
-    bandpass_filter,
     bandpass_sos,
     extract,
     featurize,
@@ -54,20 +53,22 @@ class TestBandpass:
         w, h = sps.sosfreqz(bandpass_sos(PreprocessConfig(), RATE), worN=[0.0], fs=RATE)
         assert np.abs(h[0]) < 1e-6
         x = np.full(int(64 * RATE), 5.0)
-        y = bandpass_filter(x, RATE)
+        y = sps.sosfilt(bandpass_sos(PreprocessConfig(), RATE), x)
         steady = y[int(8 * RATE):]
         assert np.mean(steady**2) < 0.01 * np.mean(x**2)
 
     def test_in_band_tone_passes(self):
         x = tone(10.0, length_s=16)
-        y = bandpass_filter(x, RATE)
+        y = preprocess(make_epoch(x), PreprocessConfig(normalize=False)).samples
         x_rms = np.sqrt(np.mean(x[int(2 * RATE):] ** 2))
         y_rms = np.sqrt(np.mean(y[int(2 * RATE):] ** 2))
         assert abs(y_rms - x_rms) / x_rms < 0.2
 
     def test_band_edges_validated(self):
+        # A constant epoch skips filtering, but not the band check.
+        epoch = make_epoch(np.zeros(400), length_s=4, rate_hz=100.0)
         with pytest.raises(ValueError, match="band"):
-            bandpass_filter(np.zeros(100), 100.0, PreprocessConfig(band_high_hz=60.0))
+            preprocess(epoch, PreprocessConfig(band_high_hz=60.0))
         with pytest.raises(ValueError, match="band"):
             PreprocessConfig(band_low_hz=5.0, band_high_hz=2.0).validate(RATE)
 
@@ -78,13 +79,11 @@ class TestPreprocess:
         out = preprocess(epoch)
         assert abs(out.samples.mean()) < 1e-6
         assert abs(out.samples.std() - 1.0) < 1e-6
-        assert out.meta.get("preprocessed")
 
-    def test_constant_epoch_returned_unchanged_with_flag(self):
+    def test_constant_epoch_returned_unchanged(self):
         epoch = make_epoch(np.full(4096, 7.0))
         out = preprocess(epoch)
         np.testing.assert_array_equal(out.samples, epoch.samples)
-        assert out.meta.get("preprocess_skipped")
 
     def test_original_epoch_untouched(self):
         epoch = make_epoch(tone(10.0))
@@ -160,6 +159,14 @@ class TestExtract:
     def test_feature_vector_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
             FeatureVector(np.array([1.0, np.nan]))
+
+    def test_feature_vector_is_a_read_only_copy(self):
+        source = np.array([1.0, 2.0])
+        fv = FeatureVector(source)
+        with pytest.raises(ValueError, match="read-only"):
+            fv.values[0] = np.nan
+        source[0] = np.nan
+        np.testing.assert_array_equal(fv.values, [1.0, 2.0])
 
 
 class TestSchema:

@@ -1,9 +1,12 @@
 """Boosted-tree training, prediction, determinism, and the JSON model format."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegloop.classes import CLASS_NAMES
 from eegloop.features import FeatureVector, schema_descriptor
@@ -56,7 +59,6 @@ def hand_model(leaf_weights, learning_rate=1.0):
         ]
     ]
     return GbtModel(
-        classes=CLASS_NAMES,
         trees=trees,
         base_score=0.0,
         learning_rate=learning_rate,
@@ -66,7 +68,7 @@ def hand_model(leaf_weights, learning_rate=1.0):
 
 class TestPrediction:
     def test_empty_forest_returns_base_score_everywhere(self):
-        model = GbtModel(classes=CLASS_NAMES, trees=[], base_score=0.25,
+        model = GbtModel(trees=[], base_score=0.25,
                          learning_rate=0.3, schema=schema_descriptor())
         margins = predict_margins(model, fv(1.0))
         np.testing.assert_array_equal(margins, np.full(4, 0.25))
@@ -99,7 +101,7 @@ class TestPrediction:
         assert predict_class(model, fv(0.0))[0] == CLASS_NAMES[1]
 
     def test_softmax_of_zeros_is_uniform_and_normalized(self):
-        model = GbtModel(classes=CLASS_NAMES, trees=[], base_score=0.0,
+        model = GbtModel(trees=[], base_score=0.0,
                          learning_rate=0.3, schema=schema_descriptor())
         _, probs = predict_class(model, fv(0.0))
         np.testing.assert_array_equal(probs, np.full(4, 0.25))
@@ -172,6 +174,11 @@ class TestTraining:
     def test_single_class_dataset_rejected(self):
         dataset = [(fv(float(i)), CLASS_NAMES[0]) for i in range(5)]
         with pytest.raises(ValueError, match="2 classes"):
+            train(dataset)
+
+    def test_unknown_label_rejected(self):
+        dataset = quadrant_dataset(per_class=2) + [(fv(0.0), "awake")]
+        with pytest.raises(ValueError, match="unknown class label: 'awake'"):
             train(dataset)
 
     def test_min_child_weight_blocks_tiny_leaves(self):
@@ -277,3 +284,105 @@ class TestModelFormat:
         np.testing.assert_array_equal(
             predict_margins(loaded, probe), predict_margins(model, probe)
         )
+
+    @pytest.mark.parametrize(
+        "classes, trees_per_round",
+        [(["a", "b", "c", "d"], 4), (list(CLASS_NAMES[:2]), 2),
+         (list(CLASS_NAMES[::-1]), 4)],
+        ids=["renamed", "two_classes", "reordered"],
+    )
+    def test_class_list_other_than_the_toolkits_rejected(self, classes, trees_per_round):
+        doc = copy.deepcopy(VALID_DOC)
+        doc["classes"] = classes
+        doc["trees"] = [round_trees[:trees_per_round] for round_trees in doc["trees"]]
+        with pytest.raises(ModelFormatError, match="classes"):
+            load_model(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "malformed",
+        ["bad_utf8", "deep_tree", "deep_array", "features_not_list",
+         "learning_rate_null", "base_score_string", "base_score_nan",
+         "short_round", "huge_threshold", "bool_feature_index"],
+    )
+    def test_malformed_file_raises_model_format_error(self, malformed):
+        with pytest.raises(ModelFormatError):
+            load_model(malformed_model_bytes(malformed))
+
+
+VALID_DOC = json.loads(save_model(hand_model([(0.1, -0.2), (0.3, 0.0),
+                                             (-1.0, 2.0), (0.5, 0.25)])))
+
+
+def malformed_model_bytes(case: str) -> bytes:
+    """A copy of ``VALID_DOC`` broken in the way ``case`` names."""
+    doc = copy.deepcopy(VALID_DOC)
+    tree = doc["trees"][0][0]
+    if case == "bad_utf8":
+        return b"\xff" + json.dumps(doc).encode()
+    if case == "deep_array":
+        return b"[" * 100_000
+    if case == "deep_tree":
+        split = '{"feature_index":0,"threshold":0.5,"right":{"weight":0.0},"left":'
+        deep = split * 3000 + '{"weight":0.0}' + "}" * 3000
+        doc["trees"][0][0] = "DEEP"
+        return json.dumps(doc).replace('"DEEP"', deep).encode()
+    edits = {
+        "features_not_list": lambda: doc["feature_schema"].update(features=5),
+        "learning_rate_null": lambda: doc.update(learning_rate=None),
+        "base_score_string": lambda: doc.update(base_score="x"),
+        "base_score_nan": lambda: doc.update(base_score=float("nan")),
+        "short_round": lambda: doc["trees"][0].pop(),
+        "huge_threshold": lambda: tree.update(threshold=10**400),
+        "bool_feature_index": lambda: tree.update(feature_index=True),
+    }
+    edits[case]()
+    return json.dumps(doc).encode()
+
+
+def json_values():
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(),
+        st.sampled_from([10**400, -1, 0, 1, 21, "x", "sham_wake"]), st.text(max_size=4),
+    )
+    keys = st.one_of(st.sampled_from(["weight", "feature_index", "threshold", "left",
+                                      "right", "features", "schema_id"]),
+                     st.text(max_size=4))
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+def slots(node):
+    """Every (container, key) pair in a JSON document, parents before children."""
+    found = []
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        found.append((node, key))
+        if isinstance(child, (dict, list)):
+            found += slots(child)
+    return found
+
+
+class TestModelFuzz:
+    @given(st.data(), st.one_of(st.none(), st.integers(0, 2000)))
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_document_loads_or_raises_model_format_error(self, data, cut):
+        doc = copy.deepcopy(VALID_DOC)
+        for _ in range(data.draw(st.integers(1, 3))):
+            container, key = data.draw(st.sampled_from(slots(doc)))
+            if isinstance(container, dict) and data.draw(st.booleans()):
+                del container[key]
+            else:
+                container[key] = data.draw(json_values())
+        try:
+            model = load_model(json.dumps(doc).encode()[:cut])
+        except ModelFormatError:
+            return
+        saved = save_model(model)
+        assert save_model(load_model(saved)) == saved
+        label, _ = predict_class(
+            model, FeatureVector(np.zeros(NUM_FEATURES), schema_id=model.schema_id)
+        )
+        assert label in CLASS_NAMES

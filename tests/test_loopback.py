@@ -1,19 +1,20 @@
 """Converter model transfer functions, Nyquist check, and loopback fidelity."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegloop.edf import SignalTrace
+from eegloop.features import PreprocessConfig
 from eegloop.loopback import (
     AdcModel,
-    BandLimit,
     DacModel,
     SampleClock,
     VoltageMapping,
     adc_sample,
-    check_nyquist,
     dac_emit,
     mse,
     quantization_error_bound,
@@ -22,14 +23,29 @@ from eegloop.loopback import (
 
 
 class TestNyquist:
-    def test_default_rates_satisfy_criterion(self):
-        assert check_nyquist(SampleClock(256.0), BandLimit(60.0)) is True
+    """The band-pass must end strictly below half the sampling rate."""
 
-    def test_boundary_is_included(self):
-        assert check_nyquist(SampleClock(120.0), BandLimit(60.0)) is True
+    def test_default_rates_satisfy_criterion(self):
+        PreprocessConfig().validate(SampleClock().rate_hz)  # 60 Hz band at 256 Hz
+
+    def test_boundary_is_excluded(self):
+        with pytest.raises(ValueError, match="band"):
+            PreprocessConfig(band_high_hz=60.0).validate(120.0)
 
     def test_undersampling_fails(self):
-        assert check_nyquist(SampleClock(100.0), BandLimit(60.0)) is False
+        with pytest.raises(ValueError, match="band"):
+            PreprocessConfig(band_high_hz=60.0).validate(100.0)
+
+
+class TestSampleClock:
+    @pytest.mark.parametrize(
+        "rate_hz, acceleration",
+        [(0.0, 1.0), (math.nan, 1.0), (256.0, 0.5), (256.0, math.nan)],
+        ids=["zero_rate", "nan_rate", "slow", "nan_acceleration"],
+    )
+    def test_invalid_clock_rejected(self, rate_hz, acceleration):
+        with pytest.raises(ValueError):
+            SampleClock(rate_hz, acceleration)
 
 
 class TestDac:
