@@ -58,6 +58,11 @@ _SIGNAL_FIELDS = (
     ("reserved", 32, str),
 )
 
+# The most samples one signal's record can hold: as many digits as its field is wide.
+_MAX_SAMPLES_PER_RECORD = (
+    10 ** next(w for n, w, _ in _SIGNAL_FIELDS if n == "samples_per_record") - 1
+)
+
 # The plain ASCII decimals a numeric field may hold.
 _NUMBER = {
     int: re.compile(r"[+-]?[0-9]+"),
@@ -131,8 +136,11 @@ class EdfSignalHeader:
             raise EdfError("physical limits must be finite")
         if self.physical_min == self.physical_max:
             raise EdfError("physical_min must differ from physical_max")
-        if self.samples_per_record < 1:
-            raise EdfError("samples_per_record must be >= 1")
+        if not 1 <= self.samples_per_record <= _MAX_SAMPLES_PER_RECORD:
+            raise EdfError(
+                f"samples_per_record must be 1 to {_MAX_SAMPLES_PER_RECORD}, "
+                f"got {self.samples_per_record}"
+            )
         for v in (self.digital_min, self.digital_max):
             if not -32768 <= v <= 32767:
                 raise EdfError("digital range must fit in signed 16 bits")

@@ -21,6 +21,7 @@ EDF files.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,9 +75,22 @@ class SyntheticSpec:
             raise ValueError(f"profiles must cover exactly the classes {CLASS_NAMES}")
         if self.epochs_per_class < 1:
             raise ValueError("epochs_per_class must be >= 1")
-        if self.amplitude_uv <= 0 or self.noise_level < 0:
-            raise ValueError("amplitude must be positive and noise non-negative")
-        samples_per_epoch(self.epoch_length_s, self.rate_hz)
+        # Written so that NaN fails each check.
+        if not 0 < self.amplitude_uv < math.inf:
+            raise ValueError(
+                f"amplitude_uv must be positive and finite, got {self.amplitude_uv}"
+            )
+        if not 0 <= self.noise_level < math.inf:
+            raise ValueError(
+                f"noise_level must be >= 0 and finite, got {self.noise_level}"
+            )
+        if not 0 <= self.amplitude_jitter < math.inf:
+            raise ValueError(
+                f"amplitude_jitter must be >= 0 and finite, got {self.amplitude_jitter}"
+            )
+        # Checks the epoch length, and that one epoch fits one EDF record,
+        # before any sample is allocated.
+        _signal_header(self).validate()
 
     @property
     def samples_per_epoch(self) -> int:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +90,36 @@ class TestSynth:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "'sham_wake'" in err and cause in err
+
+
+    @pytest.mark.parametrize(
+        "flags, cause",
+        [(["--noise", "nan"], "noise_level"),
+         (["--jitter", "nan"], "amplitude_jitter"),
+         (["--jitter", "-1"], "amplitude_jitter"),
+         (["--amplitude", "nan"], "amplitude_uv"),
+         (["--rate", "1e9"], "samples_per_record")],
+        ids=["nan_noise", "nan_jitter", "negative_jitter", "nan_amplitude", "huge_rate"],
+    )
+    def test_invalid_setting_fails_cleanly(self, tmp_path, capsys, flags, cause):
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), "--epochs-per-class", "2",
+                     "--epoch-length", "4", *flags]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert cause in err
+        assert not out.exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy costs about a second to import; only feature extraction needs it.
+    code = "import sys, eegloop.cli; print('scipy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestTrain:

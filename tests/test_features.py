@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
+from eegloop.classes import CLASS_NAMES
 from eegloop.features import (
     BANDS_HZ,
     FEATURE_NAMES,
     SCHEMA,
     SCHEMA_ID,
+    WELCH_OVERLAP,
     FeatureVector,
     PreprocessConfig,
+    _moments,
+    _welch,
     bandpass_sos,
     extract,
     featurize,
@@ -21,6 +25,7 @@ from eegloop.features import (
     schema_id,
 )
 from eegloop.pipeline import Epoch
+from eegloop.synth import SyntheticSpec, generate_epoch_samples
 
 RATE = 256.0
 
@@ -63,6 +68,20 @@ class TestBandpass:
         x_rms = np.sqrt(np.mean(x[int(2 * RATE):] ** 2))
         y_rms = np.sqrt(np.mean(y[int(2 * RATE):] ** 2))
         assert abs(y_rms - x_rms) / x_rms < 0.2
+
+    def test_design_equals_a_fresh_design(self):
+        config = PreprocessConfig(band_low_hz=1.0, band_high_hz=40.0, filter_order=3)
+        fresh = sps.butter(3, [1.0, 40.0], btype="bandpass", fs=RATE, output="sos")
+        for _ in range(2):  # the design call, then the cached one
+            assert bandpass_sos(config, RATE).tobytes() == fresh.tobytes()
+
+    def test_callers_get_a_writable_copy_of_the_cached_design(self):
+        first = bandpass_sos(PreprocessConfig(), RATE)
+        expected = first.copy()
+        first[:] = 0.0  # a caller's edit must not reach the cache
+        second = bandpass_sos(PreprocessConfig(), RATE)
+        assert second.flags.writeable and second is not first
+        np.testing.assert_array_equal(second, expected)
 
     def test_band_edges_validated(self):
         # A constant epoch skips filtering, but not the band check.
@@ -167,6 +186,59 @@ class TestExtract:
             fv.values[0] = np.nan
         source[0] = np.nan
         np.testing.assert_array_equal(fv.values, [1.0, 2.0])
+
+
+def reference_welch(x, rate_hz, nperseg):
+    return sps.welch(x, fs=rate_hz, window="hann", nperseg=nperseg,
+                     noverlap=int(nperseg * WELCH_OVERLAP), detrend="constant",
+                     scaling="density")
+
+
+def assert_welch_matches_scipy(x, rate_hz):
+    nperseg = int(round(4.0 * rate_hz))
+    freqs, psd = _welch(x, rate_hz, nperseg)
+    ref_freqs, ref_psd = reference_welch(x, rate_hz, nperseg)
+    assert freqs.tobytes() == ref_freqs.tobytes()
+    assert psd.tobytes() == ref_psd.tobytes()
+
+
+class TestWelch:
+    @pytest.mark.parametrize("n, rate_hz", [(1024, RATE), (1500, RATE), (1536, RATE),
+                                            (4097, RATE), (5000, RATE), (3000, 100.0),
+                                            (1001, 250.25)])
+    @pytest.mark.parametrize("kind", ["noise", "zero", "constant"])
+    def test_bytes_equal_scipy(self, n, rate_hz, kind):
+        x = {"noise": np.random.default_rng(n).standard_normal(n) * 40.0,
+             "zero": np.zeros(n),
+             "constant": np.full(n, 3.7)}[kind]
+        assert_welch_matches_scipy(x, rate_hz)
+
+    @pytest.mark.parametrize("length_s", [16, 32, 64])
+    def test_bytes_equal_scipy_on_synthetic_epochs(self, length_s):
+        spec = SyntheticSpec(epochs_per_class=1, epoch_length_s=length_s, seed=length_s)
+        rng = np.random.default_rng(spec.seed)
+        for label in CLASS_NAMES:
+            epoch = make_epoch(generate_epoch_samples(label, spec, rng), length_s)
+            assert_welch_matches_scipy(epoch.samples, RATE)
+            assert_welch_matches_scipy(preprocess(epoch).samples, RATE)
+
+
+def power_moments(x):
+    """The np.power formulation ``_moments`` replaced, kept as its reference."""
+    centered = x - x.mean()
+    m2 = np.mean(centered**2)
+    return m2, np.mean(centered**3) / m2**1.5, np.mean(centered**4) / m2**2 - 3.0
+
+
+class TestMoments:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_match_the_power_formulation(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(4096) * 30.0 + rng.exponential(5.0, 4096)
+        np.testing.assert_allclose(_moments(x), power_moments(x), rtol=1e-12)
+
+    def test_constant_input_hits_floors(self):
+        assert _moments(np.full(64, 2.5)) == (0.0, 0.0, 0.0)
 
 
 class TestSchema:

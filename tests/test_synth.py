@@ -90,3 +90,19 @@ class TestClassStructure:
             SyntheticSpec(epoch_length_s=8)
         with pytest.raises(ValueError, match="whole number"):
             SyntheticSpec(epoch_length_s=4, rate_hz=100.1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("amplitude_uv", float("nan")), ("amplitude_uv", 0.0),
+         ("amplitude_uv", float("inf")), ("noise_level", float("nan")),
+         ("noise_level", -0.1), ("amplitude_jitter", float("nan")),
+         ("amplitude_jitter", -1.0), ("amplitude_jitter", float("inf"))],
+    )
+    def test_non_finite_or_out_of_range_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticSpec(**{field: value})
+
+    def test_epoch_past_one_edf_record_rejected(self):
+        # 4e9 samples: rejected by arithmetic on the spec, before any allocation.
+        with pytest.raises(ValueError, match="samples_per_record must be 1 to 99999999"):
+            SyntheticSpec(epoch_length_s=4, rate_hz=1e9)
