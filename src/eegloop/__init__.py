@@ -16,6 +16,7 @@ from .edf import (
     digital_to_physical,
     parse_edf,
     physical_to_digital,
+    read_signal,
     to_trace,
     write_edf,
 )
@@ -44,7 +45,6 @@ from .gbt import (
     ModelFormatError,
     SchemaMismatchError,
     TrainConfig,
-    TreeNode,
     load_model,
     predict_class,
     predict_labels,
@@ -96,7 +96,6 @@ __all__ = [
     "SyntheticSpec",
     "TimingReport",
     "TrainConfig",
-    "TreeNode",
     "VoltageMapping",
     "adc_sample",
     "assemble",
@@ -120,6 +119,7 @@ __all__ = [
     "predict_margins",
     "preprocess",
     "quantization_error_bound",
+    "read_signal",
     "replay_capture",
     "run_live",
     "save_model",

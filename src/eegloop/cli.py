@@ -28,7 +28,7 @@ import numpy as np
 
 from . import evaluate as ev
 from . import features, gbt, loopback, pipeline, synth
-from .edf import EdfSignalHeader, SignalTrace, parse_edf, to_trace
+from .edf import read_signal
 
 log = logging.getLogger("eegloop")
 
@@ -146,16 +146,6 @@ def _make_processor(model: gbt.GbtModel):
     return processor
 
 
-def _read_signal(path: str, index: int) -> tuple[EdfSignalHeader, SignalTrace]:
-    """The header and physical trace of signal ``index`` in an EDF file."""
-    header, sig_headers, digital = parse_edf(Path(path).read_bytes())
-    if not 0 <= index < len(sig_headers):
-        raise ValueError(
-            f"{path}: no signal {index}; the file has {len(sig_headers)} signal(s)"
-        )
-    return sig_headers[index], to_trace(header, sig_headers[index], digital[index])
-
-
 def _int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
@@ -243,7 +233,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    sig, trace = _read_signal(args.edf, args.signal)
+    _, sig, trace = read_signal(Path(args.edf).read_bytes(), args.signal)
     dac = None if args.bypass else loopback.DacModel(args.dac_bits, args.vref)
     adc = None if args.bypass else loopback.AdcModel(args.adc_bits, args.vref)
     if args.gain is not None:
@@ -286,7 +276,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ValueError("stdin holds no samples")
         rate_hz = args.rate_hz
     else:
-        trace = _read_signal(args.input, args.signal)[1]
+        _, _, trace = read_signal(Path(args.input).read_bytes(), args.signal)
         samples, rate_hz = trace.samples, trace.rate_hz
     source = pipeline.assemble(samples, args.epoch_length_s, rate_hz)
     clock = loopback.SampleClock(rate_hz=rate_hz, acceleration=args.acceleration)

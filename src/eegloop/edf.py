@@ -203,6 +203,21 @@ def to_trace(
     return SignalTrace(digital_to_physical(np.asarray(digital), sig_hdr), rate)
 
 
+def read_signal(
+    data: bytes, index: int = 0
+) -> tuple[EdfFileHeader, EdfSignalHeader, SignalTrace]:
+    """The file header, signal header and physical trace of signal ``index``.
+
+    ``index`` counts the signals :func:`parse_edf` returns, so annotation
+    signals are not counted; a missing signal raises ``EdfError``.
+    """
+    header, sig_headers, digital = parse_edf(data)
+    if not 0 <= index < len(sig_headers):
+        raise EdfError(f"no signal {index}; the file has {len(sig_headers)} signal(s)")
+    sig = sig_headers[index]
+    return header, sig, to_trace(header, sig, digital[index])
+
+
 def _decode(raw: bytes, field: str, kind: type) -> str | int | float:
     try:
         text = raw.decode("ascii").rstrip(" ")

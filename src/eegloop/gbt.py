@@ -38,25 +38,6 @@ class SchemaMismatchError(ValueError):
     """Feature vector schema does not match the model's training schema."""
 
 
-@dataclass
-class TreeNode:
-    """One node of a regression tree: a split or a leaf (weight set)."""
-
-    feature_index: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    weight: float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.weight is not None
-
-    @staticmethod
-    def leaf(weight: float) -> "TreeNode":
-        return TreeNode(weight=float(weight))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Boosting hyperparameters; all runs with equal config are identical."""
@@ -82,9 +63,14 @@ class TrainConfig:
 
 @dataclass
 class GbtModel:
-    """A trained forest: ``trees[round][class_index]`` roots plus scaling."""
+    """A trained forest: ``trees[round][class_index]`` roots plus scaling.
 
-    trees: list[list[TreeNode]]
+    A tree is the node object of the model file: a leaf is
+    ``{"weight": w}`` and a split is ``{"feature_index", "threshold",
+    "left", "right"}``, where ``feature_index < threshold`` goes left.
+    """
+
+    trees: list[list[dict]]
     base_score: float
     learning_rate: float
     schema: dict
@@ -93,10 +79,6 @@ class GbtModel:
     @property
     def schema_id(self) -> str:
         return self.schema["schema_id"]
-
-    @property
-    def num_features(self) -> int:
-        return len(self.schema["features"])
 
 
 def _softmax(margins: np.ndarray) -> np.ndarray:
@@ -111,7 +93,7 @@ def _build_tree(
     h: np.ndarray,
     config: TrainConfig,
     leaf_values: np.ndarray,
-) -> TreeNode:
+) -> dict:
     """Exact greedy tree fit to one class's gradients.
 
     Ties in split gain resolve to the lowest feature index, then to the
@@ -119,7 +101,7 @@ def _build_tree(
     """
     lam = config.l2_lambda
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
+    def build(idx: np.ndarray, depth: int) -> dict:
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         if depth >= config.max_depth or idx.size < 2:
@@ -152,17 +134,17 @@ def _build_tree(
             return make_leaf(idx, G, H)
         feature, threshold = best
         goes_left = X[idx, feature] < threshold
-        return TreeNode(
-            feature_index=feature,
-            threshold=threshold,
-            left=build(idx[goes_left], depth + 1),
-            right=build(idx[~goes_left], depth + 1),
-        )
+        return {
+            "feature_index": feature,
+            "threshold": threshold,
+            "left": build(idx[goes_left], depth + 1),
+            "right": build(idx[~goes_left], depth + 1),
+        }
 
-    def make_leaf(idx: np.ndarray, G: float, H: float) -> TreeNode:
+    def make_leaf(idx: np.ndarray, G: float, H: float) -> dict:
         weight = -G / (H + lam)
         leaf_values[idx] = weight
-        return TreeNode.leaf(weight)
+        return {"weight": float(weight)}
 
     return build(np.arange(X.shape[0]), 0)
 
@@ -201,7 +183,7 @@ def train(
         return float(-np.mean(np.log(np.clip(p[np.arange(n), y], 1e-300, None))))
 
     loss_history = [logloss()]
-    forest: list[list[TreeNode]] = []
+    forest: list[list[dict]] = []
     for _ in range(config.rounds):
         p = _softmax(margins)
         round_trees = []
@@ -223,10 +205,11 @@ def train(
     )
 
 
-def _route(node: TreeNode, values: np.ndarray) -> float:
-    while not node.is_leaf:
-        node = node.left if values[node.feature_index] < node.threshold else node.right
-    return node.weight  # type: ignore[return-value]
+def _route(node: dict, values: np.ndarray) -> float:
+    while "weight" not in node:
+        goes_left = values[node["feature_index"]] < node["threshold"]
+        node = node["left"] if goes_left else node["right"]
+    return node["weight"]
 
 
 def predict_margins(model: GbtModel, fv: FeatureVector) -> np.ndarray:
@@ -255,17 +238,6 @@ def predict_labels(model: GbtModel, fvs: list[FeatureVector]) -> list[str]:
     return [predict_class(model, fv)[0] for fv in fvs]
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"weight": node.weight}
-    return {
-        "feature_index": node.feature_index,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
 def _finite(value, what: str) -> float:
     """``value`` as a float, or ``ModelFormatError`` unless it is a finite number."""
     try:
@@ -276,12 +248,13 @@ def _finite(value, what: str) -> float:
     raise ModelFormatError(f"{what} must be a finite number, got {value!r}")
 
 
-def _node_from_dict(doc: dict, num_features: int) -> TreeNode:
-    # Older files also carry an unused "default_left" on each split; it is ignored.
+def _node_from_dict(doc: dict, num_features: int) -> dict:
+    # A checked, fresh copy of the node. Older files also carry an unused
+    # "default_left" on each split; the copy drops it.
     if not isinstance(doc, dict):
         raise ModelFormatError("tree node must be an object")
     if "weight" in doc:
-        return TreeNode.leaf(_finite(doc["weight"], "leaf weight"))
+        return {"weight": _finite(doc["weight"], "leaf weight")}
     try:
         feature_index = doc["feature_index"]
         threshold = doc["threshold"]
@@ -291,12 +264,12 @@ def _node_from_dict(doc: dict, num_features: int) -> TreeNode:
         raise ModelFormatError(f"tree node missing field {exc}") from None
     if type(feature_index) is not int or not 0 <= feature_index < num_features:
         raise ModelFormatError(f"feature_index {feature_index!r} out of range")
-    return TreeNode(
-        feature_index=feature_index,
-        threshold=_finite(threshold, "threshold"),
-        left=_node_from_dict(left, num_features),
-        right=_node_from_dict(right, num_features),
-    )
+    return {
+        "feature_index": feature_index,
+        "threshold": _finite(threshold, "threshold"),
+        "left": _node_from_dict(left, num_features),
+        "right": _node_from_dict(right, num_features),
+    }
 
 
 def save_model(model: GbtModel) -> bytes:
@@ -311,7 +284,7 @@ def save_model(model: GbtModel) -> bytes:
         "base_score": float(model.base_score),
         "learning_rate": float(model.learning_rate),
         "feature_schema": model.schema,
-        "trees": [[_node_to_dict(t) for t in round_trees] for round_trees in model.trees],
+        "trees": model.trees,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 

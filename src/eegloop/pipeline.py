@@ -87,9 +87,7 @@ class Epoch:
         return int(self.samples.size)
 
 
-def assemble(
-    samples: np.ndarray, length_s: int, rate_hz: float, label: str | None = None
-) -> Iterator[Epoch]:
+def assemble(samples: np.ndarray, length_s: int, rate_hz: float) -> Iterator[Epoch]:
     """Cut a sample stream into contiguous non-overlapping epochs.
 
     Emits ``floor(len(samples) / (length_s * rate_hz))`` epochs with start
@@ -100,7 +98,7 @@ def assemble(
     per_epoch = samples_per_epoch(length_s, rate_hz)
     samples = np.asarray(samples, dtype=np.float64)
     return (
-        Epoch(samples[start : start + per_epoch], start, length_s, rate_hz, label)
+        Epoch(samples[start : start + per_epoch], start, length_s, rate_hz)
         for start in range(0, samples.size - per_epoch + 1, per_epoch)
     )
 

@@ -22,16 +22,18 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .classes import CLASS_NAMES
-from .edf import EdfFileHeader, EdfSignalHeader, parse_edf, to_trace, write_edf
-from .pipeline import Epoch, samples_per_epoch
+from .edf import EdfError, EdfFileHeader, EdfSignalHeader, read_signal, write_edf
+from .pipeline import Epoch, assemble, samples_per_epoch
 
 LABEL_INDEX_NAME = "labels.csv"
+# +/- 20x the target RMS leaves the jittered peaks clear of clipping.
+_HEADROOM = 20
 _INDEX_COLUMNS = ("file", "epoch_index", "class")
 
 
@@ -75,10 +77,14 @@ class SyntheticSpec:
             raise ValueError(f"profiles must cover exactly the classes {CLASS_NAMES}")
         if self.epochs_per_class < 1:
             raise ValueError("epochs_per_class must be >= 1")
-        # Written so that NaN fails each check.
-        if not 0 < self.amplitude_uv < math.inf:
+        # Written so that NaN fails each check. The EDF limits are
+        # -/+int(_HEADROOM * amplitude_uv); with its sign, a limit of 1 to 7
+        # digits fits its 8-character header field.
+        if not 1 <= _HEADROOM * self.amplitude_uv < 10_000_000:
             raise ValueError(
-                f"amplitude_uv must be positive and finite, got {self.amplitude_uv}"
+                f"amplitude_uv must be {1 / _HEADROOM:g} to under "
+                f"{10_000_000 / _HEADROOM:g}, so that the EDF limit fits its field, "
+                f"got {self.amplitude_uv}"
             )
         if not 0 <= self.noise_level < math.inf:
             raise ValueError(
@@ -123,8 +129,7 @@ def generate_epoch_samples(
 
 
 def _signal_header(spec: SyntheticSpec) -> EdfSignalHeader:
-    # +/- 20x the target RMS leaves the jittered peaks clear of clipping.
-    limit = float(int(20 * spec.amplitude_uv))
+    limit = float(int(_HEADROOM * spec.amplitude_uv))
     return EdfSignalHeader(
         label="EEG synth",
         physical_dimension="uV",
@@ -174,8 +179,10 @@ def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
 def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
     """Read a generated dataset back as labelled epochs.
 
-    Expects the label index CSV next to the EDF files it names; epochs are
-    returned in index order with physical sample values.
+    Expects the label index CSV next to the EDF files it names. Each file's
+    first signal is cut into epochs of one record by :func:`assemble`, and
+    a row's ``epoch_index`` must lie inside its file. Epochs are returned
+    in index order with physical sample values.
     """
     root = Path(dataset_dir)
     index_path = root / LABEL_INDEX_NAME
@@ -192,30 +199,25 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
     if not rows:
         raise ValueError(f"label index {index_path} holds no entries")
 
-    traces: dict[str, tuple[np.ndarray, float, int]] = {}
+    cut: dict[str, list[Epoch]] = {}
     epochs = []
     for row in rows:
         filename = row["file"]
-        if filename not in traces:
-            header, sig_headers, digital = parse_edf((root / filename).read_bytes())
-            trace = to_trace(header, sig_headers[0], digital[0])
+        if filename not in cut:
+            try:
+                header, _, trace = read_signal((root / filename).read_bytes())
+            except EdfError as exc:
+                raise EdfError(f"{filename}: {exc}") from None
             length_s = header.record_duration_s
             if length_s != int(length_s):
                 raise ValueError(f"{filename}: record duration must be whole seconds")
-            traces[filename] = (trace.samples, trace.rate_hz, int(length_s))
-        samples, rate_hz, length_s = traces[filename]
-        per_epoch = samples_per_epoch(length_s, rate_hz)
+            cut[filename] = list(assemble(trace.samples, int(length_s), trace.rate_hz))
+        file_epochs = cut[filename]
         idx = int(row["epoch_index"])
-        start = idx * per_epoch
-        if start + per_epoch > samples.size:
-            raise ValueError(f"{filename}: epoch {idx} lies past the end of the file")
-        epochs.append(
-            Epoch(
-                samples[start : start + per_epoch],
-                start_index=start,
-                length_s=length_s,
-                rate_hz=rate_hz,
-                label=row["class"],
+        if not 0 <= idx < len(file_epochs):
+            raise ValueError(
+                f"{filename}: epoch_index {idx} is outside the file's "
+                f"{len(file_epochs)} epochs"
             )
-        )
+        epochs.append(replace(file_epochs[idx], label=row["class"]))
     return epochs

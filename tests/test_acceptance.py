@@ -315,7 +315,7 @@ class TestCriterion7:
         flat = [FeatureVector(np.zeros(21)) for _ in range(4)]
         labels = [CLASS_NAMES[0], CLASS_NAMES[1], CLASS_NAMES[0], CLASS_NAMES[0]]
         stump_model = train(list(zip(flat, labels)), TrainConfig(rounds=1, l2_lambda=1.0))
-        weights = [t.weight for t in stump_model.trees[0]]
+        weights = [t["weight"] for t in stump_model.trees[0]]
         checks["leaf_weight_formula"] = weights == [
             2.0 / 1.75, 0.0, -1.0 / 1.75, -1.0 / 1.75
         ]

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from eegloop import pipeline
 from eegloop.classes import CLASS_NAMES
 from eegloop.cli import main
+from eegloop.edf import EdfFileHeader, EdfSignalHeader, write_edf
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +100,11 @@ class TestSynth:
          (["--jitter", "nan"], "amplitude_jitter"),
          (["--jitter", "-1"], "amplitude_jitter"),
          (["--amplitude", "nan"], "amplitude_uv"),
+         (["--amplitude", "0.04"], "amplitude_uv"),
+         (["--amplitude", "1e7"], "amplitude_uv"),
          (["--rate", "1e9"], "samples_per_record")],
-        ids=["nan_noise", "nan_jitter", "negative_jitter", "nan_amplitude", "huge_rate"],
+        ids=["nan_noise", "nan_jitter", "negative_jitter", "nan_amplitude",
+             "tiny_amplitude", "huge_amplitude", "huge_rate"],
     )
     def test_invalid_setting_fails_cleanly(self, tmp_path, capsys, flags, cause):
         out = tmp_path / "x"
@@ -137,6 +142,34 @@ class TestTrain:
         assert code != 0
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_annotation_only_file_fails_cleanly(self, tmp_path, capsys):
+        header = EdfFileHeader.create(num_signals=1, num_records=3, record_duration_s=4.0)
+        notes = EdfSignalHeader(label="EDF Annotations", samples_per_record=1024)
+        (tmp_path / "notes.edf").write_bytes(write_edf(header, [notes], [np.zeros(3072)]))
+        (tmp_path / "labels.csv").write_text("file,epoch_index,class\nnotes.edf,0,sham_wake\n")
+        with pytest.warns(UserWarning, match="annotation"):
+            code = main(["train", "--data", str(tmp_path),
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "notes.edf: no signal 0" in err
+
+    @pytest.mark.parametrize("epoch_index", ["-2", "10"])
+    def test_epoch_index_outside_its_file_fails_cleanly(self, workspace, tmp_path,
+                                                        capsys, epoch_index):
+        _, data, _ = workspace
+        copy = tmp_path / "ds"
+        shutil.copytree(data, copy)
+        index = copy / "labels.csv"
+        lines = index.read_text().splitlines()
+        lines[1] = f"sham_wake.edf,{epoch_index},sham_wake"
+        index.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--data", str(copy), "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert f"sham_wake.edf: epoch_index {epoch_index} is outside" in err
 
     def test_training_log_loss_is_non_increasing(self, workspace, tmp_path):
         _, data, _ = workspace

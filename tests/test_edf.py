@@ -18,6 +18,7 @@ from eegloop.edf import (
     digital_to_physical,
     parse_edf,
     physical_to_digital,
+    read_signal,
     to_trace,
     write_edf,
 )
@@ -323,3 +324,34 @@ class TestAnnotationsAndTraces:
         data[236:244] = b"-1      "
         parsed, _, digital = parse_edf(bytes(data))
         assert digital[0].size == 12
+
+
+class TestReadSignal:
+    def test_returns_the_headers_and_trace_of_one_signal(self):
+        header, sigs, signals = make_file(num_signals=2, samples_per_record=128,
+                                          record_duration_s=0.5)
+        signals[1] = -signals[1]
+        data = write_edf(header, sigs, signals)
+        parsed, parsed_sigs, digital = parse_edf(data)
+        file_header, sig, trace = read_signal(data, 1)
+        assert file_header == parsed
+        assert sig == parsed_sigs[1]
+        assert trace.rate_hz == 256.0
+        assert_array_equal(trace.samples,
+                           to_trace(parsed, parsed_sigs[1], digital[1]).samples)
+        assert_array_equal(read_signal(data)[2].samples,
+                           to_trace(parsed, parsed_sigs[0], digital[0]).samples)
+
+    @pytest.mark.parametrize("index", [-1, 2, 5])
+    def test_index_out_of_range_raises_edf_error(self, index):
+        data = write_edf(*make_file(num_signals=2))
+        with pytest.raises(EdfError, match=f"no signal {index}; the file has 2 signal"):
+            read_signal(data, index)
+
+    def test_annotation_signals_are_not_counted(self):
+        header = EdfFileHeader.create(num_signals=1, num_records=1)
+        sigs = [EdfSignalHeader(label="EDF Annotations", samples_per_record=4)]
+        data = write_edf(header, sigs, [np.zeros(4)])
+        with pytest.warns(UserWarning, match="annotation"), \
+                pytest.raises(EdfError, match="no signal 0; the file has 0 signal"):
+            read_signal(data)

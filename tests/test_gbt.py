@@ -15,7 +15,6 @@ from eegloop.gbt import (
     ModelFormatError,
     SchemaMismatchError,
     TrainConfig,
-    TreeNode,
     load_model,
     predict_class,
     predict_labels,
@@ -49,12 +48,12 @@ def hand_model(leaf_weights, learning_rate=1.0):
     """One depth-1 tree per class splitting feature 0 at 0.5."""
     trees = [
         [
-            TreeNode(
-                feature_index=0,
-                threshold=0.5,
-                left=TreeNode.leaf(left),
-                right=TreeNode.leaf(right),
-            )
+            {
+                "feature_index": 0,
+                "threshold": 0.5,
+                "left": {"weight": float(left)},
+                "right": {"weight": float(right)},
+            }
             for left, right in leaf_weights
         ]
     ]
@@ -153,8 +152,8 @@ class TestTraining:
             (fv(1.0), CLASS_NAMES[0]),
         ]
         model = train(dataset, TrainConfig(rounds=1, l2_lambda=1.0))
-        leaves = [tree.weight for tree in model.trees[0]]
-        assert all(tree.is_leaf for tree in model.trees[0])
+        leaves = [tree["weight"] for tree in model.trees[0]]
+        assert all("weight" in tree for tree in model.trees[0])
         assert leaves[0] == 2.0 / 1.75
         assert leaves[1] == 0.0
         assert leaves[2] == -1.0 / 1.75
@@ -191,7 +190,7 @@ class TestTraining:
             (fv(3.0), CLASS_NAMES[3]),
         ]
         model = train(dataset, TrainConfig(rounds=1, min_child_weight=10.0))
-        assert all(tree.is_leaf for tree in model.trees[0])
+        assert all("weight" in tree for tree in model.trees[0])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -203,9 +202,9 @@ class TestTraining:
 
     def test_max_depth_respected(self):
         def depth(node):
-            if node.is_leaf:
+            if "weight" in node:
                 return 0
-            return 1 + max(depth(node.left), depth(node.right))
+            return 1 + max(depth(node["left"]), depth(node["right"]))
 
         model = train(quadrant_dataset(per_class=40, spread=0.95),
                       TrainConfig(rounds=3, max_depth=2))
@@ -217,6 +216,10 @@ class TestModelFormat:
         model = train(quadrant_dataset(), TrainConfig(rounds=4))
         data = save_model(model)
         assert save_model(load_model(data)) == data
+
+    def test_loaded_trees_are_the_files_node_objects(self):
+        data = save_model(train(quadrant_dataset(), TrainConfig(rounds=4)))
+        assert load_model(data).trees == json.loads(data)["trees"]
 
     def test_loaded_model_predicts_identically_on_random_vectors(self):
         model = train(quadrant_dataset(seed=4), TrainConfig(rounds=6))

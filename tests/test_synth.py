@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eegloop.classes import CLASS_NAMES
+from eegloop.edf import EdfError, EdfFileHeader, EdfSignalHeader, write_edf
 from eegloop.features import FEATURE_NAMES, featurize
 from eegloop.synth import SyntheticSpec, generate_dataset, load_dataset
 
@@ -62,6 +63,32 @@ class TestLabelIndex:
         with pytest.raises(ValueError, match="lacks column\\(s\\) class"):
             load_dataset(tmp_path)
 
+    def test_epochs_are_the_files_records(self, tmp_path):
+        generate_dataset(SMALL, tmp_path)
+        rows = list(csv.DictReader((tmp_path / "labels.csv").open(newline="")))
+        for row, epoch in zip(rows, load_dataset(tmp_path)):
+            assert epoch.label == row["class"]
+            assert epoch.start_index == int(row["epoch_index"]) * 4 * 256
+
+    @pytest.mark.parametrize("epoch_index", [-1, -2, SMALL.epochs_per_class])
+    def test_epoch_index_outside_its_file_rejected(self, tmp_path, epoch_index):
+        index = generate_dataset(SMALL, tmp_path)
+        lines = index.read_text().splitlines()
+        lines[1] = f"sham_wake.edf,{epoch_index},sham_wake"
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"sham_wake.edf: epoch_index {epoch_index} "
+                                             f"is outside the file's 8 epochs"):
+            load_dataset(tmp_path)
+
+    def test_file_with_only_an_annotation_signal_rejected(self, tmp_path):
+        header = EdfFileHeader.create(num_signals=1, num_records=3, record_duration_s=4.0)
+        notes = EdfSignalHeader(label="EDF Annotations", samples_per_record=1024)
+        (tmp_path / "notes.edf").write_bytes(write_edf(header, [notes], [np.zeros(3072)]))
+        (tmp_path / "labels.csv").write_text("file,epoch_index,class\nnotes.edf,0,sham_wake\n")
+        with pytest.warns(UserWarning, match="annotation"), \
+                pytest.raises(EdfError, match="notes.edf: no signal 0"):
+            load_dataset(tmp_path)
+
 
 class TestClassStructure:
     def test_sleep_classes_have_more_relative_delta_than_wake(self, tmp_path):
@@ -94,7 +121,8 @@ class TestClassStructure:
     @pytest.mark.parametrize(
         "field, value",
         [("amplitude_uv", float("nan")), ("amplitude_uv", 0.0),
-         ("amplitude_uv", float("inf")), ("noise_level", float("nan")),
+         ("amplitude_uv", float("inf")), ("amplitude_uv", 0.04),
+         ("amplitude_uv", 1e7), ("noise_level", float("nan")),
          ("noise_level", -0.1), ("amplitude_jitter", float("nan")),
          ("amplitude_jitter", -1.0), ("amplitude_jitter", float("inf"))],
     )
