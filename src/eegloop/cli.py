@@ -6,7 +6,8 @@ Settings are the library's own dataclasses: ``synth``, ``train`` and
 and every value is checked by the class or constructor that uses it.
 ``synth``, ``evaluate`` and ``bench`` take ``--seed``. Every command
 exits nonzero with a single ``error: ...``
-line on stderr when anything fails. Verbosity is controlled only by the
+line on stderr when anything fails, and a library warning is one
+``warning: ...`` line. Verbosity is controlled only by the
 ``EEGLOOP_LOG`` environment variable.
 """
 
@@ -423,6 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=os.environ.get("EEGLOOP_LOG", "WARNING").upper(),
@@ -430,11 +435,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

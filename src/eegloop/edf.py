@@ -166,11 +166,11 @@ def digital_to_physical(
 
     The map is the exact linear interpolation sending ``digital_min`` to
     ``physical_min`` and ``digital_max`` to ``physical_max``. Codes outside
-    the digital range raise ``ValueError``.
+    the digital range raise ``EdfError``.
     """
     codes = np.asarray(code)
     if np.any(codes < hdr.digital_min) or np.any(codes > hdr.digital_max):
-        raise ValueError(
+        raise EdfError(
             f"digital code outside [{hdr.digital_min}, {hdr.digital_max}]"
         )
     scale = (hdr.physical_max - hdr.physical_min) / (hdr.digital_max - hdr.digital_min)

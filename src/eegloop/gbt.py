@@ -96,43 +96,24 @@ def _build_tree(
 ) -> dict:
     """Exact greedy tree fit to one class's gradients.
 
-    Ties in split gain resolve to the lowest feature index, then to the
-    lowest threshold; ``leaf_values`` receives each sample's leaf weight.
+    Each node scores all its splits in one gain table: column ``j`` sorts
+    feature ``j`` over the node's samples, row ``k`` splits after sorted
+    value ``k``, and rows between equal values or with a side lighter than
+    ``min_child_weight`` score ``-inf``. Ties go to the lowest threshold,
+    then the lowest feature index; a column holding a NaN is not split
+    on. ``leaf_values`` receives each sample's leaf weight.
     """
     lam = config.l2_lambda
 
     def build(idx: np.ndarray, depth: int) -> dict:
         G = float(g[idx].sum())
         H = float(h[idx].sum())
-        if depth >= config.max_depth or idx.size < 2:
+        split = None
+        if depth < config.max_depth and idx.size >= 2:
+            split = best_split(idx, G, H)
+        if split is None:
             return make_leaf(idx, G, H)
-
-        parent_score = G * G / (H + lam)
-        best_gain = _MIN_SPLIT_GAIN
-        best: tuple[int, float] | None = None
-        for j in range(X.shape[1]):
-            order = idx[np.argsort(X[idx, j], kind="stable")]
-            xs = X[order, j]
-            splittable = xs[:-1] < xs[1:]
-            if not splittable.any():
-                continue
-            gl = np.cumsum(g[order])[:-1][splittable]
-            hl = np.cumsum(h[order])[:-1][splittable]
-            gr = G - gl
-            hr = H - hl
-            gains = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent_score)
-            gains[(hl < config.min_child_weight) | (hr < config.min_child_weight)] = (
-                -np.inf
-            )
-            k = int(np.argmax(gains))  # first max: lowest threshold
-            if gains[k] > best_gain:
-                best_gain = float(gains[k])
-                pos = int(np.nonzero(splittable)[0][k])
-                best = (j, float((xs[pos] + xs[pos + 1]) / 2))
-
-        if best is None:
-            return make_leaf(idx, G, H)
-        feature, threshold = best
+        feature, threshold = split
         goes_left = X[idx, feature] < threshold
         return {
             "feature_index": feature,
@@ -141,8 +122,26 @@ def _build_tree(
             "right": build(idx[~goes_left], depth + 1),
         }
 
+    # Its own frame, so that the gain table is freed before the recursion.
+    def best_split(idx: np.ndarray, G: float, H: float) -> tuple[int, float] | None:
+        order = idx[np.argsort(X[idx], axis=0, kind="stable")]
+        xs = np.take_along_axis(X, order, axis=0)
+        gl = np.cumsum(g[order], axis=0)[:-1]
+        hl = np.cumsum(h[order], axis=0)[:-1]
+        hr = H - hl
+        parent_score = G * G / (H + lam)
+        gains = 0.5 * (gl**2 / (hl + lam) + (G - gl) ** 2 / (hr + lam) - parent_score)
+        too_light = np.minimum(hl, hr) < config.min_child_weight
+        gains[(xs[:-1] == xs[1:]) | too_light] = -np.inf
+        best = gains.max(axis=0)  # NaN wherever a column holds one
+        feature = int(np.argmax(np.where(best > _MIN_SPLIT_GAIN, best, -np.inf)))
+        if not best[feature] > _MIN_SPLIT_GAIN:
+            return None
+        k = int(np.argmax(gains[:, feature]))  # the first maximum
+        return feature, float((xs[k, feature] + xs[k + 1, feature]) / 2)
+
     def make_leaf(idx: np.ndarray, G: float, H: float) -> dict:
-        weight = -G / (H + lam)
+        weight = -G / (H + lam) if idx.size else -0.0
         leaf_values[idx] = weight
         return {"weight": float(weight)}
 

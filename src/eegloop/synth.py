@@ -181,8 +181,9 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
 
     Expects the label index CSV next to the EDF files it names. Each file's
     first signal is cut into epochs of one record by :func:`assemble`, and
-    a row's ``epoch_index`` must lie inside its file. Epochs are returned
-    in index order with physical sample values.
+    a row's ``epoch_index`` must be an integer inside its file. Every file
+    must have the first file's record duration and sample rate. Epochs
+    are returned in index order with physical sample values.
     """
     root = Path(dataset_dir)
     index_path = root / LABEL_INDEX_NAME
@@ -200,8 +201,9 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
         raise ValueError(f"label index {index_path} holds no entries")
 
     cut: dict[str, list[Epoch]] = {}
+    first = None  # (file, record duration, rate) of the first file read
     epochs = []
-    for row in rows:
+    for line, row in enumerate(rows, start=2):
         filename = row["file"]
         if filename not in cut:
             try:
@@ -211,9 +213,22 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
             length_s = header.record_duration_s
             if length_s != int(length_s):
                 raise ValueError(f"{filename}: record duration must be whole seconds")
+            if first is None:
+                first = (filename, length_s, trace.rate_hz)
+            elif (length_s, trace.rate_hz) != first[1:]:
+                raise ValueError(
+                    f"{filename}: records of {length_s:g} s at {trace.rate_hz:.17g} Hz "
+                    f"differ from {first[0]}'s {first[1]:g} s at {first[2]:.17g} Hz"
+                )
             cut[filename] = list(assemble(trace.samples, int(length_s), trace.rate_hz))
         file_epochs = cut[filename]
-        idx = int(row["epoch_index"])
+        try:
+            idx = int(row["epoch_index"])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"label index {index_path} line {line}: epoch_index "
+                f"{row['epoch_index']!r} is not an integer"
+            ) from None
         if not 0 <= idx < len(file_epochs):
             raise ValueError(
                 f"{filename}: epoch_index {idx} is outside the file's "

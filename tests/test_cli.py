@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegloop import pipeline
+from eegloop import gbt, pipeline
 from eegloop.classes import CLASS_NAMES
 from eegloop.cli import main
 from eegloop.edf import EdfFileHeader, EdfSignalHeader, write_edf
@@ -148,13 +148,12 @@ class TestTrain:
         notes = EdfSignalHeader(label="EDF Annotations", samples_per_record=1024)
         (tmp_path / "notes.edf").write_bytes(write_edf(header, [notes], [np.zeros(3072)]))
         (tmp_path / "labels.csv").write_text("file,epoch_index,class\nnotes.edf,0,sham_wake\n")
-        with pytest.warns(UserWarning, match="annotation"):
-            code = main(["train", "--data", str(tmp_path),
-                         "--out", str(tmp_path / "m.json")])
+        code = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.json")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert_one_error_line(err)
-        assert "notes.edf: no signal 0" in err
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: skipping annotation signal at index 0",
+            "error: notes.edf: no signal 0; the file has 0 signal(s)",
+        ]
 
     @pytest.mark.parametrize("epoch_index", ["-2", "10"])
     def test_epoch_index_outside_its_file_fails_cleanly(self, workspace, tmp_path,
@@ -170,6 +169,30 @@ class TestTrain:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert f"sham_wake.edf: epoch_index {epoch_index} is outside" in err
+
+    def test_epoch_index_that_is_not_an_integer_fails_cleanly(self, workspace, tmp_path,
+                                                              capsys):
+        _, data, _ = workspace
+        copy = tmp_path / "ds"
+        shutil.copytree(data, copy)
+        index = copy / "labels.csv"
+        lines = index.read_text().splitlines()
+        lines[1] = "sham_wake.edf,1.0,sham_wake"
+        index.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--data", str(copy), "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert f"{index} line 2: epoch_index '1.0' is not an integer" in err
+
+    def test_no_l2_penalty_trains_past_an_empty_leaf(self, tmp_path):
+        # This dataset reaches a split that sends no sample left, and with
+        # no penalty that leaf's weight used to divide 0 by 0.
+        data, model = tmp_path / "ds", tmp_path / "m.json"
+        assert main(["synth", "--out", str(data), "--seed", "1",
+                     "--epochs-per-class", "15", "--epoch-length", "4"]) == 0
+        assert main(["train", "--data", str(data), "--out", str(model),
+                     "--l2-lambda", "0", "--min-child-weight", "0"]) == 0
+        assert len(gbt.load_model(model.read_bytes()).trees) == 30
 
     def test_training_log_loss_is_non_increasing(self, workspace, tmp_path):
         _, data, _ = workspace
@@ -243,6 +266,21 @@ class TestEvaluate:
         doc = json.loads(out.read_text())
         assert doc["folds"] is None
         assert doc["accuracy_mean"] > 0.5  # scored on its own training data
+
+    def test_file_of_another_epoch_length_fails_cleanly(self, workspace, tmp_path,
+                                                         capsys):
+        _, data, _ = workspace
+        copy, other = tmp_path / "ds", tmp_path / "other"
+        shutil.copytree(data, copy)
+        assert main(["synth", "--out", str(other), "--seed", "7",
+                     "--epochs-per-class", "10", "--epoch-length", "16"]) == 0
+        shutil.copy(other / "tbi_sleep.edf", copy / "tbi_sleep.edf")
+        capsys.readouterr()
+        assert main(["evaluate", "--data", str(copy), "--out", str(tmp_path / "m.json"),
+                     "--folds", "3"]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "tbi_sleep.edf: records of 16 s at 256 Hz differ from" in err
 
     def test_more_folds_than_epochs_fails(self, workspace, tmp_path, capsys):
         _, data, _ = workspace

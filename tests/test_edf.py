@@ -130,6 +130,12 @@ class TestCalibration:
         with pytest.raises(ValueError):
             digital_to_physical(40000, self.HDR)
 
+    @pytest.mark.parametrize("code", [-101, 101, np.array([0, 101])])
+    def test_out_of_range_code_raises_edf_error(self, code):
+        hdr = EdfSignalHeader(digital_min=-100, digital_max=100)
+        with pytest.raises(EdfError, match=r"digital code outside \[-100, 100\]"):
+            digital_to_physical(code, hdr)
+
     def test_above_physical_max_clamps(self):
         assert physical_to_digital(2000.0, self.HDR) == 32767
         assert physical_to_digital(-2000.0, self.HDR) == -32768

@@ -1,7 +1,9 @@
 """Boosted-tree training, prediction, determinism, and the JSON model format."""
 
 import copy
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegloop.classes import CLASS_NAMES
-from eegloop.features import FeatureVector, schema_descriptor
+from eegloop.features import FeatureVector, featurize, schema_descriptor
 from eegloop.gbt import (
     GbtModel,
     ModelFormatError,
@@ -22,6 +24,7 @@ from eegloop.gbt import (
     save_model,
     train,
 )
+from eegloop.synth import SyntheticSpec, generate_dataset, load_dataset
 
 NUM_FEATURES = 21
 
@@ -209,6 +212,153 @@ class TestTraining:
         model = train(quadrant_dataset(per_class=40, spread=0.95),
                       TrainConfig(rounds=3, max_depth=2))
         assert max(depth(t) for round_trees in model.trees for t in round_trees) <= 2
+
+
+class TestSplitSearch:
+    """The tie rule of ``_build_tree``'s gain table."""
+
+    NO_PENALTY = TrainConfig(rounds=1, max_depth=1, l2_lambda=0.0, min_child_weight=0.0)
+
+    @staticmethod
+    def roots(model):
+        return [(t["feature_index"], t["threshold"]) for t in model.trees[0] if "left" in t]
+
+    def test_duplicate_features_split_on_the_lower_index(self):
+        dataset = [(fv(0.0, f2=f.values[0], f5=f.values[0]), label)
+                   for f, label in quadrant_dataset(per_class=5)]
+        roots = self.roots(train(dataset, TrainConfig(rounds=1)))
+        assert roots and {feature for feature, _ in roots} == {2}
+
+    def test_larger_gain_at_a_higher_index_wins(self):
+        # Feature 1 separates class 0 from the rest; feature 4 separates
+        # all four classes, so it scores more for every class tree.
+        dataset = [(fv(0.0, f1=float(f.values[0] >= 1), f4=f.values[0]), label)
+                   for f, label in quadrant_dataset(per_class=5)]
+        roots = self.roots(train(dataset, TrainConfig(rounds=1)))
+        assert roots and {feature for feature, _ in roots} == {4}
+
+    def test_equal_gain_thresholds_split_at_the_lower(self):
+        # Labels a, b, a at x = 0, 1, 2: at uniform probabilities the two
+        # splits mirror each other, so their gains are exactly equal.
+        a, b = CLASS_NAMES[:2]
+        dataset = [(fv(0.0), a), (fv(1.0), b), (fv(2.0), a)]
+        assert self.roots(train(dataset, self.NO_PENALTY)) == [(0, 0.5), (0, 0.5)]
+
+    def test_empty_child_leaf_weighs_negative_zero(self):
+        # The midpoint of 1 and the next float rounds to 1, so the split
+        # ``x < 1.0`` sends no sample left; with no l2 penalty that leaf
+        # used to divide 0 by 0.
+        a, b = CLASS_NAMES[:2]
+        dataset = [(fv(1.0), a), (fv(np.nextafter(1.0, 2.0)), b)]
+        for config in (self.NO_PENALTY, TrainConfig(rounds=1, min_child_weight=0.0)):
+            tree = train(dataset, config).trees[0][0]
+            assert tree["threshold"] == 1.0
+            assert math.copysign(1.0, tree["left"]["weight"]) == -1.0
+            assert tree["left"]["weight"] == 0.0
+
+
+def pinned_datasets(root):
+    """Name -> (X, y) for the model-bytes pins: three small synthetic
+    datasets, quantised features with ties and a constant column, and a
+    set that one feature separates. The synthetic sets are featurized,
+    so a change to the features moves their pins too."""
+    sets = {}
+    for seed, per_class, length in [(7, 12, 16), (1, 15, 4), (3, 8, 32)]:
+        out = root / f"seed{seed}"
+        generate_dataset(SyntheticSpec(seed=seed, epochs_per_class=per_class,
+                                       epoch_length_s=length), out)
+        epochs = load_dataset(out)
+        sets[f"synth_seed{seed}_{length}s"] = (
+            np.vstack([featurize(e).values for e in epochs]),
+            np.array([CLASS_NAMES.index(e.label) for e in epochs]),
+        )
+    rng = np.random.default_rng(5)
+    quantised = rng.integers(0, 4, size=(60, NUM_FEATURES)) / 2
+    quantised[:, 3] = 1.0
+    sets["quantised"] = (quantised, rng.integers(0, 4, size=60))
+    y = np.repeat(np.arange(4), 15)
+    separable = rng.normal(size=(60, NUM_FEATURES))
+    separable[:, 2] = y + rng.uniform(0.1, 0.9, size=60)
+    sets["separable"] = (separable, y)
+    return sets
+
+
+PINNED_CONFIGS = [
+    TrainConfig(),
+    TrainConfig(max_depth=6, min_child_weight=0.25),
+    TrainConfig(min_child_weight=2.0),
+    TrainConfig(l2_lambda=0.0, min_child_weight=0.0),
+    TrainConfig(rounds=200, learning_rate=1.0, l2_lambda=0.0, min_child_weight=0.0),
+    TrainConfig(rounds=60, learning_rate=1.0, max_depth=2, l2_lambda=0.1),
+]
+
+# sha256 of ``save_model`` bytes per (dataset, PINNED_CONFIGS index),
+# written by the per-feature split search that the gain table replaced.
+PINNED_MODEL_DIGESTS = {
+    ("synth_seed7_16s", 0): "6d12b648485618eda4ce8cc65a9f0e43698eef3f9bfe578963c441b1b7698856",
+    ("synth_seed7_16s", 1): "6e97cad2b5ec56164b423103bc67a0891d88d157229003025adcb7c9cda4bf32",
+    ("synth_seed7_16s", 2): "0eb5ac0719558b3956c43fab9cf112771a23eada25fd1aabcb2916ea04eace50",
+    ("synth_seed7_16s", 3): "b0a992bc032c7f0fed426b0ee43d8efc3150ab3a60e3c788825c2d7da56b16b3",
+    ("synth_seed7_16s", 4): "7a70c1c4e95dca403b3ae52ffb2ecf17abb778d6dd6bfaefd2aac6e4460f2d7d",
+    ("synth_seed7_16s", 5): "c823de41f711cb28af47d0fbcaaeac29e038c5473f6eb23a78a3fcdcac18cfc0",
+    ("synth_seed1_4s", 0): "4c5dd119f3a27ee7abecf3a48645f2a58b0adcfe9fe20cf2f629647e16a0317e",
+    ("synth_seed1_4s", 1): "3058a1a73553a254ba033156775bd2a1595729b8258fe42e208b3abb9f53ad0d",
+    ("synth_seed1_4s", 2): "0238e01476434cfa110a1a193ea74c17e1ea01fce2494c0542990c1a58d810c0",
+    ("synth_seed1_4s", 5): "6ca8598cf81d38fdc0dbf7c55a5d3e4c49111d0b8a1805fd2dedd7d685826372",
+    ("synth_seed3_32s", 0): "2071ab982a64736152fbd03afc2ceb99ee4c6d418e34ce049732e158cfe992f3",
+    ("synth_seed3_32s", 1): "b48dad44418a50bb20358ba38ea07f3865393cb15eee682c14e092456fcf1704",
+    ("synth_seed3_32s", 2): "348b4e1ef3458710b959a22eeb28110ce8c6468458928da5cc15eef328efd8e8",
+    ("synth_seed3_32s", 3): "f6e14825b6fc88fe496e34e6748abb9428b23e20e827f1c01730e45ba9bbd201",
+    ("synth_seed3_32s", 4): "03d7965697163ac09f2600a87250fb1ce72669eb9b31e40ef0f7fa4c805fee4a",
+    ("synth_seed3_32s", 5): "6d83aa4538bd1ca4fe3f626fd5553a0302373c67af947aac747c972657b8383f",
+    ("quantised", 0): "0e969559b32a62706cd48a2d460e827f0383f27196a4f352f77b8f1e9c3b7809",
+    ("quantised", 1): "b0341150e90ae0ee85e3d1c69612a150447aaf0a68f820f0bbbc5ca42b1922d9",
+    ("quantised", 2): "8fd7ba24ae41c1c5fdcb7723afa764f96af3fd9d57973f1d16b3f0fb79a6ea30",
+    ("quantised", 3): "9900c0b3d2746cad1baf9811085111d1c7827004fc9a782fc9aed1a88684f22f",
+    ("quantised", 4): "cd7739a62f830010a5dc55232ce1ee8ac152c41435f2833134a3575e4030c122",
+    ("quantised", 5): "6c808f8c8c2b1a04ec25dfea78ce9933631bbd089de5326c84215ed64bbebd51",
+    ("separable", 0): "f324debe4bbd5e5b28890f081d37e1e0e0a7ba8d3393aa457d6d671774d828d4",
+    ("separable", 1): "3f0b1cca1d2c8aa8c087a46388d22a8b6fb2013b7e20a3bc2c68e8cf048a96c6",
+    ("separable", 2): "16459d4062e7cd2c4e6f71682bc28abf145123940ef2fa9c09a76bb9789b4d6c",
+    ("separable", 3): "70904a1bc4c922b0f40b8ac61bd5469e10e5a72593a2288e40a0b20fdf09fbff",
+    ("separable", 4): "5bd9d7101e291f5096d7676cc7ced3084933076b722479b979f6f539a368caa5",
+    ("separable", 5): "136b34d48f80161546c28c9f0310234d62fa4a00fd95395ce91c91db4c697cc2",
+}
+
+# Without an l2 penalty the seed-1 set reaches an empty leaf, where
+# training used to fail dividing 0 by 0; pinned with the same split
+# search and the ``-0.0`` empty leaf.
+PINNED_EMPTY_LEAF_DIGESTS = {
+    ("synth_seed1_4s", 3): "6687ac2d81508d0097d1a64b3aef483d33438baf7518a8eb8850fde852aad656",
+    ("synth_seed1_4s", 4): "30a657cb90344e8daf1c5dce73508a97c1e4bde9d630dad31503c67978a09383",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_data(tmp_path_factory):
+    return pinned_datasets(tmp_path_factory.mktemp("pinned"))
+
+
+def model_digest(data, case):
+    name, config_index = case
+    X, y = data[name]
+    model = train([(FeatureVector(x), CLASS_NAMES[c]) for x, c in zip(X, y)],
+                  PINNED_CONFIGS[config_index])
+    return hashlib.sha256(save_model(model)).hexdigest()
+
+
+def case_id(case):
+    return f"{case[0]}-config{case[1]}"
+
+
+class TestPinnedModelBytes:
+    @pytest.mark.parametrize("case", sorted(PINNED_MODEL_DIGESTS), ids=case_id)
+    def test_model_bytes_match_the_pin(self, pinned_data, case):
+        assert model_digest(pinned_data, case) == PINNED_MODEL_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(PINNED_EMPTY_LEAF_DIGESTS), ids=case_id)
+    def test_model_with_an_empty_leaf_matches_the_pin(self, pinned_data, case):
+        assert model_digest(pinned_data, case) == PINNED_EMPTY_LEAF_DIGESTS[case]
 
 
 class TestModelFormat:

@@ -89,6 +89,40 @@ class TestLabelIndex:
                 pytest.raises(EdfError, match="notes.edf: no signal 0"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("value", ["1.0", "", "one"])
+    def test_epoch_index_that_is_not_an_integer_rejected(self, tmp_path, value):
+        index = generate_dataset(SMALL, tmp_path)
+        lines = index.read_text().splitlines()
+        lines[3] = f"sham_wake.edf,{value},sham_wake"
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"labels.csv line 4: epoch_index "
+                                             f"'{value}' is not an integer"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("length, rate, form", [(16, 256.0, "16 s at 256 Hz"),
+                                                     (4, 128.0, "4 s at 128 Hz")],
+                             ids=["16s", "128Hz"])
+    def test_file_with_another_record_form_rejected(self, tmp_path, length, rate, form):
+        generate_dataset(SMALL, tmp_path / "ds")
+        other = SyntheticSpec(epochs_per_class=8, epoch_length_s=length, rate_hz=rate,
+                              seed=123)
+        generate_dataset(other, tmp_path / "other")
+        (tmp_path / "ds" / "tbi_sleep.edf").write_bytes(
+            (tmp_path / "other" / "tbi_sleep.edf").read_bytes())
+        with pytest.raises(ValueError, match=f"tbi_sleep.edf: records of {form} "
+                                             f"differ from sham_wake.edf's 4 s at 256 Hz"):
+            load_dataset(tmp_path / "ds")
+
+    def test_digital_code_outside_the_header_range_names_the_file(self, tmp_path):
+        header = EdfFileHeader.create(num_signals=1, num_records=3, record_duration_s=4.0)
+        sig = EdfSignalHeader(digital_min=-100, digital_max=100, samples_per_record=1024)
+        data = bytearray(write_edf(header, [sig], [np.zeros(3072)]))
+        data[header.header_bytes:header.header_bytes + 2] = (101).to_bytes(2, "little")
+        (tmp_path / "codes.edf").write_bytes(bytes(data))
+        (tmp_path / "labels.csv").write_text("file,epoch_index,class\ncodes.edf,0,sham_wake\n")
+        with pytest.raises(EdfError, match=r"codes.edf: digital code outside \[-100, 100\]"):
+            load_dataset(tmp_path)
+
 
 class TestClassStructure:
     def test_sleep_classes_have_more_relative_delta_than_wake(self, tmp_path):
