@@ -4,10 +4,15 @@ Training is classic second-order boosting with a softmax objective: each
 round fits one regression tree per class to the per-sample gradients
 ``g = p - y`` and hessians ``h = p(1-p)``, using exact greedy splits over
 every feature/threshold midpoint and leaf weights ``-G / (H + lambda)``.
-There is no subsampling, binning, or threading, so a fixed dataset and
-config always produce the same model, and the JSON model format round
-trips bit-exactly across machines. Prediction sums leaf weights in fixed
-round-major order and scales them by the learning rate.
+Each feature column is sorted once per ``train`` call, and every split
+partitions the sorted index lists stably into its children. Each node
+therefore reads its samples, and sums their gradients, in the order a
+sort of its own would give, so the models are byte-identical to those
+of a per-node sort. There is no subsampling, binning, or threading, so a
+fixed dataset and config always produce the same model, and the JSON
+model format round trips bit-exactly across machines. Prediction sums
+leaf weights in fixed round-major order and scales them by the learning
+rate.
 
 Desk-scale by design: exact splits over a few thousand epochs train in
 seconds, and single-vector inference stays well under a millisecond.
@@ -89,6 +94,7 @@ def _softmax(margins: np.ndarray) -> np.ndarray:
 
 def _build_tree(
     X: np.ndarray,
+    order: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     config: TrainConfig,
@@ -96,56 +102,71 @@ def _build_tree(
 ) -> dict:
     """Exact greedy tree fit to one class's gradients.
 
-    Each node scores all its splits in one gain table: column ``j`` sorts
-    feature ``j`` over the node's samples, row ``k`` splits after sorted
-    value ``k``, and rows between equal values or with a side lighter than
-    ``min_child_weight`` score ``-inf``. Ties go to the lowest threshold,
-    then the lowest feature index; a column holding a NaN is not split
-    on. ``leaf_values`` receives each sample's leaf weight.
+    ``order`` is feature-major: row ``j`` holds the sample indices sorted
+    stably by feature ``j``, sorted once per ``train`` call (the presorted
+    column blocks of XGBoost, Chen & Guestrin 2016, section 4.1). A split
+    partitions each row stably by ``goes_left`` into the children's rows,
+    so a node's row ``j`` lists its samples as a stable sort of feature
+    ``j`` over them would: by value, then by sample index. No node sorts,
+    yet every cumulative sum adds the same terms in the same order as a
+    per-node sort, so gains, thresholds and leaf weights are bit-identical.
+
+    Each node scores all its splits in one gain table: row ``j`` is feature
+    ``j`` and column ``k`` splits after sorted value ``k``. Splits between
+    equal values, with a side lighter than ``min_child_weight``, or with a
+    side whose ``H + l2_lambda`` is not positive score ``-inf``. Ties go to
+    the lowest threshold, then the lowest feature index. ``leaf_values``
+    receives each sample's leaf weight.
     """
     lam = config.l2_lambda
+    features = np.arange(X.shape[1])[:, None]
 
-    def build(idx: np.ndarray, depth: int) -> dict:
+    # ``idx`` is the node's samples in ascending order, and G and H are
+    # summed over it; ``order`` is its rows of the presorted lists.
+    def build(idx: np.ndarray, order: np.ndarray, depth: int) -> dict:
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         split = None
         if depth < config.max_depth and idx.size >= 2:
-            split = best_split(idx, G, H)
+            split = best_split(order, G, H)
         if split is None:
             return make_leaf(idx, G, H)
         feature, threshold = split
-        goes_left = X[idx, feature] < threshold
+        goes_left = X[:, feature] < threshold
+        sel = goes_left[order]  # boolean indexing keeps each row's order
+        rows = len(order)
         return {
             "feature_index": feature,
             "threshold": threshold,
-            "left": build(idx[goes_left], depth + 1),
-            "right": build(idx[~goes_left], depth + 1),
+            "left": build(idx[goes_left[idx]], order[sel].reshape(rows, -1), depth + 1),
+            "right": build(idx[~goes_left[idx]], order[~sel].reshape(rows, -1), depth + 1),
         }
 
     # Its own frame, so that the gain table is freed before the recursion.
-    def best_split(idx: np.ndarray, G: float, H: float) -> tuple[int, float] | None:
-        order = idx[np.argsort(X[idx], axis=0, kind="stable")]
-        xs = np.take_along_axis(X, order, axis=0)
-        gl = np.cumsum(g[order], axis=0)[:-1]
-        hl = np.cumsum(h[order], axis=0)[:-1]
+    def best_split(order: np.ndarray, G: float, H: float) -> tuple[int, float] | None:
+        xs = X[order, features]
+        gl = np.cumsum(g[order], axis=1)[:, :-1]
+        hl = np.cumsum(h[order], axis=1)[:, :-1]
         hr = H - hl
+        lighter = np.minimum(hl, hr)
         parent_score = G * G / (H + lam)
-        gains = 0.5 * (gl**2 / (hl + lam) + (G - gl) ** 2 / (hr + lam) - parent_score)
-        too_light = np.minimum(hl, hr) < config.min_child_weight
-        gains[(xs[:-1] == xs[1:]) | too_light] = -np.inf
-        best = gains.max(axis=0)  # NaN wherever a column holds one
-        feature = int(np.argmax(np.where(best > _MIN_SPLIT_GAIN, best, -np.inf)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (gl**2 / (hl + lam) + (G - gl) ** 2 / (hr + lam) - parent_score)
+        gains[(xs[:, :-1] == xs[:, 1:]) | (lighter < config.min_child_weight)
+              | (lighter + lam <= 0)] = -np.inf
+        best = gains.max(axis=1)
+        feature = int(np.argmax(best))  # the first maximum
         if not best[feature] > _MIN_SPLIT_GAIN:
             return None
-        k = int(np.argmax(gains[:, feature]))  # the first maximum
-        return feature, float((xs[k, feature] + xs[k + 1, feature]) / 2)
+        k = int(np.argmax(gains[feature]))
+        return feature, float((xs[feature, k] + xs[feature, k + 1]) / 2)
 
     def make_leaf(idx: np.ndarray, G: float, H: float) -> dict:
         weight = -G / (H + lam) if idx.size else -0.0
         leaf_values[idx] = weight
         return {"weight": float(weight)}
 
-    return build(np.arange(X.shape[0]), 0)
+    return build(np.arange(X.shape[0]), order, 0)
 
 
 def train(
@@ -182,6 +203,7 @@ def train(
         return float(-np.mean(np.log(np.clip(p[np.arange(n), y], 1e-300, None))))
 
     loss_history = [logloss()]
+    order = np.argsort(X.T, axis=1, kind="stable")
     forest: list[list[dict]] = []
     for _ in range(config.rounds):
         p = _softmax(margins)
@@ -190,7 +212,7 @@ def train(
             g = p[:, c] - onehot[:, c]
             h = np.maximum(p[:, c] * (1 - p[:, c]), _MIN_HESSIAN)
             leaf_values = np.zeros(n)
-            round_trees.append(_build_tree(X, g, h, config, leaf_values))
+            round_trees.append(_build_tree(X, order, g, h, config, leaf_values))
             margins[:, c] += config.learning_rate * leaf_values
         forest.append(round_trees)
         loss_history.append(logloss())

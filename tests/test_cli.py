@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: outputs, determinism, error paths."""
 
+import hashlib
 import json
 import math
 import os
@@ -28,6 +29,18 @@ def workspace(tmp_path_factory):
     assert main(["train", "--data", str(data), "--out", str(model),
                  "--rounds", "8"]) == 0
     return root, data, model
+
+
+@pytest.fixture(scope="module")
+def seed7_data(tmp_path_factory):
+    """The default synthetic dataset of seed 7: 800 epochs of 16 s."""
+    data = tmp_path_factory.mktemp("seed7") / "ds"
+    assert main(["synth", "--out", str(data), "--seed", "7"]) == 0
+    return data
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def assert_one_error_line(err):
@@ -194,6 +207,26 @@ class TestTrain:
                      "--l2-lambda", "0", "--min-child-weight", "0"]) == 0
         assert len(gbt.load_model(model.read_bytes()).trees) == 30
 
+    def test_default_model_bytes_match_the_pin(self, seed7_data, tmp_path):
+        # Written by the per-node sort that the presorted split search replaced.
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(seed7_data), "--out", str(model)]) == 0
+        assert sha256(model) == (
+            "0b4abf11cf10803941b9cdf6db11c2e2f70f639f1f66b6eca55ccde2de222a09")
+
+    def test_no_l2_penalty_trains_without_dividing_by_zero(self, seed7_data, tmp_path,
+                                                           capsys):
+        # Here a right side's hessian sum rounds to 0, and the gain table
+        # used to divide by it: numpy warned, and the inf gains won splits.
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert main(["train", "--data", str(seed7_data), "--out", str(model),
+                     "--rounds", "200", "--learning-rate", "1", "--l2-lambda", "0",
+                     "--min-child-weight", "0"]) == 0
+        assert "warning:" not in capsys.readouterr().err
+        assert sha256(model) == (
+            "35c1e0888150d4f1840c68048c12db0d9d118db3d5b220fd2ed4a1fb32dbe5e5")
+
     def test_training_log_loss_is_non_increasing(self, workspace, tmp_path):
         _, data, _ = workspace
         log_path = tmp_path / "train_log.json"
@@ -257,6 +290,15 @@ class TestEvaluate:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_cross_validation_report_matches_the_pin(self, tmp_path):
+        data, out = tmp_path / "ds", tmp_path / "metrics.json"
+        assert main(["synth", "--out", str(data), "--seed", "7",
+                     "--epochs-per-class", "12"]) == 0
+        assert main(["evaluate", "--data", str(data), "--out", str(out),
+                     "--folds", "3"]) == 0
+        assert sha256(out) == (
+            "4bd06e3101cd20049bdfca6513b0e64b264d4fbbeadb99bcb040fb1ec3f18ddd")
 
     def test_fixed_model_mode(self, workspace, tmp_path):
         _, data, model = workspace

@@ -4,12 +4,14 @@ import copy
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eegloop import gbt
 from eegloop.classes import CLASS_NAMES
 from eegloop.features import FeatureVector, featurize, schema_descriptor
 from eegloop.gbt import (
@@ -359,6 +361,96 @@ class TestPinnedModelBytes:
     @pytest.mark.parametrize("case", sorted(PINNED_EMPTY_LEAF_DIGESTS), ids=case_id)
     def test_model_with_an_empty_leaf_matches_the_pin(self, pinned_data, case):
         assert model_digest(pinned_data, case) == PINNED_EMPTY_LEAF_DIGESTS[case]
+
+
+def per_node_sort_build_tree(X, order, g, h, config, leaf_values):
+    """Oracle for ``gbt._build_tree``: the split search in which every node
+    sorts its own samples. It ignores the presorted ``order``. Like the
+    trainer, it scores ``-inf`` where a side's ``H + l2_lambda`` is not
+    positive, instead of dividing by it."""
+    lam = config.l2_lambda
+
+    def build(idx, depth):
+        G = float(g[idx].sum())
+        H = float(h[idx].sum())
+        split = None
+        if depth < config.max_depth and idx.size >= 2:
+            split = best_split(idx, G, H)
+        if split is None:
+            weight = -G / (H + lam) if idx.size else -0.0
+            leaf_values[idx] = weight
+            return {"weight": float(weight)}
+        feature, threshold = split
+        goes_left = X[idx, feature] < threshold
+        return {
+            "feature_index": feature,
+            "threshold": threshold,
+            "left": build(idx[goes_left], depth + 1),
+            "right": build(idx[~goes_left], depth + 1),
+        }
+
+    def best_split(idx, G, H):
+        node_order = idx[np.argsort(X[idx], axis=0, kind="stable")]
+        xs = np.take_along_axis(X, node_order, axis=0)
+        gl = np.cumsum(g[node_order], axis=0)[:-1]
+        hl = np.cumsum(h[node_order], axis=0)[:-1]
+        hr = H - hl
+        lighter = np.minimum(hl, hr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (gl**2 / (hl + lam) + (G - gl) ** 2 / (hr + lam)
+                           - G * G / (H + lam))
+        gains[(xs[:-1] == xs[1:]) | (lighter < config.min_child_weight)
+              | (lighter + lam <= 0)] = -np.inf
+        best = gains.max(axis=0)
+        feature = int(np.argmax(best))
+        if not best[feature] > 1e-12:
+            return None
+        k = int(np.argmax(gains[:, feature]))
+        return feature, float((xs[k, feature] + xs[k + 1, feature]) / 2)
+
+    return build(np.arange(X.shape[0]), 0)
+
+
+@st.composite
+def tie_heavy_datasets(draw):
+    """Quantised features, so many values tie, with some columns constant
+    and some copies of an earlier column; at least two classes."""
+    n = draw(st.integers(2, 40))
+    levels = draw(st.integers(1, 5))
+    step = draw(st.sampled_from([1.0, 0.1, 3.7, 1e-3]))
+    kinds = draw(st.lists(st.sampled_from(["quantised", "constant", "copy"]),
+                          min_size=NUM_FEATURES, max_size=NUM_FEATURES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, levels + 1, size=(n, NUM_FEATURES)) * step
+    for j, kind in enumerate(kinds):
+        if kind == "constant":
+            X[:, j] = step
+        elif kind == "copy" and j:
+            X[:, j] = X[:, rng.integers(j)]
+    y = rng.integers(0, 4, size=n)
+    y[:2] = rng.choice(4, size=2, replace=False)
+    return [(FeatureVector(x), CLASS_NAMES[c]) for x, c in zip(X, y)]
+
+
+train_configs = st.builds(
+    TrainConfig,
+    rounds=st.integers(1, 4),
+    max_depth=st.integers(1, 6),
+    learning_rate=st.sampled_from([0.3, 1.0]),
+    l2_lambda=st.sampled_from([0.0, 0.1, 1.0]),
+    min_child_weight=st.sampled_from([0.0, 0.25, 1.0]),
+)
+
+
+class TestPresortedSplitSearch:
+    @given(tie_heavy_datasets(), train_configs)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_per_node_sort_byte_for_byte(self, dataset, config):
+        model = train(dataset, config)
+        with mock.patch.object(gbt, "_build_tree", per_node_sort_build_tree):
+            oracle = train(dataset, config)
+        assert save_model(model) == save_model(oracle)
+        assert model.training_loss == oracle.training_loss
 
 
 class TestModelFormat:
