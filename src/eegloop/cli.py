@@ -280,6 +280,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         _, _, trace = read_signal(Path(args.input).read_bytes(), args.signal)
         samples, rate_hz = trace.samples, trace.rate_hz
     source = pipeline.assemble(samples, args.epoch_length_s, rate_hz)
+    # One silent epoch imports scipy and designs the filter and the Welch
+    # window for this rate before the clock starts, so epoch 0 is timed
+    # like the rest and a band that does not fit the rate fails here.
+    silence = np.zeros(pipeline.samples_per_epoch(args.epoch_length_s, rate_hz))
+    features.featurize(pipeline.Epoch(silence, 0, args.epoch_length_s, rate_hz))
     clock = loopback.SampleClock(rate_hz=rate_hz, acceleration=args.acceleration)
     entries, report = pipeline.run_live(
         source,

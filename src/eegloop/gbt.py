@@ -8,11 +8,15 @@ Each feature column is sorted once per ``train`` call, and every split
 partitions the sorted index lists stably into its children. Each node
 therefore reads its samples, and sums their gradients, in the order a
 sort of its own would give, so the models are byte-identical to those
-of a per-node sort. There is no subsampling, binning, or threading, so a
-fixed dataset and config always produce the same model, and the JSON
-model format round trips bit-exactly across machines. Prediction sums
-leaf weights in fixed round-major order and scales them by the learning
-rate.
+of a per-node sort. A node that cannot split (at ``max_depth``, with
+fewer than 2 samples, or lighter than twice ``min_child_weight``) is a
+leaf at once and is neither searched nor partitioned; ``_build_tree``
+proves that its search could only have found no valid split, so this
+changes no model either. There is no subsampling, binning, or
+threading, so a fixed dataset and config always produce the same model,
+and the JSON model format round trips bit-exactly across machines.
+Prediction sums leaf weights in fixed round-major order and scales them
+by the learning rate.
 
 Desk-scale by design: exact splits over a few thousand epochs train in
 seconds, and single-vector inference stays well under a millisecond.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,29 +122,50 @@ def _build_tree(
     side whose ``H + l2_lambda`` is not positive score ``-inf``. Ties go to
     the lowest threshold, then the lowest feature index. ``leaf_values``
     receives each sample's leaf weight.
+
+    Only a node that can split is searched or gets its rows partitioned:
+    one below ``max_depth``, with at least 2 samples, and not lighter than
+    ``2 * min_child_weight`` less a relative slack of ``1e-9``. Any other
+    node is a leaf, as the search would have made it, since its gain
+    table holds only ``-inf``. A cell is valid only if ``hl >= mcw`` and
+    ``fl(H - hl) >= mcw``. Rounding moves ``H - hl`` by at most half an
+    ulp, a relative ``2**-53`` (a subnormal difference is exact), so
+    every valid cell has ``H >= mcw * (2 - 2**-52)``. Any slack of at
+    least ``2**-53`` below ``2 * mcw`` thus skips only all ``-inf``
+    tables; ``1e-9`` is well clear of it, and ``mcw = 0`` skips nothing.
+    This is XGBoost's ``min_child_weight`` bound applied before the
+    search rather than cell by cell within it.
     """
     lam = config.l2_lambda
     features = np.arange(X.shape[1])[:, None]
+    min_split_weight = 2 * config.min_child_weight * (1 - 1e-9)
+
+    def can_split(size: int, H: float, depth: int) -> bool:
+        return depth < config.max_depth and size >= 2 and not H < min_split_weight
 
     # ``idx`` is the node's samples in ascending order, and G and H are
-    # summed over it; ``order`` is its rows of the presorted lists.
-    def build(idx: np.ndarray, order: np.ndarray, depth: int) -> dict:
+    # summed over it. ``rows()`` returns its rows of the presorted lists;
+    # only a node that can split asks for them.
+    def build(idx: np.ndarray, rows: Callable[[], np.ndarray], depth: int) -> dict:
         G = float(g[idx].sum())
         H = float(h[idx].sum())
-        split = None
-        if depth < config.max_depth and idx.size >= 2:
-            split = best_split(order, G, H)
+        if not can_split(idx.size, H, depth):
+            return make_leaf(idx, G, H)
+        order = rows()
+        split = best_split(order, G, H)
         if split is None:
             return make_leaf(idx, G, H)
         feature, threshold = split
         goes_left = X[:, feature] < threshold
-        sel = goes_left[order]  # boolean indexing keeps each row's order
-        rows = len(order)
+        shape = len(order), -1
+        # Boolean indexing keeps each row's order.
         return {
             "feature_index": feature,
             "threshold": threshold,
-            "left": build(idx[goes_left[idx]], order[sel].reshape(rows, -1), depth + 1),
-            "right": build(idx[~goes_left[idx]], order[~sel].reshape(rows, -1), depth + 1),
+            "left": build(idx[goes_left[idx]],
+                          lambda: order[goes_left[order]].reshape(shape), depth + 1),
+            "right": build(idx[~goes_left[idx]],
+                           lambda: order[~goes_left[order]].reshape(shape), depth + 1),
         }
 
     # Its own frame, so that the gain table is freed before the recursion.
@@ -166,7 +192,7 @@ def _build_tree(
         leaf_values[idx] = weight
         return {"weight": float(weight)}
 
-    return build(np.arange(X.shape[0]), order, 0)
+    return build(np.arange(X.shape[0]), lambda: order, 0)
 
 
 def train(

@@ -129,14 +129,18 @@ class TestSynth:
         assert not out.exists()
 
 
+def fresh_interpreter_env():
+    """The environment for a subprocess that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy costs about a second to import; only feature extraction needs it.
     code = "import sys, eegloop.cli; print('scipy' in sys.modules)"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_interpreter_env(),
+                          capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
 
 
@@ -550,6 +554,36 @@ class TestRun:
         assert out == ""
         assert_one_error_line(err)
         assert "whole number of samples" in err
+
+    def test_band_above_the_stdin_nyquist_fails_before_the_run(self, workspace, capsys,
+                                                               monkeypatch):
+        import io
+
+        _, _, model = workspace
+        monkeypatch.setattr("sys.stdin", io.StringIO("0.0\n" * 1200))
+        assert main(["run", "--input", "-", "--model", str(model),
+                     "--epoch-length", "4", "--rate", "100", "--deterministic"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no summary: the run never started
+        assert_one_error_line(err)
+        assert "band [0.5, 60.0] Hz invalid for 100.0 Hz sampling" in err
+
+    def test_first_epoch_is_timed_like_the_rest(self, workspace, tmp_path):
+        # A fresh interpreter, since this one has imported scipy already:
+        # the import and the filter design come before the clock starts.
+        # 64 s epochs take ~1 ms each, so a scheduler hiccup stays small.
+        _, _, model = workspace
+        data, log_path = tmp_path / "ds", tmp_path / "log.jsonl"
+        assert main(["synth", "--out", str(data), "--seed", "7",
+                     "--epochs-per-class", "10", "--epoch-length", "64"]) == 0
+        subprocess.run([sys.executable, "-m", "eegloop.cli", "run",
+                        "--input", str(data / "sham_sleep.edf"), "--model", str(model),
+                        "--deterministic", "--log", str(log_path)],
+                       env=fresh_interpreter_env(), capture_output=True, check=True)
+        times = [json.loads(line)["processing_us"]
+                 for line in log_path.read_text().splitlines()]
+        assert len(times) == 10
+        assert times[0] <= 10 * np.median(times[1:])
 
     @pytest.mark.parametrize("text", ["", "# no samples\n"], ids=["empty", "comment_only"])
     def test_empty_stdin_fails_cleanly(self, workspace, capsys, monkeypatch, text):

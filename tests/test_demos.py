@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# Demo 05 is a ~10 s cross-validation run; the CLI evaluate tests cover it.
-DEMOS = sorted(p for p in (ROOT / "demos").glob("*.py") if not p.name.startswith("05_"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -258,6 +258,15 @@ class TestSplitSearch:
             assert math.copysign(1.0, tree["left"]["weight"]) == -1.0
             assert tree["left"]["weight"] == 0.0
 
+    def test_node_of_exactly_twice_min_child_weight_splits(self):
+        # The root weighs 4 * 0.1875 = 0.75 = 2 * min_child_weight, so the
+        # 2 | 2 split, whose sides weigh exactly min_child_weight each, is
+        # valid: the trainer must search this node, not skip it as light.
+        a, b = CLASS_NAMES[:2]
+        dataset = [(fv(x), label) for x, label in [(0.0, a), (1.0, a), (2.0, b), (3.0, b)]]
+        model = train(dataset, TrainConfig(rounds=1, max_depth=1, min_child_weight=0.375))
+        assert self.roots(model) == [(0, 1.5), (0, 1.5)]
+
 
 def pinned_datasets(root):
     """Name -> (X, y) for the model-bytes pins: three small synthetic
@@ -438,7 +447,9 @@ train_configs = st.builds(
     max_depth=st.integers(1, 6),
     learning_rate=st.sampled_from([0.3, 1.0]),
     l2_lambda=st.sampled_from([0.0, 0.1, 1.0]),
-    min_child_weight=st.sampled_from([0.0, 0.25, 1.0]),
+    # Multiples of 0.1875, every sample's first-round hessian with 4
+    # classes, make nodes that weigh exactly 2 * min_child_weight.
+    min_child_weight=st.sampled_from([0.0, 0.25, 1.0, 0.1875, 0.375, 0.5625, 0.75, 1.5]),
 )
 
 
