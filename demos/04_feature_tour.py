@@ -9,7 +9,7 @@ prints the resulting vectors side by side.
 
 import numpy as np
 
-from eegloop import Epoch, FEATURE_NAMES, PreprocessConfig, featurize, preprocess
+from eegloop import Epoch, FEATURE_NAMES, featurize, preprocess
 from eegloop.synth import SyntheticSpec, generate_epoch_samples
 
 RATE = 256.0
@@ -49,6 +49,6 @@ print(f"entropy, tone vs noisy tone:   "
       f"{vectors['10 Hz tone'].values[entropy]:.3f} vs "
       f"{vectors['tone + noise'].values[entropy]:.3f}")
 
-# A constant input is passed through unchanged, not normalized into garbage.
-flat = preprocess(Epoch(np.full(N, 3.3), 0, 16, RATE), PreprocessConfig())
+# A constant input is passed through unchanged, not z-scored into garbage.
+flat = preprocess(Epoch(np.full(N, 3.3), 0, 16, RATE))
 print("\nconstant epoch unchanged:", bool(np.all(flat.samples == 3.3)))

@@ -14,7 +14,6 @@ from pathlib import Path
 from eegloop import (
     CLASS_NAMES,
     CvConfig,
-    PreprocessConfig,
     TrainConfig,
     featurize,
     kfold_cv,
@@ -34,8 +33,7 @@ print(f"dataset: {spec.epochs_per_class} epochs/class x 4 classes "
 
 t0 = time.time()
 epochs = load_dataset(workdir)
-config = PreprocessConfig()
-fvs = [featurize(e, config) for e in epochs]
+fvs = [featurize(e) for e in epochs]
 labels = [e.label for e in epochs]
 print(f"featurized {len(fvs)} epochs in {time.time() - t0:.1f} s")
 

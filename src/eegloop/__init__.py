@@ -34,7 +34,6 @@ from .features import (
     FEATURE_NAMES,
     SCHEMA_ID,
     FeatureVector,
-    PreprocessConfig,
     extract,
     featurize,
     preprocess,
@@ -88,7 +87,6 @@ __all__ = [
     "LoopbackResult",
     "MetricsReport",
     "ModelFormatError",
-    "PreprocessConfig",
     "SCHEMA_ID",
     "SampleClock",
     "SchemaMismatchError",

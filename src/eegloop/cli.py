@@ -132,17 +132,14 @@ def _featurize_dataset(
     dataset_dir: str,
 ) -> tuple[list[features.FeatureVector], list[str], int]:
     epochs = synth.load_dataset(dataset_dir)
-    config = features.PreprocessConfig()
-    fvs = [features.featurize(e, config) for e in epochs]
+    fvs = [features.featurize(e) for e in epochs]
     labels = [e.label for e in epochs]
     return fvs, labels, epochs[0].length_s
 
 
 def _make_processor(model: gbt.GbtModel):
-    config = features.PreprocessConfig()
-
     def processor(epoch: pipeline.Epoch) -> str:
-        return gbt.predict_class(model, features.featurize(epoch, config))[0]
+        return gbt.predict_class(model, features.featurize(epoch))[0]
 
     return processor
 
@@ -180,39 +177,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metrics_doc(
-    cm: ev.ConfusionMatrix,
-    report: ev.MetricsReport,
-    epoch_length_s: int,
-    *,
-    folds: int | None,
-    seed: int | None,
-    accuracy_mean: float,
-    accuracy_per_fold: list[float],
-) -> dict:
-    return {
-        "epoch_length_s": epoch_length_s,
-        "num_epochs": int(cm.counts.sum()),
-        "folds": folds,
-        "seed": seed,
-        "accuracy_mean": accuracy_mean,
-        "accuracy_per_fold": accuracy_per_fold,
-        "per_class": {
-            name: {"precision": report.precision[name], "recall": report.recall[name]}
-            for name in cm.classes
-        },
-        "pooled_confusion": cm.counts.tolist(),
-    }
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     fvs, labels, epoch_length_s = _featurize_dataset(args.data)
     if args.model:
         model = gbt.load_model(Path(args.model).read_bytes())
         cm = ev.confusion(labels, gbt.predict_labels(model, fvs))
-        report = ev.metrics(cm)
-        doc = _metrics_doc(cm, report, epoch_length_s, folds=None, seed=None,
-                           accuracy_mean=report.accuracy, accuracy_per_fold=[])
+        report = ev.report_bytes(cm, epoch_length_s, folds=None, seed=None,
+                                 accuracy_mean=ev.metrics(cm).accuracy,
+                                 accuracy_per_fold=[])
     else:
         train_config = _settings(gbt.TrainConfig, args.train_config, args)
         cv_config = ev.CvConfig(folds=args.folds, seed=args.seed)
@@ -222,13 +194,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             return lambda fv: gbt.predict_class(model, fv)[0]
 
         result = ev.kfold_cv(fvs, labels, trainer, cv_config)
-        doc = _metrics_doc(
-            result.pooled, result.pooled_metrics, epoch_length_s,
-            folds=cv_config.folds, seed=cv_config.seed,
+        report = ev.report_bytes(
+            result.pooled, epoch_length_s, folds=cv_config.folds, seed=cv_config.seed,
             accuracy_mean=result.mean_accuracy,
             accuracy_per_fold=[m.accuracy for m in result.per_fold],
         )
-    _write_json(args.out, doc)
+    Path(args.out).write_bytes(report)
     print(args.out)
     return 0
 
@@ -279,11 +250,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         _, _, trace = read_signal(Path(args.input).read_bytes(), args.signal)
         samples, rate_hz = trace.samples, trace.rate_hz
+    per_epoch = pipeline.samples_per_epoch(args.epoch_length_s, rate_hz)
+    if samples.size < per_epoch:
+        raise ValueError(f"input holds {samples.size} samples, fewer than one "
+                         f"{args.epoch_length_s} s epoch of {per_epoch}")
     source = pipeline.assemble(samples, args.epoch_length_s, rate_hz)
     # One silent epoch imports scipy and designs the filter and the Welch
     # window for this rate before the clock starts, so epoch 0 is timed
     # like the rest and a band that does not fit the rate fails here.
-    silence = np.zeros(pipeline.samples_per_epoch(args.epoch_length_s, rate_hz))
+    silence = np.zeros(per_epoch)
     features.featurize(pipeline.Epoch(silence, 0, args.epoch_length_s, rate_hz))
     clock = loopback.SampleClock(rate_hz=rate_hz, acceleration=args.acceleration)
     entries, report = pipeline.run_live(
@@ -319,7 +294,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("batch sizes must be >= 1")
     model = gbt.load_model(Path(args.model).read_bytes())
     processor = _make_processor(model)
-    config = features.PreprocessConfig()
 
     def timed(epochs, classify) -> pipeline.TimingReport:
         _, report = pipeline.run_live(epochs, classify, deterministic=True)
@@ -340,7 +314,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ])
         epochs = list(pipeline.assemble(stream, length_s, args.rate_hz))
         # Inference-only latency, separated from preprocessing and extraction.
-        fvs = {e.start_index: features.featurize(e, config) for e in epochs}
+        fvs = {e.start_index: features.featurize(e) for e in epochs}
         predict = timed(epochs, lambda e: gbt.predict_class(model, fvs[e.start_index])[0])
         predict_us = predict.processing_time_s * 1e6 / predict.num_epochs
         rows += [{"epoch_length_s": length_s,

@@ -15,6 +15,7 @@ guarantees.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
@@ -169,3 +170,28 @@ def kfold_cv(
         pooled = pooled + cm
     mean_accuracy = float(np.mean([m.accuracy for m in per_fold]))
     return CvResult(per_fold=per_fold, mean_accuracy=mean_accuracy, pooled=pooled)
+
+
+def report_bytes(pooled: ConfusionMatrix, epoch_length_s: int, *, folds: int | None,
+                 seed: int | None, accuracy_mean: float,
+                 accuracy_per_fold: list[float]) -> bytes:
+    """The metrics report ``eegloop evaluate`` writes, as canonical JSON.
+
+    Per-class precision and recall come from ``pooled``; a fixed model's
+    report has ``folds`` and ``seed`` None and no fold accuracies.
+    """
+    report = metrics(pooled)
+    doc = {
+        "epoch_length_s": epoch_length_s,
+        "num_epochs": pooled.total,
+        "folds": folds,
+        "seed": seed,
+        "accuracy_mean": accuracy_mean,
+        "accuracy_per_fold": accuracy_per_fold,
+        "per_class": {
+            name: {"precision": report.precision[name], "recall": report.recall[name]}
+            for name in pooled.classes
+        },
+        "pooled_confusion": pooled.counts.tolist(),
+    }
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()

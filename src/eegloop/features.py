@@ -10,13 +10,14 @@ per epoch:
 * three band ratios: theta/delta, alpha/delta, beta/(alpha+theta);
 * variance, skewness, excess kurtosis, zero-crossing rate;
 * Hjorth mobility and complexity;
-* normalized spectral entropy and the 95% spectral edge frequency,
-  both over the 0.5-60 Hz analysis band.
+* spectral entropy, scaled to [0, 1], and the 95% spectral edge
+  frequency, both over the 0.5-60 Hz analysis band.
 
-Preprocessing is a causal (forward-only) Butterworth band-pass followed
-by an optional per-epoch z-score; causality keeps the chain usable in a
-live capture loop. Degenerate inputs (constant signals, zero power) hit
-documented floor values instead of NaNs, so every vector is finite.
+Preprocessing is fixed, with nothing to set: a causal (forward-only)
+Butterworth band-pass of ``FILTER_ORDER`` over ``ANALYSIS_BAND_HZ``, then
+a per-epoch z-score; causality keeps the chain usable in a live capture
+loop. Degenerate inputs (constant signals, zero power) hit documented
+floor values instead of NaNs, so every vector is finite.
 
 ``SCHEMA`` describes the feature list and parameters; its hash
 ``SCHEMA_ID`` is stamped on every vector and embedded in model files so
@@ -47,6 +48,7 @@ BANDS_HZ: dict[str, tuple[float, float]] = {
 }
 
 ANALYSIS_BAND_HZ = (0.5, 60.0)
+FILTER_ORDER = 4
 WELCH_SEGMENT_S = 4.0
 WELCH_OVERLAP = 0.5
 SPECTRAL_EDGE_FRACTION = 0.95
@@ -104,23 +106,16 @@ def schema_descriptor() -> dict:
     return {**SCHEMA, "schema_id": SCHEMA_ID}
 
 
+# This class and the config parameter of preprocess and featurize exist only
+# because benchmark/workloads.py passes them; both go when it stops.
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Band-pass and normalization settings applied before extraction."""
-
-    band_low_hz: float = 0.5
-    band_high_hz: float = 60.0
-    filter_order: int = 4
-    normalize: bool = True
+    """The fixed preprocessing: no settings, one rule (the band fits the rate)."""
 
     def validate(self, rate_hz: float) -> None:
-        if not 0 < self.band_low_hz < self.band_high_hz < rate_hz / 2:
-            raise ValueError(
-                f"band [{self.band_low_hz}, {self.band_high_hz}] Hz invalid "
-                f"for {rate_hz} Hz sampling"
-            )
-        if self.filter_order < 1:
-            raise ValueError("filter_order must be >= 1")
+        if not ANALYSIS_BAND_HZ[1] < rate_hz / 2:
+            lo, hi = ANALYSIS_BAND_HZ
+            raise ValueError(f"band [{lo}, {hi}] Hz invalid for {rate_hz} Hz sampling")
 
 
 @dataclass(frozen=True)
@@ -140,50 +135,44 @@ class FeatureVector:
 
 
 @functools.lru_cache(maxsize=16)
-def _design_sos(config: PreprocessConfig, rate_hz: float) -> np.ndarray:
+def _design_sos(rate_hz: float) -> np.ndarray:
     from scipy import signal as sps
 
     sos = sps.butter(
-        config.filter_order,
-        [config.band_low_hz, config.band_high_hz],
-        btype="bandpass",
-        fs=rate_hz,
-        output="sos",
+        FILTER_ORDER, ANALYSIS_BAND_HZ, btype="bandpass", fs=rate_hz, output="sos"
     )
-    sos.flags.writeable = False  # shared by every caller with this key
+    sos.flags.writeable = False  # shared by every caller at this rate
     return sos
 
 
-def bandpass_sos(config: PreprocessConfig, rate_hz: float) -> np.ndarray:
+def bandpass_sos(rate_hz: float) -> np.ndarray:
     """Design the causal Butterworth band-pass as second-order sections.
 
-    The design is cached per ``(config, rate_hz)``; each call returns a
-    fresh writable copy of it.
+    The design is cached per rate; each call returns a fresh writable
+    copy of it, since ``sosfilt`` refuses a read-only one.
     """
-    config.validate(rate_hz)
-    return _design_sos(config, rate_hz).copy()
+    PreprocessConfig().validate(rate_hz)
+    return _design_sos(rate_hz).copy()
 
 
 def preprocess(epoch: Epoch, config: PreprocessConfig = PreprocessConfig()) -> Epoch:
-    """Band-pass filter forward-only (causal) and optionally z-score one epoch.
+    """Band-pass filter forward-only (causal), then z-score one epoch.
 
-    Returns a new epoch; after normalization the samples have mean 0 and
-    unit variance to within 1e-6. A constant input cannot be normalized
-    and is returned unchanged, and a filtered epoch whose std is zero or
-    non-finite is returned filtered but not normalized. Raises
-    ``ValueError`` when the configured band does not fit below the
-    epoch's Nyquist frequency.
+    Returns a new epoch whose samples have mean 0 and unit variance to
+    within 1e-6. A constant input cannot be z-scored and is returned
+    unchanged, and a filtered epoch whose std is zero or non-finite is
+    returned filtered only. Raises ``ValueError`` when the analysis band
+    does not fit below the epoch's Nyquist frequency.
     """
     from scipy import signal as sps
 
-    sos = bandpass_sos(config, epoch.rate_hz)
+    sos = bandpass_sos(epoch.rate_hz)
     if np.ptp(epoch.samples) == 0:
         return replace(epoch, samples=epoch.samples.copy())
     out = sps.sosfilt(sos, epoch.samples)
-    if config.normalize:
-        std = out.std()
-        if std > 0 and np.isfinite(std):
-            out = (out - out.mean()) / std
+    std = out.std()
+    if std > 0 and np.isfinite(std):
+        out = (out - out.mean()) / std
     return replace(epoch, samples=out)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classes import CLASS_NAMES, class_index
-from .features import FeatureVector, schema_descriptor
+from .features import FeatureVector, schema_descriptor, schema_id
 
 MODEL_FORMAT_VERSION = 1
 
@@ -339,7 +339,8 @@ def save_model(model: GbtModel) -> bytes:
 def load_model(data: bytes) -> GbtModel:
     """Parse and validate model bytes; predictions match the saved model exactly.
 
-    Any malformed input raises ``ModelFormatError``.
+    Any malformed input raises ``ModelFormatError``, a ``feature_schema``
+    whose ``schema_id`` is not the hash of its other fields included.
     """
     try:
         doc = json.loads(data)
@@ -363,6 +364,12 @@ def load_model(data: bytes) -> GbtModel:
         and isinstance(schema.get("features"), list)
     ):
         raise ModelFormatError("feature_schema needs a features list and a schema_id")
+    try:  # the id must hash the rest, or it could vouch for any feature list
+        described = schema_id({k: v for k, v in schema.items() if k != "schema_id"})
+    except RecursionError:
+        raise ModelFormatError("feature_schema nests too deeply") from None
+    if described != schema["schema_id"]:
+        raise ModelFormatError("feature_schema schema_id is not the hash of its contents")
     if doc["classes"] != list(CLASS_NAMES):
         raise ModelFormatError(f"classes must be {list(CLASS_NAMES)}")
     num_features = len(schema["features"])

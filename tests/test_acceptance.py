@@ -44,7 +44,7 @@ from eegloop import (
     write_edf,
 )
 from eegloop.cli import main
-from eegloop.features import FEATURE_NAMES, PreprocessConfig
+from eegloop.features import FEATURE_NAMES
 from eegloop.loopback import SampleClock
 from eegloop.pipeline import Epoch, assemble, run_live
 from eegloop.synth import SyntheticSpec, generate_dataset, generate_epoch_samples
@@ -67,8 +67,7 @@ def small_dataset(tmp_path_factory):
 @pytest.fixture(scope="module")
 def model(small_dataset):
     epochs = load_dataset(small_dataset)
-    config = PreprocessConfig()
-    fvs = [featurize(e, config) for e in epochs]
+    fvs = [featurize(e) for e in epochs]
     return train(list(zip(fvs, [e.label for e in epochs])), TrainConfig(rounds=20))
 
 
@@ -108,10 +107,9 @@ def live_run_summaries(model_path, tmp_path_factory):
     for seed in range(5):
         edf_path = write_stream_edf(root / f"stream{seed}.edf", 100, 64, seed)
         gbt_model = load_model(model_path.read_bytes())
-        config = PreprocessConfig()
 
         def processor(epoch):
-            return predict_class(gbt_model, featurize(epoch, config))[0]
+            return predict_class(gbt_model, featurize(epoch))[0]
 
         _, sig_headers, digital = parse_edf(edf_path.read_bytes())
         trace = digital_to_physical(digital[0], sig_headers[0])

@@ -16,6 +16,7 @@ from eegloop import gbt, pipeline
 from eegloop.classes import CLASS_NAMES
 from eegloop.cli import main
 from eegloop.edf import EdfFileHeader, EdfSignalHeader, write_edf
+from eegloop.features import schema_id
 
 
 @pytest.fixture(scope="module")
@@ -47,13 +48,36 @@ def assert_one_error_line(err):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def mismatched_model(model, tmp_path):
-    """A copy of ``model`` whose feature schema no extractor produces."""
+def edited_model(model, tmp_path, edit):
+    """A copy of ``model`` whose parsed JSON ``edit`` has changed in place."""
     doc = json.loads(model.read_text())
-    doc["feature_schema"]["schema_id"] = "0" * 16
+    edit(doc)
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(doc))
     return edited
+
+
+def mismatched_model(model, tmp_path):
+    """A copy of ``model`` that loads, under a schema no extractor produces."""
+    def edit(doc):
+        schema = doc["feature_schema"]
+        schema["parameters"]["welch_overlap"] = 0.25
+        del schema["schema_id"]
+        schema["schema_id"] = schema_id(schema)
+
+    return edited_model(model, tmp_path, edit)
+
+
+def tampered_model(model, tmp_path):
+    """A copy of ``model`` under the current schema id whose feature list
+    is longer than any vector's, and whose first split routes on it."""
+    def edit(doc):
+        doc["feature_schema"]["features"] += [f"extra_{i}" for i in range(5)]
+        root = doc["trees"][0][0]
+        assert "feature_index" in root
+        root["feature_index"] = 25
+
+    return edited_model(model, tmp_path, edit)
 
 
 class TestSynth:
@@ -312,6 +336,16 @@ class TestEvaluate:
         doc = json.loads(out.read_text())
         assert doc["folds"] is None
         assert doc["accuracy_mean"] > 0.5  # scored on its own training data
+
+    def test_fixed_model_report_matches_the_pin(self, workspace, tmp_path):
+        _, _, model = workspace
+        data, out = tmp_path / "ds", tmp_path / "fixed.json"
+        assert main(["synth", "--out", str(data), "--seed", "8",
+                     "--epochs-per-class", "10", "--epoch-length", "4"]) == 0
+        assert main(["evaluate", "--data", str(data), "--out", str(out),
+                     "--model", str(model)]) == 0
+        assert sha256(out) == (
+            "3761885e61bbaf9e64aea1d7db796db29e7317f9e5c4750d94529643e4df851d")
 
     def test_file_of_another_epoch_length_fails_cleanly(self, workspace, tmp_path,
                                                          capsys):
@@ -585,6 +619,33 @@ class TestRun:
         assert len(times) == 10
         assert times[0] <= 10 * np.median(times[1:])
 
+    def test_stdin_shorter_than_one_epoch_fails_cleanly(self, workspace, capsys,
+                                                        monkeypatch):
+        import io
+
+        _, _, model = workspace
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n3\n"))
+        assert main(["run", "--input", "-", "--model", str(model),
+                     "--epoch-length", "4", "--deterministic"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error_line(err)
+        assert "input holds 3 samples, fewer than one 4 s epoch of 1024" in err
+
+    def test_edf_shorter_than_one_epoch_fails_cleanly(self, workspace, tmp_path,
+                                                      capsys):
+        _, _, model = workspace
+        data = tmp_path / "ds"
+        assert main(["synth", "--out", str(data), "--seed", "7",
+                     "--epochs-per-class", "1", "--epoch-length", "16"]) == 0
+        capsys.readouterr()
+        assert main(["run", "--input", str(data / "sham_wake.edf"),
+                     "--model", str(model), "--deterministic"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error_line(err)
+        assert "input holds 4096 samples, fewer than one 64 s epoch of 16384" in err
+
     @pytest.mark.parametrize("text", ["", "# no samples\n"], ids=["empty", "comment_only"])
     def test_empty_stdin_fails_cleanly(self, workspace, capsys, monkeypatch, text):
         import io
@@ -598,6 +659,23 @@ class TestRun:
         assert out == ""
         assert_one_error_line(err)
         assert "stdin holds no samples" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "run", "bench"])
+def test_tampered_model_fails_at_load(workspace, tmp_path, capsys, command):
+    _, data, model = workspace
+    out = tmp_path / "out"
+    args = {
+        "evaluate": ["--data", str(data), "--out", str(out)],
+        "run": ["--input", str(data / "sham_wake.edf"), "--epoch-length", "4",
+                "--deterministic"],
+        "bench": ["--out", str(out), "--epoch-lengths", "16", "--batch-sizes", "2"],
+    }[command]
+    assert main([command, "--model", str(tampered_model(model, tmp_path)), *args]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert_one_error_line(err)
+    assert "is not the hash of its contents" in err
 
 
 class TestBench:

@@ -55,31 +55,30 @@ def feat(fv, name):
 class TestBandpass:
     def test_dc_is_rejected(self):
         # direct response oracle at 0 Hz
-        w, h = sps.sosfreqz(bandpass_sos(PreprocessConfig(), RATE), worN=[0.0], fs=RATE)
+        w, h = sps.sosfreqz(bandpass_sos(RATE), worN=[0.0], fs=RATE)
         assert np.abs(h[0]) < 1e-6
         x = np.full(int(64 * RATE), 5.0)
-        y = sps.sosfilt(bandpass_sos(PreprocessConfig(), RATE), x)
+        y = sps.sosfilt(bandpass_sos(RATE), x)
         steady = y[int(8 * RATE):]
         assert np.mean(steady**2) < 0.01 * np.mean(x**2)
 
     def test_in_band_tone_passes(self):
         x = tone(10.0, length_s=16)
-        y = preprocess(make_epoch(x), PreprocessConfig(normalize=False)).samples
+        y = sps.sosfilt(bandpass_sos(RATE), x)
         x_rms = np.sqrt(np.mean(x[int(2 * RATE):] ** 2))
         y_rms = np.sqrt(np.mean(y[int(2 * RATE):] ** 2))
         assert abs(y_rms - x_rms) / x_rms < 0.2
 
     def test_design_equals_a_fresh_design(self):
-        config = PreprocessConfig(band_low_hz=1.0, band_high_hz=40.0, filter_order=3)
-        fresh = sps.butter(3, [1.0, 40.0], btype="bandpass", fs=RATE, output="sos")
+        fresh = sps.butter(4, [0.5, 60.0], btype="bandpass", fs=RATE, output="sos")
         for _ in range(2):  # the design call, then the cached one
-            assert bandpass_sos(config, RATE).tobytes() == fresh.tobytes()
+            assert bandpass_sos(RATE).tobytes() == fresh.tobytes()
 
     def test_callers_get_a_writable_copy_of_the_cached_design(self):
-        first = bandpass_sos(PreprocessConfig(), RATE)
+        first = bandpass_sos(RATE)
         expected = first.copy()
         first[:] = 0.0  # a caller's edit must not reach the cache
-        second = bandpass_sos(PreprocessConfig(), RATE)
+        second = bandpass_sos(RATE)
         assert second.flags.writeable and second is not first
         np.testing.assert_array_equal(second, expected)
 
@@ -87,12 +86,28 @@ class TestBandpass:
         # A constant epoch skips filtering, but not the band check.
         epoch = make_epoch(np.zeros(400), length_s=4, rate_hz=100.0)
         with pytest.raises(ValueError, match="band"):
-            preprocess(epoch, PreprocessConfig(band_high_hz=60.0))
-        with pytest.raises(ValueError, match="band"):
-            PreprocessConfig(band_low_hz=5.0, band_high_hz=2.0).validate(RATE)
+            preprocess(epoch)
 
 
 class TestPreprocess:
+    @pytest.mark.parametrize(
+        "setting",
+        [{"band_low_hz": 1.0}, {"band_high_hz": 40.0}, {"filter_order": 3},
+         {"normalize": False}],
+        ids=["band_low_hz", "band_high_hz", "filter_order", "normalize"],
+    )
+    def test_no_preprocessing_value_can_be_set(self, setting):
+        with pytest.raises(TypeError):
+            PreprocessConfig(**setting)
+
+    def test_an_explicit_config_changes_nothing(self):
+        epoch = make_epoch(tone(10.0) + 0.3 * tone(25.0))
+        config = PreprocessConfig()
+        np.testing.assert_array_equal(preprocess(epoch, config).samples,
+                                      preprocess(epoch).samples)
+        np.testing.assert_array_equal(featurize(epoch, config).values,
+                                      featurize(epoch).values)
+
     def test_normalized_output_is_zero_mean_unit_variance(self):
         epoch = make_epoch(tone(10.0) + 0.3 * tone(25.0))
         out = preprocess(epoch)
@@ -109,11 +124,6 @@ class TestPreprocess:
         before = epoch.samples.copy()
         preprocess(epoch)
         np.testing.assert_array_equal(epoch.samples, before)
-
-    def test_normalize_can_be_disabled(self):
-        epoch = make_epoch(tone(10.0, amplitude=50.0))
-        out = preprocess(epoch, PreprocessConfig(normalize=False))
-        assert out.samples.std() > 1.5
 
 
 class TestExtract:

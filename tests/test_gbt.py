@@ -505,6 +505,21 @@ class TestModelFormat:
         with pytest.raises(ModelFormatError, match="feature_index"):
             load_model(json.dumps(doc).encode())
 
+    def test_schema_id_must_be_the_hash_of_the_schema(self):
+        # The current id over a longer feature list would let a split route
+        # on a feature no vector has.
+        doc = copy.deepcopy(VALID_DOC)
+        doc["feature_schema"]["features"].append("extra")
+        doc["trees"][0][0]["feature_index"] = 21
+        with pytest.raises(ModelFormatError, match="not the hash of its contents"):
+            load_model(json.dumps(doc).encode())
+
+    def test_schema_too_deep_to_hash_rejected(self):
+        # A schema nested too deeply to hash is a malformed file too.
+        with mock.patch.object(gbt, "schema_id", side_effect=RecursionError):
+            with pytest.raises(ModelFormatError, match="nests too deeply"):
+                load_model(json.dumps(VALID_DOC).encode())
+
     def test_garbage_bytes_rejected(self):
         with pytest.raises(ModelFormatError, match="JSON"):
             load_model(b"\x00\x01not json")

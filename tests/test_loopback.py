@@ -30,11 +30,11 @@ class TestNyquist:
 
     def test_boundary_is_excluded(self):
         with pytest.raises(ValueError, match="band"):
-            PreprocessConfig(band_high_hz=60.0).validate(120.0)
+            PreprocessConfig().validate(120.0)
 
     def test_undersampling_fails(self):
         with pytest.raises(ValueError, match="band"):
-            PreprocessConfig(band_high_hz=60.0).validate(100.0)
+            PreprocessConfig().validate(100.0)
 
 
 class TestSampleClock:

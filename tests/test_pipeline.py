@@ -240,16 +240,20 @@ class TestRunLive:
 
     def test_threaded_processor_failure_accounts_for_queued_epochs(self):
         q = EpochQueue(capacity=4)
+        asked_for_fifth = threading.Event()
+
+        def source():
+            for i in range(20):
+                if i == 5:  # epoch 0 was taken, so epochs 1-4 fill the queue
+                    asked_for_fifth.set()
+                yield make_epoch(i)
 
         def failing(epoch):
             # Fail only once the producer has filled the queue behind us.
-            deadline = time.monotonic() + 5
-            while len(q) < q.capacity and time.monotonic() < deadline:
-                time.sleep(0.001)
+            asked_for_fifth.wait(timeout=5)
             raise RuntimeError("model exploded")
 
-        source = [make_epoch(i) for i in range(20)]
-        log, report = run_live(iter(source), failing,
+        log, report = run_live(source(), failing,
                                clock=SampleClock(rate_hz=16.0, acceleration=math.inf),
                                queue=q)
         assert report.error == "RuntimeError: model exploded"
@@ -259,12 +263,15 @@ class TestRunLive:
         assert_accounted(q, log)
 
     def test_threaded_processor_error_wins_over_source_error(self):
+        source_failing = threading.Event()
+
         def bad_source():
             yield make_epoch(0)
+            source_failing.set()
             raise IOError("sensor unplugged")
 
         def failing(epoch):
-            time.sleep(0.05)  # the source fails meanwhile
+            source_failing.wait(timeout=5)
             raise RuntimeError("model exploded")
 
         q = EpochQueue(capacity=8)
