@@ -2,8 +2,8 @@
 Streaming epochs through the bounded queue
 ==========================================
 
-Cuts a continuous synthetic stream into 4 s epochs, runs the
-producer/consumer loop at maximum acceleration, and shows the loss
+Cuts a continuous synthetic stream into 4 s epochs, classifies them at
+maximum acceleration, and shows the loss
 accounting and collection-vs-processing timing. Then forces overflow
 with a deliberately slow consumer under real-time pacing.
 """
@@ -29,8 +29,8 @@ def processor(epoch):
     return "sham_wake" if np.sqrt(np.mean(epoch.samples**2)) > 80 else "sham_sleep"
 
 
-# Virtual-clock run: epochs are delivered as soon as the queue has room,
-# so a 120 s recording streams in milliseconds with zero loss.
+# Infinite clock: each epoch is classified on this thread as soon as it is
+# read, so a 120 s recording streams in milliseconds with zero loss.
 queue = EpochQueue(capacity=8)
 t0 = time.time()
 log, report = run_live(
@@ -46,9 +46,9 @@ print("first log entries:")
 for entry in log[:3]:
     print("  ", entry)
 
-# Real-time pacing never blocks the sampling side: with a consumer slower
-# than the (highly accelerated) delivery interval, overflow is counted
-# and dropped instead of stalling the producer.
+# A finite clock runs a producer thread that is never blocked: with a
+# consumer slower than the (highly accelerated) delivery interval,
+# overflow is counted and dropped instead of stalling the producer.
 def slow_processor(epoch):
     time.sleep(0.02)
     return processor(epoch)

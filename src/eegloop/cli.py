@@ -246,6 +246,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             samples = np.loadtxt(sys.stdin, dtype=np.float64).reshape(-1)
         if samples.size == 0:
             raise ValueError("stdin holds no samples")
+        if not (finite := np.isfinite(samples)).all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"stdin sample {i} is not finite: {samples[i]}")
         rate_hz = args.rate_hz
     else:
         _, _, trace = read_signal(Path(args.input).read_bytes(), args.signal)
@@ -266,7 +269,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         _make_processor(model),
         clock=clock,
         queue=queue,
-        deterministic=args.deterministic,
     )
     if args.log_file:
         with Path(args.log_file).open("w") as fh:
@@ -294,9 +296,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("batch sizes must be >= 1")
     model = gbt.load_model(Path(args.model).read_bytes())
     processor = _make_processor(model)
+    clock = loopback.SampleClock(rate_hz=args.rate_hz, acceleration=math.inf)
 
     def timed(epochs, classify) -> pipeline.TimingReport:
-        _, report = pipeline.run_live(epochs, classify, deterministic=True)
+        _, report = pipeline.run_live(epochs, classify, clock=clock)
         if not report.complete:
             raise ValueError(f"bench run incomplete: {report.error}")
         return report
@@ -384,9 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample rate for stdin input (EDF carries its own)")
     p.add_argument("--capacity", type=int, default=8)
     p.add_argument("--acceleration", type=_parse_acceleration, default=1.0,
-                   help="clock speed-up factor, or 'max'")
-    p.add_argument("--deterministic", action="store_true",
-                   help="single-threaded interleaved stepping")
+                   help="clock speed-up factor, or 'max' to classify each "
+                        "epoch as soon as it is read")
     p.add_argument("--log", dest="log_file", help="JSONL classification log path")
     p.add_argument("--timing", help="timing CSV path")
     p.set_defaults(func=cmd_run)

@@ -7,15 +7,12 @@ consumer that classifies each one. The queue accounts for every epoch:
 and overflow is counted rather than raised so the sampling side is never
 stalled by a slow consumer.
 
-Two execution modes share one consume step. The threaded mode runs one
-producer thread against the calling thread as consumer, which blocks on
-the queue until an epoch arrives or the producer closes it. Delivery is
-paced from a :class:`~eegloop.loopback.SampleClock`: a finite
-acceleration hands over each epoch at its absolute deadline, while
-``acceleration=math.inf`` delivers each epoch as soon as the queue has
-room, pausing the virtual clock instead of dropping. The deterministic
-mode interleaves produce and consume steps on a single thread for
-reproducible logs.
+Two execution modes share one consume step. A finite clock acceleration
+runs one producer thread that hands each epoch over at its absolute
+deadline, with the calling thread as consumer blocking on the queue
+until an epoch arrives or the producer closes it. ``acceleration=math.inf``
+runs the produce and consume steps in turn on the calling thread: each
+epoch is classified as soon as it is read, and none is dropped.
 
 Both modes have one failure rule: whatever fails, source or processor,
 ends the run, stops the producer, and :func:`run_live` returns the
@@ -107,9 +104,9 @@ class EpochQueue:
     """Bounded FIFO with produced/consumed/dropped accounting.
 
     ``enqueue`` never blocks: when the queue is full the epoch is counted
-    as dropped and refused. ``get`` and ``wait_for_room`` block until the
-    queue changes or is closed; a closed queue stays closed. Safe for one
-    producer and one consumer thread.
+    as dropped and refused. ``get`` blocks until an epoch is queued or the
+    queue is closed; a closed queue stays closed. Safe for one producer
+    and one consumer thread.
     """
 
     def __init__(self, capacity: int = 8):
@@ -149,16 +146,8 @@ class EpochQueue:
             self._changed.wait_for(lambda: self._items or self._closed)
             return self.dequeue()
 
-    def wait_for_room(self) -> bool:
-        """Block until the queue has room; False once it is closed."""
-        with self._changed:
-            self._changed.wait_for(
-                lambda: len(self._items) < self.capacity or self._closed
-            )
-            return not self._closed
-
     def close(self) -> None:
-        """Wake every waiter; ``get`` then drains and ``wait_for_room`` fails."""
+        """Wake every waiter; ``get`` then drains the queue and returns None."""
         with self._changed:
             self._closed = True
             self._changed.notify_all()
@@ -223,12 +212,14 @@ def run_live(
     ends. Collection time is analytic, ``sum(epoch.length_s)`` over the
     produced epochs, so accelerated runs report the real-time figure.
 
-    In threaded mode the producer hands epochs over through blocking
-    queue calls and closes the queue when the source ends; the consumer
-    runs until the queue is closed and drained. A finite clock
-    acceleration delivers each epoch once the recording up to its end,
-    divided by the acceleration, has elapsed since the start; an infinite
-    one delivers it as soon as the queue has room.
+    A finite clock acceleration runs a producer thread that delivers each
+    epoch once the recording up to its end, divided by the acceleration,
+    has elapsed since the start, and closes the queue when the source
+    ends; the consumer runs until the queue is closed and drained. An
+    infinite one reads and classifies each epoch in turn on the calling
+    thread. ``deterministic=True`` does the same whatever the clock; it
+    exists only because benchmark/workloads.py passes it, and goes when
+    that stops.
 
     Any failure, of the source or of the processor, ends the run in both
     modes and stops the producer; the partial log comes back with the
@@ -237,7 +228,7 @@ def run_live(
     with ``label`` None. ``produced == consumed + dropped + queued`` and
     ``consumed == len(log)`` hold on every exit.
     ``timer`` must return monotonic nanoseconds; it is injectable so
-    deterministic runs can produce byte-identical logs.
+    tests can compare logs byte for byte.
     """
     q = queue if queue is not None else EpochQueue()
     log: list[dict] = []
@@ -264,21 +255,16 @@ def run_live(
         )
         return processor_error is None
 
-    if deterministic:
-        epochs = iter(source)
-        while True:
-            try:
-                epoch = next(epochs)
-            except StopIteration:
-                break
-            except Exception as exc:
-                source_error = _describe(exc)
-                break
-            collected_s += epoch.length_s
-            if q.enqueue(epoch) and not consume(q.dequeue()):
-                break
+    if deterministic or clock.acceleration == math.inf:
+        try:  # consume() keeps the processor's failures to itself
+            for epoch in source:
+                collected_s += epoch.length_s
+                if q.enqueue(epoch) and not consume(q.dequeue()):
+                    break
+        except Exception as exc:
+            source_error = _describe(exc)
     else:
-        stop = threading.Event()  # consumer exited; wakes a pacing producer
+        stop = threading.Event()  # consumer exited; wakes the producer
 
         def produce() -> None:
             nonlocal collected_s, source_error
@@ -286,14 +272,9 @@ def run_live(
             due_s = 0.0
             try:
                 for epoch in source:
-                    if clock.acceleration == math.inf:
-                        # Virtual clock: pause delivery instead of dropping.
-                        if not q.wait_for_room():
-                            return
-                    else:
-                        due_s += epoch.length_s / clock.acceleration
-                        if stop.wait(max(0.0, start + due_s - time.monotonic())):
-                            return
+                    due_s += epoch.length_s / clock.acceleration
+                    if stop.wait(max(0.0, start + due_s - time.monotonic())):
+                        return
                     collected_s += epoch.length_s
                     q.enqueue(epoch)
             except Exception as exc:

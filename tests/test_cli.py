@@ -426,6 +426,11 @@ class TestReplay:
         assert cause in err
 
 
+# A paced clock, 40 ms between 4 s epochs, runs the producer thread; 'max'
+# classifies each epoch on the calling thread.
+MODES = [["--acceleration", "100"], ["--acceleration", "max"]]
+
+
 class TestRun:
     def test_log_schema_and_zero_loss(self, workspace, tmp_path, capsys):
         _, data, model = workspace
@@ -452,7 +457,7 @@ class TestRun:
         _, data, model = workspace
         assert main(["run", "--input", str(data / "tbi_wake.edf"),
                      "--model", str(model), "--epoch-length", "4",
-                     "--deterministic"]) == 0
+                     "--acceleration", "max"]) == 0
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["dropped"] == 0
 
@@ -473,14 +478,13 @@ class TestRun:
         edited = tmp_path / "malformed.json"
         edited.write_text(edit(model.read_text()))
         code = main(["run", "--input", str(data / "sham_wake.edf"),
-                     "--model", str(edited), "--epoch-length", "4", "--deterministic"])
+                     "--model", str(edited), "--epoch-length", "4", "--acceleration", "max"])
         assert code == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert_one_error_line(err)
 
-    @pytest.mark.parametrize("mode", [["--acceleration", "max"], ["--deterministic"]],
-                             ids=["threaded", "deterministic"])
+    @pytest.mark.parametrize("mode", MODES, ids=["threaded", "deterministic"])
     def test_processor_failure_exits_nonzero(self, workspace, tmp_path, capsys, mode):
         _, data, model = workspace
         edited = mismatched_model(model, tmp_path)
@@ -491,8 +495,7 @@ class TestRun:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "schema" in err
 
-    @pytest.mark.parametrize("mode", [["--acceleration", "max"], ["--deterministic"]],
-                             ids=["threaded", "deterministic"])
+    @pytest.mark.parametrize("mode", MODES, ids=["threaded", "deterministic"])
     def test_processor_failure_writes_partial_outputs(self, workspace, tmp_path,
                                                       capsys, mode):
         _, data, model = workspace
@@ -517,8 +520,7 @@ class TestRun:
         assert_one_error_line(err)
         assert err.startswith("error: run incomplete: ")
 
-    @pytest.mark.parametrize("mode", [["--acceleration", "max"], ["--deterministic"]],
-                             ids=["threaded", "deterministic"])
+    @pytest.mark.parametrize("mode", MODES, ids=["threaded", "deterministic"])
     def test_source_failure_exits_nonzero_with_cause(self, workspace, capsys,
                                                      monkeypatch, mode):
         _, data, model = workspace
@@ -554,7 +556,7 @@ class TestRun:
     def test_invalid_setting_fails_cleanly(self, workspace, capsys, flags, cause):
         _, data, model = workspace
         code = main(["run", "--input", str(data / "sham_wake.edf"), "--model",
-                     str(model), "--epoch-length", "4", "--deterministic", *flags])
+                     str(model), "--epoch-length", "4", "--acceleration", "max", *flags])
         assert code == 2
         out, err = capsys.readouterr()
         assert out == ""  # no summary
@@ -570,7 +572,7 @@ class TestRun:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["run", "--input", "-", "--model", str(model),
                      "--epoch-length", "4", "--rate", "256",
-                     "--deterministic"]) == 0
+                     "--acceleration", "max"]) == 0
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["produced"] == 3
         assert summary["dropped"] == 0
@@ -596,7 +598,7 @@ class TestRun:
         _, _, model = workspace
         monkeypatch.setattr("sys.stdin", io.StringIO("0.0\n" * 1200))
         assert main(["run", "--input", "-", "--model", str(model),
-                     "--epoch-length", "4", "--rate", "100", "--deterministic"]) == 2
+                     "--epoch-length", "4", "--rate", "100", "--acceleration", "max"]) == 2
         out, err = capsys.readouterr()
         assert out == ""  # no summary: the run never started
         assert_one_error_line(err)
@@ -612,12 +614,28 @@ class TestRun:
                      "--epochs-per-class", "10", "--epoch-length", "64"]) == 0
         subprocess.run([sys.executable, "-m", "eegloop.cli", "run",
                         "--input", str(data / "sham_sleep.edf"), "--model", str(model),
-                        "--deterministic", "--log", str(log_path)],
+                        "--acceleration", "max", "--log", str(log_path)],
                        env=fresh_interpreter_env(), capture_output=True, check=True)
         times = [json.loads(line)["processing_us"]
                  for line in log_path.read_text().splitlines()]
         assert len(times) == 10
         assert times[0] <= 10 * np.median(times[1:])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_stdin_sample_fails_before_the_run(self, workspace, capsys,
+                                                          monkeypatch, bad):
+        import io
+
+        _, _, model = workspace
+        lines = ["0.0"] * 2048
+        lines[1500] = lines[1700] = bad
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines)))
+        assert main(["run", "--input", "-", "--model", str(model),
+                     "--epoch-length", "4", "--acceleration", "max"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no summary: the run never started
+        assert_one_error_line(err)
+        assert "stdin sample 1500 is not finite" in err
 
     def test_stdin_shorter_than_one_epoch_fails_cleanly(self, workspace, capsys,
                                                         monkeypatch):
@@ -626,7 +644,7 @@ class TestRun:
         _, _, model = workspace
         monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n3\n"))
         assert main(["run", "--input", "-", "--model", str(model),
-                     "--epoch-length", "4", "--deterministic"]) == 2
+                     "--epoch-length", "4", "--acceleration", "max"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert_one_error_line(err)
@@ -640,7 +658,7 @@ class TestRun:
                      "--epochs-per-class", "1", "--epoch-length", "16"]) == 0
         capsys.readouterr()
         assert main(["run", "--input", str(data / "sham_wake.edf"),
-                     "--model", str(model), "--deterministic"]) == 2
+                     "--model", str(model), "--acceleration", "max"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert_one_error_line(err)
@@ -654,7 +672,7 @@ class TestRun:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["run", "--input", "-", "--model", str(model),
                      "--epoch-length", "4", "--rate", "256",
-                     "--deterministic"]) == 2
+                     "--acceleration", "max"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert_one_error_line(err)
@@ -668,7 +686,7 @@ def test_tampered_model_fails_at_load(workspace, tmp_path, capsys, command):
     args = {
         "evaluate": ["--data", str(data), "--out", str(out)],
         "run": ["--input", str(data / "sham_wake.edf"), "--epoch-length", "4",
-                "--deterministic"],
+                "--acceleration", "max"],
         "bench": ["--out", str(out), "--epoch-lengths", "16", "--batch-sizes", "2"],
     }[command]
     assert main([command, "--model", str(tampered_model(model, tmp_path)), *args]) == 2

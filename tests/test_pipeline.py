@@ -28,6 +28,11 @@ def assert_accounted(queue, log):
     assert c["consumed"] == len(log)
 
 
+def paced_clock():
+    """A finite clock with 40 ms between 4 s epochs: time for the consumer to react."""
+    return SampleClock(rate_hz=16.0, acceleration=100.0)
+
+
 class FakeTimer:
     """Monotonic-ns stand-in advancing a fixed step per call."""
 
@@ -141,11 +146,13 @@ class TestEpochQueue:
         n = 300
 
         def produce():
-            for i in range(n):
-                if not q.wait_for_room():
-                    return
-                q.enqueue(make_epoch(i, fill=float(i)))
-            q.close()
+            try:
+                for i in range(n):
+                    while len(q) == q.capacity:  # only the consumer makes room
+                        time.sleep(0)
+                    assert q.enqueue(make_epoch(i, fill=float(i)))
+            finally:
+                q.close()  # a dying producer must not leave get() blocked
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -161,7 +168,7 @@ class TestEpochQueue:
         assert not producer.is_alive()
         assert fills == [float(i) for i in range(n)]
         assert q.counters() == {"produced": n, "consumed": n, "dropped": 0, "queued": 0}
-        assert not q.wait_for_room()
+        assert q.get() is None
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -205,11 +212,11 @@ class TestRunLive:
             yield make_epoch(1)
             raise IOError("sensor unplugged")
 
-        for deterministic in (True, False):
+        inline = SampleClock(rate_hz=16.0, acceleration=math.inf)
+        for clock, deterministic in ((inline, True), (paced_clock(), False)):
             q = EpochQueue(capacity=8)
             log, report = run_live(bad_source(), lambda e: "sham_wake",
-                                   clock=SampleClock(rate_hz=16.0, acceleration=math.inf),
-                                   queue=q, deterministic=deterministic,
+                                   clock=clock, queue=q, deterministic=deterministic,
                                    timer=FakeTimer())
             assert not report.complete
             assert report.error == "OSError: sensor unplugged"
@@ -226,9 +233,10 @@ class TestRunLive:
 
         source = [make_epoch(i) for i in range(10)]
         q = EpochQueue(capacity=8)
-        log, report = run_live(iter(source), failing,
-                               clock=SampleClock(rate_hz=16.0, acceleration=math.inf),
-                               queue=q, deterministic=deterministic, timer=FakeTimer())
+        clock = (SampleClock(rate_hz=16.0, acceleration=math.inf) if deterministic
+                 else paced_clock())
+        log, report = run_live(iter(source), failing, clock=clock, queue=q,
+                               deterministic=deterministic, timer=FakeTimer())
         assert not report.complete
         assert report.error == "RuntimeError: model exploded"
         assert [entry["label"] for entry in log] == ["sham_wake", None]
@@ -253,9 +261,7 @@ class TestRunLive:
             asked_for_fifth.wait(timeout=5)
             raise RuntimeError("model exploded")
 
-        log, report = run_live(source(), failing,
-                               clock=SampleClock(rate_hz=16.0, acceleration=math.inf),
-                               queue=q)
+        log, report = run_live(source(), failing, clock=paced_clock(), queue=q)
         assert report.error == "RuntimeError: model exploded"
         assert [entry["label"] for entry in log] == [None]
         assert q.counters() == {"produced": 5, "consumed": 1, "dropped": 0, "queued": 4}
@@ -275,12 +281,30 @@ class TestRunLive:
             raise RuntimeError("model exploded")
 
         q = EpochQueue(capacity=8)
-        log, report = run_live(bad_source(), failing,
-                               clock=SampleClock(rate_hz=16.0, acceleration=math.inf),
-                               queue=q)
+        log, report = run_live(bad_source(), failing, clock=paced_clock(), queue=q)
         assert report.error == "RuntimeError: model exploded"
         assert [entry["label"] for entry in log] == [None]
         assert_accounted(q, log)
+
+    def test_infinite_clock_runs_on_the_calling_thread(self):
+        threads, producer_alive = [], []
+
+        def source():
+            for i in range(3):
+                threads.append(threading.current_thread())
+                yield make_epoch(i)
+
+        def processor(epoch):
+            threads.append(threading.current_thread())
+            producer_alive.append(
+                any(t.name == "epoch-producer" for t in threading.enumerate()))
+            return "sham_wake"
+
+        log, report = run_live(source(), processor,
+                               clock=SampleClock(rate_hz=16.0, acceleration=math.inf))
+        assert report.complete and len(log) == 3
+        assert threads == [threading.current_thread()] * 6
+        assert producer_alive == [False] * 3
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_threaded_virtual_clock_never_drops(self, seed):
@@ -347,11 +371,13 @@ class TestRunLive:
 
 
 class TestBench:
-    """Batch timing as `eegloop bench` does it: one deterministic run per size."""
+    """Batch timing as `eegloop bench` does it: one run per size at an
+    infinite clock, which classifies on the calling thread."""
 
     @staticmethod
     def bench(batch_sizes, processor, epochs):
-        return [run_live(epochs[:size], processor, deterministic=True)[1]
+        clock = SampleClock(rate_hz=16.0, acceleration=math.inf)
+        return [run_live(epochs[:size], processor, clock=clock)[1]
                 for size in batch_sizes]
 
     def test_row_per_batch_size(self):
@@ -366,9 +392,10 @@ class TestBench:
     def test_fixed_cost_processor_scales_roughly_linearly(self):
         epochs = [make_epoch(i) for i in range(200)]
 
-        def fixed_cost(e):
+        def fixed_cost(e):  # ~100 us, so one scheduler pause cannot set the ratio
             np.dot(e.samples, e.samples)
-            for _ in range(200):
+            deadline = time.perf_counter_ns() + 100_000
+            while time.perf_counter_ns() < deadline:
                 pass
             return "sham_wake"
 
