@@ -178,17 +178,19 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    fvs, labels, epoch_length_s = _featurize_dataset(args.data)
+    # The model or the settings fail before the dataset is featurized.
     if args.model:
         model = gbt.load_model(Path(args.model).read_bytes())
+    else:
+        train_config = _settings(gbt.TrainConfig, args.train_config, args)
+        cv_config = ev.CvConfig(folds=args.folds, seed=args.seed)
+    fvs, labels, epoch_length_s = _featurize_dataset(args.data)
+    if args.model:
         cm = ev.confusion(labels, gbt.predict_labels(model, fvs))
         report = ev.report_bytes(cm, epoch_length_s, folds=None, seed=None,
                                  accuracy_mean=ev.metrics(cm).accuracy,
                                  accuracy_per_fold=[])
     else:
-        train_config = _settings(gbt.TrainConfig, args.train_config, args)
-        cv_config = ev.CvConfig(folds=args.folds, seed=args.seed)
-
         def trainer(train_fvs, train_labels):
             model = gbt.train(list(zip(train_fvs, train_labels)), train_config)
             return lambda fv: gbt.predict_class(model, fv)[0]

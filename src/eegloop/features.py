@@ -19,9 +19,10 @@ a per-epoch z-score; causality keeps the chain usable in a live capture
 loop. Degenerate inputs (constant signals, zero power) hit documented
 floor values instead of NaNs, so every vector is finite.
 
-``SCHEMA`` describes the feature list and parameters; its hash
-``SCHEMA_ID`` is stamped on every vector and embedded in model files so
-a model can refuse features it was not trained on.
+``SCHEMA`` describes the feature list and parameters. It is a constant
+of the build, so every vector this module makes has it; its hash
+``SCHEMA_ID`` is embedded in model files, and ``gbt.load_model``
+refuses a file written by a build with any other schema.
 """
 
 from __future__ import annotations
@@ -120,10 +121,9 @@ class PreprocessConfig:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Fixed-order feature values stamped with their schema identity."""
+    """Feature values in ``FEATURE_NAMES`` order, kept as a finite read-only copy."""
 
     values: np.ndarray
-    schema_id: str = SCHEMA_ID
 
     def __post_init__(self) -> None:
         # A private read-only copy: the values checked here stay the values used.

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classes import CLASS_NAMES, class_index
-from .features import FeatureVector, schema_descriptor, schema_id
+from .features import (FEATURE_NAMES, SCHEMA_ID, FeatureVector, schema_descriptor,
+                       schema_id)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -44,8 +45,8 @@ class ModelFormatError(ValueError):
     """Model bytes are structurally invalid or of an unsupported version."""
 
 
-class SchemaMismatchError(ValueError):
-    """Feature vector schema does not match the model's training schema."""
+class SchemaMismatchError(ModelFormatError):
+    """A well-formed model file of a feature schema other than this build's."""
 
 
 @dataclass(frozen=True)
@@ -78,17 +79,14 @@ class GbtModel:
     A tree is the node object of the model file: a leaf is
     ``{"weight": w}`` and a split is ``{"feature_index", "threshold",
     "left", "right"}``, where ``feature_index < threshold`` goes left.
+    A model reads vectors of this build's feature schema: ``train`` makes
+    one from them, and ``load_model`` refuses a file of any other schema.
     """
 
     trees: list[list[dict]]
     base_score: float
     learning_rate: float
-    schema: dict
     training_loss: list[float] = field(default_factory=list, compare=False)
-
-    @property
-    def schema_id(self) -> str:
-        return self.schema["schema_id"]
 
 
 def _softmax(margins: np.ndarray) -> np.ndarray:
@@ -207,13 +205,6 @@ def train(
     """
     if not dataset:
         raise ValueError("training dataset is empty")
-    schema = schema_descriptor()
-    for fv, _ in dataset:
-        if fv.schema_id != schema["schema_id"]:
-            raise SchemaMismatchError(
-                f"feature vector schema {fv.schema_id} does not match "
-                f"current schema {schema['schema_id']}"
-            )
     X = np.vstack([fv.values for fv, _ in dataset])
     y = np.array([class_index(label) for _, label in dataset])
     if np.unique(y).size < 2:
@@ -247,7 +238,6 @@ def train(
         trees=forest,
         base_score=0.0,
         learning_rate=config.learning_rate,
-        schema=schema,
         training_loss=loss_history,
     )
 
@@ -261,11 +251,6 @@ def _route(node: dict, values: np.ndarray) -> float:
 
 def predict_margins(model: GbtModel, fv: FeatureVector) -> np.ndarray:
     """Per-class margin scores, summed in fixed round-major order."""
-    if fv.schema_id != model.schema_id:
-        raise SchemaMismatchError(
-            f"feature schema {fv.schema_id} does not match model "
-            f"schema {model.schema_id}"
-        )
     values = fv.values
     margins = np.full(len(CLASS_NAMES), model.base_score)
     for round_trees in model.trees:
@@ -295,7 +280,7 @@ def _finite(value, what: str) -> float:
     raise ModelFormatError(f"{what} must be a finite number, got {value!r}")
 
 
-def _node_from_dict(doc: dict, num_features: int) -> dict:
+def _node_from_dict(doc: dict) -> dict:
     # A checked, fresh copy of the node. Older files also carry an unused
     # "default_left" on each split; the copy drops it.
     if not isinstance(doc, dict):
@@ -309,13 +294,13 @@ def _node_from_dict(doc: dict, num_features: int) -> dict:
         right = doc["right"]
     except KeyError as exc:
         raise ModelFormatError(f"tree node missing field {exc}") from None
-    if type(feature_index) is not int or not 0 <= feature_index < num_features:
+    if type(feature_index) is not int or not 0 <= feature_index < len(FEATURE_NAMES):
         raise ModelFormatError(f"feature_index {feature_index!r} out of range")
     return {
         "feature_index": feature_index,
         "threshold": _finite(threshold, "threshold"),
-        "left": _node_from_dict(left, num_features),
-        "right": _node_from_dict(right, num_features),
+        "left": _node_from_dict(left),
+        "right": _node_from_dict(right),
     }
 
 
@@ -330,7 +315,7 @@ def save_model(model: GbtModel) -> bytes:
         "classes": list(CLASS_NAMES),
         "base_score": float(model.base_score),
         "learning_rate": float(model.learning_rate),
-        "feature_schema": model.schema,
+        "feature_schema": schema_descriptor(),
         "trees": model.trees,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
@@ -340,7 +325,9 @@ def load_model(data: bytes) -> GbtModel:
     """Parse and validate model bytes; predictions match the saved model exactly.
 
     Any malformed input raises ``ModelFormatError``, a ``feature_schema``
-    whose ``schema_id`` is not the hash of its other fields included.
+    whose ``schema_id`` is not the hash of its other fields included. A
+    well-formed file whose schema is not this build's ``SCHEMA_ID``
+    raises ``SchemaMismatchError``, a ``ModelFormatError`` too.
     """
     try:
         doc = json.loads(data)
@@ -358,21 +345,22 @@ def load_model(data: bytes) -> GbtModel:
         if key not in doc:
             raise ModelFormatError(f"model file missing field {key!r}")
     schema = doc["feature_schema"]
-    if not (
-        isinstance(schema, dict)
-        and isinstance(schema.get("schema_id"), str)
-        and isinstance(schema.get("features"), list)
-    ):
-        raise ModelFormatError("feature_schema needs a features list and a schema_id")
-    try:  # the id must hash the rest, or it could vouch for any feature list
+    if not isinstance(schema, dict):
+        raise ModelFormatError("feature_schema must be an object")
+    # The id must hash the rest, or it could vouch for any feature list. The
+    # canonical JSON hash, unlike ==, tells 4 from 4.0 and true from 1.
+    try:
         described = schema_id({k: v for k, v in schema.items() if k != "schema_id"})
     except RecursionError:
         raise ModelFormatError("feature_schema nests too deeply") from None
-    if described != schema["schema_id"]:
+    if described != schema.get("schema_id"):
         raise ModelFormatError("feature_schema schema_id is not the hash of its contents")
+    if described != SCHEMA_ID:
+        raise SchemaMismatchError(
+            f"model feature schema {described} is not this build's schema {SCHEMA_ID}"
+        )
     if doc["classes"] != list(CLASS_NAMES):
         raise ModelFormatError(f"classes must be {list(CLASS_NAMES)}")
-    num_features = len(schema["features"])
     trees_doc = doc["trees"]
     if not isinstance(trees_doc, list):
         raise ModelFormatError("trees must be a list of rounds")
@@ -381,12 +369,11 @@ def load_model(data: bytes) -> GbtModel:
         if not isinstance(round_trees, list) or len(round_trees) != len(CLASS_NAMES):
             raise ModelFormatError("each round must hold one tree per class")
         try:
-            forest.append([_node_from_dict(t, num_features) for t in round_trees])
+            forest.append([_node_from_dict(t) for t in round_trees])
         except RecursionError:  # Python 3.12+ parses JSON deeper than it recurses
             raise ModelFormatError("a tree nests too deeply") from None
     return GbtModel(
         trees=forest,
         base_score=_finite(doc["base_score"], "base_score"),
         learning_rate=_finite(doc["learning_rate"], "learning_rate"),
-        schema=schema,
     )

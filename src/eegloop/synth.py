@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classes import CLASS_NAMES
+from .classes import CLASS_NAMES, class_index
 from .edf import EdfError, EdfFileHeader, EdfSignalHeader, read_signal, write_edf
 from .pipeline import Epoch, assemble, samples_per_epoch
 
@@ -181,9 +181,10 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
 
     Expects the label index CSV next to the EDF files it names. Each file's
     first signal is cut into epochs of one record by :func:`assemble`, and
-    a row's ``epoch_index`` must be an integer inside its file. Every file
-    must have the first file's record duration and sample rate. Epochs
-    are returned in index order with physical sample values.
+    a row's ``epoch_index`` must be an integer inside its file and its
+    ``class`` one of ``CLASS_NAMES``. Every file must have the first
+    file's record duration and sample rate. Epochs are returned in index
+    order with physical sample values.
     """
     root = Path(dataset_dir)
     index_path = root / LABEL_INDEX_NAME
@@ -234,5 +235,9 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
                 f"{filename}: epoch_index {idx} is outside the file's "
                 f"{len(file_epochs)} epochs"
             )
+        try:
+            class_index(row["class"])
+        except ValueError as exc:
+            raise ValueError(f"label index {index_path} line {line}: {exc}") from None
         epochs.append(replace(file_epochs[idx], label=row["class"]))
     return epochs

@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegloop import gbt, pipeline
+from eegloop import features, gbt, pipeline
 from eegloop.classes import CLASS_NAMES
 from eegloop.cli import main
 from eegloop.edf import EdfFileHeader, EdfSignalHeader, write_edf
-from eegloop.features import schema_id
+from eegloop.features import SCHEMA_ID, schema_id
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +66,20 @@ def mismatched_model(model, tmp_path):
         schema["schema_id"] = schema_id(schema)
 
     return edited_model(model, tmp_path, edit)
+
+
+@pytest.fixture
+def failing_classifier(monkeypatch):
+    """The CLI's classifier, made to raise from its second call on."""
+    predict_class, calls = gbt.predict_class, []
+
+    def failing_predict_class(model, fv):
+        calls.append(fv)
+        if len(calls) >= 2:
+            raise ValueError("classifier failed")
+        return predict_class(model, fv)
+
+    monkeypatch.setattr(gbt, "predict_class", failing_predict_class)
 
 
 def tampered_model(model, tmp_path):
@@ -224,6 +238,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert f"{index} line 2: epoch_index '1.0' is not an integer" in err
+
+    def test_unknown_class_label_fails_cleanly(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        copy = tmp_path / "ds"
+        shutil.copytree(data, copy)
+        index = copy / "labels.csv"
+        lines = index.read_text().splitlines()
+        lines[1] = "sham_wake.edf,0,sham_wak"
+        index.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--data", str(copy), "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert f"{index} line 2: unknown class label: 'sham_wak'" in err
 
     def test_no_l2_penalty_trains_past_an_empty_leaf(self, tmp_path):
         # This dataset reaches a split that sends no sample left, and with
@@ -485,30 +512,29 @@ class TestRun:
         assert_one_error_line(err)
 
     @pytest.mark.parametrize("mode", MODES, ids=["threaded", "deterministic"])
-    def test_processor_failure_exits_nonzero(self, workspace, tmp_path, capsys, mode):
+    def test_processor_failure_exits_nonzero(self, workspace, capsys,
+                                             failing_classifier, mode):
         _, data, model = workspace
-        edited = mismatched_model(model, tmp_path)
         code = main(["run", "--input", str(data / "sham_wake.edf"),
-                     "--model", str(edited), "--epoch-length", "4", *mode])
+                     "--model", str(model), "--epoch-length", "4", *mode])
         assert code != 0
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "schema" in err
+        assert "classifier failed" in err
 
     @pytest.mark.parametrize("mode", MODES, ids=["threaded", "deterministic"])
-    def test_processor_failure_writes_partial_outputs(self, workspace, tmp_path,
-                                                      capsys, mode):
+    def test_processor_failure_writes_partial_outputs(self, workspace, tmp_path, capsys,
+                                                      failing_classifier, mode):
         _, data, model = workspace
         log_path, timing = tmp_path / "log.jsonl", tmp_path / "timing.csv"
         code = main(["run", "--input", str(data / "sham_wake.edf"),
-                     "--model", str(mismatched_model(model, tmp_path)),
-                     "--epoch-length", "4", "--log", str(log_path),
-                     "--timing", str(timing), *mode])
+                     "--model", str(model), "--epoch-length", "4",
+                     "--log", str(log_path), "--timing", str(timing), *mode])
         assert code == 2
         out, err = capsys.readouterr()
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["complete"] is False
-        assert "schema" in summary["error"]
+        assert summary["error"] == "ValueError: classifier failed"
         entries = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert summary["consumed"] == len(entries) >= 1
         assert entries[-1]["label"] is None
@@ -696,6 +722,51 @@ def test_tampered_model_fails_at_load(workspace, tmp_path, capsys, command):
     assert "is not the hash of its contents" in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "run", "bench"])
+def test_model_of_another_schema_fails_before_any_work(workspace, tmp_path, capsys,
+                                                       monkeypatch, command):
+    _, data, model = workspace
+    edited = mismatched_model(model, tmp_path)
+    other = json.loads(edited.read_text())["feature_schema"]["schema_id"]
+    outputs = [tmp_path / name for name in ("out", "log.jsonl", "timing.csv")]
+    args = {
+        "evaluate": ["--data", str(data), "--out", str(outputs[0])],
+        "run": ["--input", str(data / "sham_wake.edf"), "--epoch-length", "4",
+                "--acceleration", "max", "--log", str(outputs[1]),
+                "--timing", str(outputs[2])],
+        "bench": ["--out", str(outputs[0]), "--epoch-lengths", "16",
+                  "--batch-sizes", "2"],
+    }[command]
+    featurized = []
+    monkeypatch.setattr(features, "featurize", featurized.append)
+    assert main([command, "--model", str(edited), *args]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert not any(path.exists() for path in outputs)
+    assert featurized == []
+    assert_one_error_line(err)
+    assert other in err and SCHEMA_ID in err
+
+
+@pytest.mark.parametrize(
+    "flags, cause",
+    [(["--model", "bad.json"], "missing field"), (["--folds", "1"], "folds")],
+    ids=["malformed_model", "folds"],
+)
+def test_evaluate_fails_before_featurizing(workspace, tmp_path, capsys, monkeypatch,
+                                           flags, cause):
+    _, data, _ = workspace
+    (tmp_path / "bad.json").write_text('{"format_version": 1}')
+    monkeypatch.chdir(tmp_path)
+    featurized = []
+    monkeypatch.setattr(features, "featurize", featurized.append)
+    assert main(["evaluate", "--data", str(data), "--out", "out.json", *flags]) == 2
+    assert featurized == [] and not (tmp_path / "out.json").exists()
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert cause in err
+
+
 class TestBench:
     def test_row_per_length_and_batch_combination(self, workspace, tmp_path):
         _, _, model = workspace
@@ -720,16 +791,16 @@ class TestBench:
         row = out.read_text().strip().splitlines()[1].split(",")
         assert 0 < float(row[5]) < 1e5
 
-    def test_processor_failure_fails_cleanly(self, workspace, tmp_path, capsys):
+    def test_processor_failure_fails_cleanly(self, workspace, tmp_path, capsys,
+                                             failing_classifier):
         _, _, model = workspace
         out = tmp_path / "bench.csv"
-        assert main(["bench", "--model", str(mismatched_model(model, tmp_path)),
-                     "--out", str(out), "--epoch-lengths", "16",
-                     "--batch-sizes", "2"]) == 2
+        assert main(["bench", "--model", str(model), "--out", str(out),
+                     "--epoch-lengths", "16", "--batch-sizes", "2"]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
         assert_one_error_line(err)
-        assert "schema" in err
+        assert "classifier failed" in err
 
     def test_bad_batch_size_rejected(self, workspace, tmp_path, capsys):
         _, _, model = workspace

@@ -271,7 +271,6 @@ class TestSchema:
         assert desc["schema_id"] == SCHEMA_ID
         assert len(FEATURE_NAMES) == 21
 
-    def test_vectors_are_stamped(self):
-        fv = featurize(make_epoch(tone(6.0)))
-        assert fv.schema_id == SCHEMA_ID
-        assert fv.values.size == 21
+    def test_vectors_have_one_value_per_feature_name(self):
+        # A model file's feature_index is bounded by this length.
+        assert featurize(make_epoch(tone(6.0))).values.size == len(FEATURE_NAMES)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from eegloop import gbt
 from eegloop.classes import CLASS_NAMES
-from eegloop.features import FeatureVector, featurize, schema_descriptor
+from eegloop.features import SCHEMA_ID, FeatureVector, featurize, schema_id
 from eegloop.gbt import (
     GbtModel,
     ModelFormatError,
@@ -66,14 +66,12 @@ def hand_model(leaf_weights, learning_rate=1.0):
         trees=trees,
         base_score=0.0,
         learning_rate=learning_rate,
-        schema=schema_descriptor(),
     )
 
 
 class TestPrediction:
     def test_empty_forest_returns_base_score_everywhere(self):
-        model = GbtModel(trees=[], base_score=0.25,
-                         learning_rate=0.3, schema=schema_descriptor())
+        model = GbtModel(trees=[], base_score=0.25, learning_rate=0.3)
         margins = predict_margins(model, fv(1.0))
         np.testing.assert_array_equal(margins, np.full(4, 0.25))
         label, probs = predict_class(model, fv(1.0))
@@ -105,8 +103,7 @@ class TestPrediction:
         assert predict_class(model, fv(0.0))[0] == CLASS_NAMES[1]
 
     def test_softmax_of_zeros_is_uniform_and_normalized(self):
-        model = GbtModel(trees=[], base_score=0.0,
-                         learning_rate=0.3, schema=schema_descriptor())
+        model = GbtModel(trees=[], base_score=0.0, learning_rate=0.3)
         _, probs = predict_class(model, fv(0.0))
         np.testing.assert_array_equal(probs, np.full(4, 0.25))
         assert abs(probs.sum() - 1.0) < 1e-12
@@ -117,12 +114,6 @@ class TestPrediction:
         for _ in range(100):
             _, probs = predict_class(model, fv(rng.uniform(-2, 6)))
             assert abs(probs.sum() - 1.0) < 1e-12
-
-    def test_schema_mismatch_rejected(self):
-        model = hand_model([(0.0, 0.0)] * 4)
-        wrong = FeatureVector(np.zeros(NUM_FEATURES), schema_id="deadbeef00000000")
-        with pytest.raises(SchemaMismatchError):
-            predict_margins(model, wrong)
 
 
 class TestTraining:
@@ -514,6 +505,27 @@ class TestModelFormat:
         with pytest.raises(ModelFormatError, match="not the hash of its contents"):
             load_model(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda schema: schema["parameters"].update(welch_overlap=0.25),
+         lambda schema: schema["parameters"].update(welch_segment_s=4),
+         lambda schema: schema.update(schema_version=True)],
+        ids=["another_overlap", "int_for_float", "bool_for_int"],
+    )
+    def test_schema_of_another_build_rejected(self, edit):
+        # Each id is the true hash of its schema; 4 == 4.0 and True == 1 in
+        # Python, but the canonical JSON hash tells them apart.
+        doc = copy.deepcopy(VALID_DOC)
+        schema = doc["feature_schema"]
+        edit(schema)
+        del schema["schema_id"]
+        schema["schema_id"] = other = schema_id(schema)
+        with pytest.raises(SchemaMismatchError, match=f"{other} .* {SCHEMA_ID}"):
+            load_model(json.dumps(doc).encode())
+
+    def test_schema_mismatch_is_a_model_format_error(self):
+        assert issubclass(SchemaMismatchError, ModelFormatError)
+
     def test_schema_too_deep_to_hash_rejected(self):
         # A schema nested too deeply to hash is a malformed file too.
         with mock.patch.object(gbt, "schema_id", side_effect=RecursionError):
@@ -653,7 +665,5 @@ class TestModelFuzz:
             return
         saved = save_model(model)
         assert save_model(load_model(saved)) == saved
-        label, _ = predict_class(
-            model, FeatureVector(np.zeros(NUM_FEATURES), schema_id=model.schema_id)
-        )
+        label, _ = predict_class(model, FeatureVector(np.zeros(NUM_FEATURES)))
         assert label in CLASS_NAMES

@@ -99,6 +99,15 @@ class TestLabelIndex:
                                              f"'{value}' is not an integer"):
             load_dataset(tmp_path)
 
+    def test_unknown_class_label_names_its_line(self, tmp_path):
+        index = generate_dataset(SMALL, tmp_path)
+        lines = index.read_text().splitlines()
+        lines[3] = "sham_wake.edf,1,sham_wak"
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="labels.csv line 4: unknown class "
+                                             "label: 'sham_wak'"):
+            load_dataset(tmp_path)
+
     @pytest.mark.parametrize("length, rate, form", [(16, 256.0, "16 s at 256 Hz"),
                                                      (4, 128.0, "4 s at 128 Hz")],
                              ids=["16s", "128Hz"])
