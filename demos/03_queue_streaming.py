@@ -29,8 +29,8 @@ def processor(epoch):
     return "sham_wake" if np.sqrt(np.mean(epoch.samples**2)) > 80 else "sham_sleep"
 
 
-# Infinite clock: each epoch is classified on this thread as soon as it is
-# read, so a 120 s recording streams in milliseconds with zero loss.
+# Infinite clock: each epoch is classified as soon as it is read, so a
+# 120 s recording streams in milliseconds with zero loss.
 queue = EpochQueue(capacity=8)
 t0 = time.time()
 log, report = run_live(
@@ -46,9 +46,11 @@ print("first log entries:")
 for entry in log[:3]:
     print("  ", entry)
 
-# A finite clock runs a producer thread that is never blocked: with a
-# consumer slower than the (highly accelerated) delivery interval,
-# overflow is counted and dropped instead of stalling the producer.
+# A finite clock admits each epoch at its deadline, classifying queued
+# epochs while it waits: with a consumer slower than the (highly
+# accelerated) delivery interval, epochs that come due during a
+# classification are admitted behind it, and overflow is counted and
+# dropped instead of delaying the later epochs.
 def slow_processor(epoch):
     time.sleep(0.02)
     return processor(epoch)

@@ -14,6 +14,7 @@ line on stderr when anything fails, and a library warning is one
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -85,12 +86,11 @@ def _write_json(path: str | Path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: str | Path, rows: list[dict]) -> None:
+def _write_csv(fh: typing.TextIO, rows: list[dict]) -> None:
     """A header named by the first row's keys, then one line per row."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def _timing_row(report: pipeline.TimingReport) -> dict:
@@ -260,24 +260,23 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ValueError(f"input holds {samples.size} samples, fewer than one "
                          f"{args.epoch_length_s} s epoch of {per_epoch}")
     source = pipeline.assemble(samples, args.epoch_length_s, rate_hz)
-    # One silent epoch imports scipy and designs the filter and the Welch
-    # window for this rate before the clock starts, so epoch 0 is timed
-    # like the rest and a band that does not fit the rate fails here.
-    silence = np.zeros(per_epoch)
-    features.featurize(pipeline.Epoch(silence, 0, args.epoch_length_s, rate_hz))
-    clock = loopback.SampleClock(rate_hz=rate_hz, acceleration=args.acceleration)
-    entries, report = pipeline.run_live(
-        source,
-        _make_processor(model),
-        clock=clock,
-        queue=queue,
-    )
-    if args.log_file:
-        with Path(args.log_file).open("w") as fh:
-            for entry in entries:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    if args.timing:
-        _write_csv(args.timing, [_timing_row(report)])
+    with contextlib.ExitStack() as outputs:
+        # A bad output path fails here, before any work; both files are
+        # written when the run ends.
+        log_fh, timing_fh = (outputs.enter_context(open(path, "w", newline=""))
+                             if path else None for path in (args.log_file, args.timing))
+        # One silent epoch imports scipy and designs the filter and the Welch
+        # window for this rate before the clock starts, so epoch 0 is timed
+        # like the rest and a band that does not fit the rate fails here.
+        silence = np.zeros(per_epoch)
+        features.featurize(pipeline.Epoch(silence, 0, args.epoch_length_s, rate_hz))
+        clock = loopback.SampleClock(rate_hz=rate_hz, acceleration=args.acceleration)
+        entries, report = pipeline.run_live(source, _make_processor(model),
+                                            clock=clock, queue=queue)
+        if log_fh:
+            log_fh.writelines(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
+        if timing_fh:
+            _write_csv(timing_fh, [_timing_row(report)])
     summary = {
         **queue.counters(),
         **_timing_row(report),
@@ -325,7 +324,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows += [{"epoch_length_s": length_s,
                   **_timing_row(timed(epochs[:size], processor)),
                   "predict_per_epoch_us": predict_us} for size in batch_sizes]
-    _write_csv(args.out, rows)
+    with open(args.out, "w", newline="") as fh:
+        _write_csv(fh, rows)
     print(args.out)
     return 0
 

@@ -1,21 +1,20 @@
 """Queue-based epoch capture and processing.
 
-A producer turns a continuous sample stream into fixed-length,
-non-overlapping epochs and feeds them through a bounded FIFO queue to a
-consumer that classifies each one. The queue accounts for every epoch:
+A continuous sample stream is cut into fixed-length, non-overlapping
+epochs that pass through a bounded FIFO queue to a processor that
+classifies each one. The queue accounts for every epoch:
 ``produced == consumed + dropped + queued`` holds at any quiescent point,
 and overflow is counted rather than raised so the sampling side is never
 stalled by a slow consumer.
 
-Two execution modes share one consume step. A finite clock acceleration
-runs one producer thread that hands each epoch over at its absolute
-deadline, with the calling thread as consumer blocking on the queue
-until an epoch arrives or the producer closes it. ``acceleration=math.inf``
-runs the produce and consume steps in turn on the calling thread: each
-epoch is classified as soon as it is read, and none is dropped.
+:func:`run_live` is one loop on the calling thread. A finite clock
+acceleration admits each epoch at its absolute deadline and classifies
+queued epochs while that deadline is still ahead, so a slow processor
+lets later epochs queue or drop. ``acceleration=math.inf`` classifies
+each epoch as soon as it is read, and none is dropped.
 
-Both modes have one failure rule: whatever fails, source or processor,
-ends the run, stops the producer, and :func:`run_live` returns the
+There is one failure rule: whatever fails, source or processor, or a
+``KeyboardInterrupt``, ends the run, and :func:`run_live` returns the
 partial log with a report whose ``error`` names the cause. Nothing is
 raised, and the queue's counters and the log agree on every exit.
 """
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -104,9 +102,7 @@ class EpochQueue:
     """Bounded FIFO with produced/consumed/dropped accounting.
 
     ``enqueue`` never blocks: when the queue is full the epoch is counted
-    as dropped and refused. ``get`` blocks until an epoch is queued or the
-    queue is closed; a closed queue stays closed. Safe for one producer
-    and one consumer thread.
+    as dropped and refused.
     """
 
     def __init__(self, capacity: int = 8):
@@ -117,54 +113,34 @@ class EpochQueue:
         self.consumed = 0
         self.dropped = 0
         self._items: deque[Epoch] = deque()
-        self._closed = False
-        self._changed = threading.Condition()
 
     def enqueue(self, epoch: Epoch) -> bool:
         """Append an epoch; returns False (and counts a drop) when full."""
-        with self._changed:
-            self.produced += 1
-            if len(self._items) >= self.capacity:
-                self.dropped += 1
-                return False
-            self._items.append(epoch)
-            self._changed.notify_all()
-            return True
+        self.produced += 1
+        if len(self._items) >= self.capacity:
+            self.dropped += 1
+            return False
+        self._items.append(epoch)
+        return True
 
     def dequeue(self) -> Epoch | None:
         """Pop the oldest epoch, or None when empty."""
-        with self._changed:
-            if not self._items:
-                return None
-            self.consumed += 1
-            self._changed.notify_all()
-            return self._items.popleft()
-
-    def get(self) -> Epoch | None:
-        """Block until an epoch is queued; None once closed and drained."""
-        with self._changed:
-            self._changed.wait_for(lambda: self._items or self._closed)
-            return self.dequeue()
-
-    def close(self) -> None:
-        """Wake every waiter; ``get`` then drains the queue and returns None."""
-        with self._changed:
-            self._closed = True
-            self._changed.notify_all()
+        if not self._items:
+            return None
+        self.consumed += 1
+        return self._items.popleft()
 
     def __len__(self) -> int:
-        with self._changed:
-            return len(self._items)
+        return len(self._items)
 
     def counters(self) -> dict[str, int]:
-        """Atomic snapshot of the conservation counters."""
-        with self._changed:
-            return {
-                "produced": self.produced,
-                "consumed": self.consumed,
-                "dropped": self.dropped,
-                "queued": len(self._items),
-            }
+        """Snapshot of the conservation counters."""
+        return {
+            "produced": self.produced,
+            "consumed": self.consumed,
+            "dropped": self.dropped,
+            "queued": len(self._items),
+        }
 
 
 @dataclass
@@ -191,10 +167,11 @@ class TimingReport:
         return 100.0 * self.processing_time_s / self.collection_time_s
 
 
-def _describe(exc: Exception) -> str:
-    """``"Type: message"`` for the report; the traceback goes to the debug log."""
+def _describe(exc: BaseException) -> str:
+    """``"Type: message"`` (``"Type"`` alone if it has no message) for the
+    report; the traceback goes to the debug log."""
     logger.debug("run stopped by a failure", exc_info=exc)
-    return f"{type(exc).__name__}: {exc}"
+    return f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
 
 
 def run_live(
@@ -212,25 +189,29 @@ def run_live(
     ends. Collection time is analytic, ``sum(epoch.length_s)`` over the
     produced epochs, so accelerated runs report the real-time figure.
 
-    A finite clock acceleration runs a producer thread that delivers each
-    epoch once the recording up to its end, divided by the acceleration,
-    has elapsed since the start, and closes the queue when the source
-    ends; the consumer runs until the queue is closed and drained. An
-    infinite one reads and classifies each epoch in turn on the calling
-    thread. ``deterministic=True`` does the same whatever the clock; it
-    exists only because benchmark/workloads.py passes it, and goes when
-    that stops.
+    One loop on the calling thread reads each epoch, and its deadline is
+    the start plus the recording up to its end, divided by the clock
+    acceleration. While that deadline is ahead the loop classifies
+    queued epochs; it sleeps out the rest, then admits the epoch, and a
+    full queue drops it. When the source ends, the queued epochs are
+    classified. An infinite acceleration classifies each admitted epoch
+    at once, before the next is read. ``deterministic=True`` does the
+    same whatever the clock; it exists only because
+    benchmark/workloads.py passes it, and goes when that stops.
 
-    Any failure, of the source or of the processor, ends the run in both
-    modes and stops the producer; the partial log comes back with the
-    cause, ``"Type: message"``, in the report's ``error`` (the
-    processor's if both fail). The epoch whose processor raised is logged
-    with ``label`` None. ``produced == consumed + dropped + queued`` and
+    Any failure, of the source or of the processor, or a
+    ``KeyboardInterrupt``, ends the run. The queued epochs are still
+    classified after a source failure, and a processor failure ends the
+    run at once. The partial log comes back with the cause,
+    ``"Type: message"``, in the report's ``error`` (the processor's if
+    both fail). The epoch whose processor raised is logged with
+    ``label`` None. ``produced == consumed + dropped + queued`` and
     ``consumed == len(log)`` hold on every exit.
     ``timer`` must return monotonic nanoseconds; it is injectable so
     tests can compare logs byte for byte.
     """
     q = queue if queue is not None else EpochQueue()
+    pace = math.inf if deterministic else clock.acceleration
     log: list[dict] = []
     collected_s = 0.0
     source_error: str | None = None
@@ -242,7 +223,7 @@ def run_live(
         t0 = timer()
         try:
             label = processor(epoch)
-        except Exception as exc:
+        except (Exception, KeyboardInterrupt) as exc:
             label, processor_error = None, _describe(exc)
         elapsed_us = (timer() - t0) // 1000
         log.append(
@@ -255,43 +236,30 @@ def run_live(
         )
         return processor_error is None
 
-    if deterministic or clock.acceleration == math.inf:
-        try:  # consume() keeps the processor's failures to itself
-            for epoch in source:
-                collected_s += epoch.length_s
-                if q.enqueue(epoch) and not consume(q.dequeue()):
-                    break
-        except Exception as exc:
-            source_error = _describe(exc)
-    else:
-        stop = threading.Event()  # consumer exited; wakes the producer
+    def classify_until(deadline: float) -> bool:
+        """Classify queued epochs while ``deadline`` is ahead; False once
+        the processor has failed."""
+        while len(q) and time.monotonic() < deadline:
+            if not consume(q.dequeue()):
+                return False
+        return True
 
-        def produce() -> None:
-            nonlocal collected_s, source_error
-            start = time.monotonic()
-            due_s = 0.0
-            try:
-                for epoch in source:
-                    due_s += epoch.length_s / clock.acceleration
-                    if stop.wait(max(0.0, start + due_s - time.monotonic())):
-                        return
-                    collected_s += epoch.length_s
-                    q.enqueue(epoch)
-            except Exception as exc:
-                source_error = _describe(exc)
-            finally:
-                q.close()
-
-        producer = threading.Thread(target=produce, name="epoch-producer", daemon=True)
-        producer.start()
-        try:
-            while (epoch := q.get()) is not None:
-                if not consume(epoch):
-                    break
-        finally:
-            stop.set()
-            q.close()
-            producer.join()
+    start = time.monotonic()
+    try:  # consume() keeps the processor's failures to itself
+        for epoch in source:
+            due = start + (collected_s + epoch.length_s) / pace
+            if not classify_until(due):
+                break
+            if (wait_s := due - time.monotonic()) > 0:
+                time.sleep(wait_s)
+            collected_s += epoch.length_s
+            q.enqueue(epoch)
+            if pace == math.inf and not classify_until(math.inf):
+                break
+    except (Exception, KeyboardInterrupt) as exc:
+        source_error = _describe(exc)
+    if processor_error is None:
+        classify_until(math.inf)
 
     processing_s = sum(entry["processing_us"] for entry in log) / 1e6
     report = TimingReport(
@@ -301,4 +269,3 @@ def run_live(
         error=processor_error or source_error,
     )
     return log, report
-

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -453,8 +454,8 @@ class TestReplay:
         assert cause in err
 
 
-# A paced clock, 40 ms between 4 s epochs, runs the producer thread; 'max'
-# classifies each epoch on the calling thread.
+# A paced clock, 40 ms between 4 s epochs, admits each epoch at its
+# deadline; 'max' classifies each epoch as soon as it is read.
 MODES = [["--acceleration", "100"], ["--acceleration", "max"]]
 
 
@@ -480,7 +481,7 @@ class TestRun:
         assert header == "num_epochs,collection_s,processing_s,ratio_percent"
         assert row.split(",")[0] == "10"
 
-    def test_deterministic_mode(self, workspace, capsys):
+    def test_max_acceleration_drops_nothing(self, workspace, capsys):
         _, data, model = workspace
         assert main(["run", "--input", str(data / "tbi_wake.edf"),
                      "--model", str(model), "--epoch-length", "4",
@@ -588,6 +589,64 @@ class TestRun:
         assert out == ""  # no summary
         assert_one_error_line(err)
         assert cause in err
+
+    @pytest.mark.parametrize("flag", ["--log", "--timing"])
+    def test_bad_output_path_fails_before_the_run(self, workspace, tmp_path, capsys,
+                                                  monkeypatch, flag):
+        _, data, model = workspace
+        featurized = []
+        monkeypatch.setattr(features, "featurize", featurized.append)
+        assert main(["run", "--input", str(data / "sham_wake.edf"), "--model",
+                     str(model), "--epoch-length", "4", "--acceleration", "1",
+                     flag, str(tmp_path / "missing" / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no summary: the run never started
+        assert featurized == []
+        assert_one_error_line(err)
+        assert "No such file" in err
+
+    def test_interrupt_ends_the_run_under_the_failure_rule(self, workspace, tmp_path):
+        # Ctrl-C in a terminal: SIGINT once the paced loop reads epoch 2, by
+        # which time it has classified epoch 0 (while epoch 1 was not yet
+        # due). The child announces that read on stdout, ahead of the summary.
+        _, data, model = workspace
+        log_path, timing = tmp_path / "log.jsonl", tmp_path / "timing.csv"
+        code = "\n".join([
+            "import signal, sys",
+            "from eegloop import cli, pipeline",
+            "signal.signal(signal.SIGINT, signal.default_int_handler)",
+            "assemble = pipeline.assemble",
+            "def announcing(*args):",
+            "    for k, epoch in enumerate(assemble(*args)):",
+            "        if k == 2:",
+            "            print('epoch 2 read', flush=True)",
+            "        yield epoch",
+            "pipeline.assemble = announcing",
+            "sys.exit(cli.main(sys.argv[1:]))",
+        ])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "run", "--input", str(data / "sham_wake.edf"),
+             "--model", str(model), "--epoch-length", "4", "--acceleration", "4",
+             "--log", str(log_path), "--timing", str(timing)],
+            env=fresh_interpreter_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            assert proc.stdout.readline() == "epoch 2 read\n"
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert proc.returncode == 2
+        assert err == "error: run incomplete: KeyboardInterrupt\n"
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["complete"] is False and summary["error"] == "KeyboardInterrupt"
+        entries = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert entries[0]["label"] in CLASS_NAMES
+        assert summary["consumed"] == len(entries)
+        assert summary["num_epochs"] == summary["produced"] == (
+            summary["consumed"] + summary["dropped"] + summary["queued"])
+        assert timing.read_text().strip().splitlines()[1].split(",")[0] == str(
+            summary["produced"])
 
     def test_raw_samples_on_stdin(self, workspace, capsys, monkeypatch):
         import io

@@ -2,7 +2,6 @@
 
 import json
 import math
-import sys
 import threading
 import time
 
@@ -29,8 +28,31 @@ def assert_accounted(queue, log):
 
 
 def paced_clock():
-    """A finite clock with 40 ms between 4 s epochs: time for the consumer to react."""
+    """A finite clock with 40 ms between 4 s epochs."""
     return SampleClock(rate_hz=16.0, acceleration=100.0)
+
+
+def inline_clock():
+    return SampleClock(rate_hz=16.0, acceleration=math.inf)
+
+
+def slow_then(seconds, then):
+    """A processor whose first call sleeps ``seconds`` and returns a label,
+    and whose later calls return ``then(epoch)``."""
+    calls = []
+
+    def processor(epoch):
+        calls.append(epoch)
+        if len(calls) == 1:
+            time.sleep(seconds)
+            return "sham_wake"
+        return then(epoch)
+
+    return processor
+
+
+def explode(epoch):
+    raise RuntimeError("model exploded")
 
 
 class FakeTimer:
@@ -141,35 +163,6 @@ class TestEpochQueue:
         # FIFO: consumed prefix matches the accepted order
         assert seen == expected_order[: len(seen)]
 
-    def test_blocking_hand_off_under_fast_thread_switching(self):
-        q = EpochQueue(capacity=2)
-        n = 300
-
-        def produce():
-            try:
-                for i in range(n):
-                    while len(q) == q.capacity:  # only the consumer makes room
-                        time.sleep(0)
-                    assert q.enqueue(make_epoch(i, fill=float(i)))
-            finally:
-                q.close()  # a dying producer must not leave get() blocked
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            producer = threading.Thread(target=produce)
-            producer.start()
-            fills = []
-            while (epoch := q.get()) is not None:
-                fills.append(epoch.samples[0])
-            producer.join(timeout=10)
-        finally:
-            sys.setswitchinterval(old)
-        assert not producer.is_alive()
-        assert fills == [float(i) for i in range(n)]
-        assert q.counters() == {"produced": n, "consumed": n, "dropped": 0, "queued": 0}
-        assert q.get() is None
-
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             EpochQueue(capacity=0)
@@ -212,8 +205,7 @@ class TestRunLive:
             yield make_epoch(1)
             raise IOError("sensor unplugged")
 
-        inline = SampleClock(rate_hz=16.0, acceleration=math.inf)
-        for clock, deterministic in ((inline, True), (paced_clock(), False)):
+        for clock, deterministic in ((inline_clock(), True), (paced_clock(), False)):
             q = EpochQueue(capacity=8)
             log, report = run_live(bad_source(), lambda e: "sham_wake",
                                    clock=clock, queue=q, deterministic=deterministic,
@@ -233,8 +225,7 @@ class TestRunLive:
 
         source = [make_epoch(i) for i in range(10)]
         q = EpochQueue(capacity=8)
-        clock = (SampleClock(rate_hz=16.0, acceleration=math.inf) if deterministic
-                 else paced_clock())
+        clock = inline_clock() if deterministic else paced_clock()
         log, report = run_live(iter(source), failing, clock=clock, queue=q,
                                deterministic=deterministic, timer=FakeTimer())
         assert not report.complete
@@ -246,48 +237,82 @@ class TestRunLive:
             assert q.counters() == {"produced": 2, "consumed": 2, "dropped": 0,
                                     "queued": 0}
 
-    def test_threaded_processor_failure_accounts_for_queued_epochs(self):
+    def test_paced_processor_failure_accounts_for_queued_epochs(self):
+        # Epoch 0 is classified for 0.42 s, over ten 40 ms intervals: epochs
+        # 1-4 fill the queue behind it and epochs 5-10 at least are dropped.
+        # Epoch 1 then fails, with the queue still holding 2-4.
         q = EpochQueue(capacity=4)
-        asked_for_fifth = threading.Event()
-
-        def source():
-            for i in range(20):
-                if i == 5:  # epoch 0 was taken, so epochs 1-4 fill the queue
-                    asked_for_fifth.set()
-                yield make_epoch(i)
-
-        def failing(epoch):
-            # Fail only once the producer has filled the queue behind us.
-            asked_for_fifth.wait(timeout=5)
-            raise RuntimeError("model exploded")
-
-        log, report = run_live(source(), failing, clock=paced_clock(), queue=q)
+        source = [make_epoch(i) for i in range(20)]
+        log, report = run_live(iter(source), slow_then(0.42, explode),
+                               clock=paced_clock(), queue=q)
         assert report.error == "RuntimeError: model exploded"
-        assert [entry["label"] for entry in log] == [None]
-        assert q.counters() == {"produced": 5, "consumed": 1, "dropped": 0, "queued": 4}
-        assert report.num_epochs == 5
+        assert [entry["label"] for entry in log] == ["sham_wake", None]
+        c = q.counters()
+        assert (c["consumed"], c["queued"]) == (2, 3)
+        assert c["dropped"] >= 6
+        assert report.num_epochs == c["produced"] == 5 + c["dropped"]
         assert_accounted(q, log)
 
-    def test_threaded_processor_error_wins_over_source_error(self):
-        source_failing = threading.Event()
-
+    def test_paced_processor_error_wins_over_source_error(self):
+        # Epoch 0 is classified for 0.1 s, past the deadlines of epochs 1
+        # and 2, which queue. The source then fails, the queued epochs are
+        # classified, and epoch 1 fails: that error wins, and epoch 2 stays.
         def bad_source():
-            yield make_epoch(0)
-            source_failing.set()
+            yield from (make_epoch(i) for i in range(3))
             raise IOError("sensor unplugged")
 
-        def failing(epoch):
-            source_failing.wait(timeout=5)
-            raise RuntimeError("model exploded")
-
         q = EpochQueue(capacity=8)
-        log, report = run_live(bad_source(), failing, clock=paced_clock(), queue=q)
+        log, report = run_live(bad_source(), slow_then(0.1, explode),
+                               clock=paced_clock(), queue=q)
         assert report.error == "RuntimeError: model exploded"
-        assert [entry["label"] for entry in log] == [None]
+        assert [entry["label"] for entry in log] == ["sham_wake", None]
+        assert q.counters() == {"produced": 3, "consumed": 2, "dropped": 0, "queued": 1}
         assert_accounted(q, log)
 
-    def test_infinite_clock_runs_on_the_calling_thread(self):
-        threads, producer_alive = [], []
+    def test_paced_slow_consumer_drops_its_overflow(self):
+        def slow(epoch):  # 2.5 intervals of the paced clock
+            time.sleep(0.1)
+            return "sham_wake"
+
+        q = EpochQueue(capacity=2)
+        log, report = run_live(iter([make_epoch(i) for i in range(10)]), slow,
+                               clock=paced_clock(), queue=q)
+        assert report.complete
+        assert q.produced == 10 and q.dropped > 0
+        assert_accounted(q, log)
+
+    @pytest.mark.parametrize("clock", [inline_clock(), paced_clock()],
+                             ids=["inline", "paced"])
+    def test_processor_interrupt_ends_run_with_partial_log(self, clock):
+        def interrupt(epoch):
+            raise KeyboardInterrupt
+
+        q = EpochQueue(capacity=8)
+        log, report = run_live(iter([make_epoch(i) for i in range(5)]),
+                               slow_then(0, interrupt), clock=clock, queue=q)
+        assert report.error == "KeyboardInterrupt"
+        assert [entry["label"] for entry in log] == ["sham_wake", None]
+        assert_accounted(q, log)
+
+    @pytest.mark.parametrize("clock", [inline_clock(), paced_clock()],
+                             ids=["inline", "paced"])
+    def test_source_interrupt_ends_run_after_the_queued_epochs(self, clock):
+        def interrupted_source():
+            yield from (make_epoch(i) for i in range(2))
+            raise KeyboardInterrupt
+
+        q = EpochQueue(capacity=8)
+        log, report = run_live(interrupted_source(), lambda e: "sham_wake",
+                               clock=clock, queue=q)
+        assert report.error == "KeyboardInterrupt"
+        assert [entry["label"] for entry in log] == ["sham_wake"] * 2
+        assert q.counters() == {"produced": 2, "consumed": 2, "dropped": 0, "queued": 0}
+        assert_accounted(q, log)
+
+    @staticmethod
+    def assert_runs_on_the_calling_thread(clock):
+        threads, counts = [], []
+        before = threading.active_count()
 
         def source():
             for i in range(3):
@@ -296,15 +321,19 @@ class TestRunLive:
 
         def processor(epoch):
             threads.append(threading.current_thread())
-            producer_alive.append(
-                any(t.name == "epoch-producer" for t in threading.enumerate()))
+            counts.append(threading.active_count())
             return "sham_wake"
 
-        log, report = run_live(source(), processor,
-                               clock=SampleClock(rate_hz=16.0, acceleration=math.inf))
+        log, report = run_live(source(), processor, clock=clock)
         assert report.complete and len(log) == 3
         assert threads == [threading.current_thread()] * 6
-        assert producer_alive == [False] * 3
+        assert counts == [before] * 3
+
+    def test_infinite_clock_runs_on_the_calling_thread(self):
+        self.assert_runs_on_the_calling_thread(inline_clock())
+
+    def test_paced_clock_runs_on_the_calling_thread(self):
+        self.assert_runs_on_the_calling_thread(paced_clock())
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_threaded_virtual_clock_never_drops(self, seed):
@@ -313,7 +342,7 @@ class TestRunLive:
         q = EpochQueue(capacity=8)
         log, report = run_live(
             iter(source), lambda e: "sham_sleep",
-            clock=SampleClock(rate_hz=16.0, acceleration=math.inf), queue=q,
+            clock=inline_clock(), queue=q,
         )
         counters = q.counters()
         assert counters["produced"] == 100
@@ -322,7 +351,7 @@ class TestRunLive:
         assert len(log) == 100
         assert report.complete
 
-    def test_threaded_finite_acceleration_paces_and_completes(self):
+    def test_finite_acceleration_paces_and_completes(self):
         source = [make_epoch(i) for i in range(5)]
         q = EpochQueue(capacity=8)
         log, report = run_live(
@@ -359,7 +388,6 @@ class TestRunLive:
                                clock=SampleClock(rate_hz=16.0, acceleration=16.0),
                                queue=q)
         assert time.monotonic() - start < 0.6
-        assert not any(t.name == "epoch-producer" for t in threading.enumerate())
         assert report.error == "RuntimeError: model exploded"
         assert log[-1]["label"] is None
         assert_accounted(q, log)
@@ -376,7 +404,7 @@ class TestBench:
 
     @staticmethod
     def bench(batch_sizes, processor, epochs):
-        clock = SampleClock(rate_hz=16.0, acceleration=math.inf)
+        clock = inline_clock()
         return [run_live(epochs[:size], processor, clock=clock)[1]
                 for size in batch_sizes]
 
