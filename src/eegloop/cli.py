@@ -425,6 +425,9 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except KeyboardInterrupt:  # Ctrl-C outside the live loop, which reports its own
+            print("error: interrupted", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

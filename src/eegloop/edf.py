@@ -11,6 +11,13 @@ decimals (no ``nan``, ``inf`` or ``1_0``); the record duration and the
 physical limits are finite; ``header_bytes`` is derived from the signal
 count, and the reader checks the stored value against it.
 
+The calibration maps between physical values and digital codes are
+each written once, as a private step that writes into a float64 array
+it is given. :func:`write_edf` and :func:`to_trace` run them over one
+cache-sized block of samples at a time, writing straight into the
+record buffer or the output trace, so besides their output they hold
+O(block) memory (a block of whole records when writing).
+
 Only continuous, plain EDF is handled here: annotation signals (the
 EDF+ "EDF Annotations" channel) are skipped with a warning, and the
 24-bit BDF variant is rejected by virtue of its non-numeric header.
@@ -29,6 +36,12 @@ ANNOTATION_LABEL = "EDF Annotations"
 
 # The fixed header and each signal's header are 256 bytes long.
 _BLOCK_BYTES = 256
+
+# Samples per block of the sample codecs here and of the loopback replay:
+# 2**15 float64 values (256 KiB) keep a block's buffers in L2. Blocks of
+# 2**14 to 2**17 samples timed within noise of each other; at 2**12 the
+# per-block numpy calls made the replay ~1.5x slower (BENCH_18.json).
+_BLOCK_LEN = 2**15
 
 # (field name, byte width, type) for the fixed header, in file order.
 _FIXED_FIELDS = (
@@ -169,13 +182,23 @@ def digital_to_physical(
     the digital range raise ``EdfError``.
     """
     codes = np.asarray(code)
-    if np.any(codes < hdr.digital_min) or np.any(codes > hdr.digital_max):
+    phys = _to_physical(codes, np.empty(codes.shape), hdr)
+    return float(phys) if np.isscalar(code) or codes.ndim == 0 else phys
+
+
+def _to_physical(
+    codes: np.ndarray, out: np.ndarray, hdr: EdfSignalHeader
+) -> np.ndarray:
+    """Codes to physical values in ``out``: ``pmin + (codes - dmin) * scale``."""
+    if codes.size and (codes.min() < hdr.digital_min or codes.max() > hdr.digital_max):
         raise EdfError(
             f"digital code outside [{hdr.digital_min}, {hdr.digital_max}]"
         )
     scale = (hdr.physical_max - hdr.physical_min) / (hdr.digital_max - hdr.digital_min)
-    phys = hdr.physical_min + (codes.astype(np.float64) - hdr.digital_min) * scale
-    return float(phys) if np.isscalar(code) or codes.ndim == 0 else phys
+    np.subtract(codes, hdr.digital_min, out=out, dtype=np.float64)
+    out *= scale
+    out += hdr.physical_min
+    return out
 
 
 def physical_to_digital(
@@ -184,23 +207,57 @@ def physical_to_digital(
     """Invert the calibration map, rounding half away from zero and clamping.
 
     A total function: out-of-range physical values saturate at the digital
-    limits, mirroring converter behaviour. For any in-range code ``c``,
-    ``physical_to_digital(digital_to_physical(c)) == c``.
+    limits, mirroring converter behaviour; so do infinities. A NaN sample
+    raises ``EdfError`` naming the signal and the sample's index. For any
+    in-range code ``c``, ``physical_to_digital(digital_to_physical(c)) == c``.
     """
     values = np.asarray(value, dtype=np.float64)
-    scale = (hdr.digital_max - hdr.digital_min) / (hdr.physical_max - hdr.physical_min)
-    raw = hdr.digital_min + (values - hdr.physical_min) * scale
-    rounded = np.sign(raw) * np.floor(np.abs(raw) + 0.5)
-    codes = np.clip(rounded, hdr.digital_min, hdr.digital_max).astype(np.int64)
+    out, sign = np.empty(values.shape), np.empty(values.shape)
+    codes = _to_digital(values, out, sign, hdr, 0).astype(np.int64)
     return int(codes) if np.isscalar(value) or values.ndim == 0 else codes
+
+
+def _to_digital(
+    values: np.ndarray, out: np.ndarray, sign: np.ndarray, hdr: EdfSignalHeader,
+    first: int,
+) -> np.ndarray:
+    """Physical values to codes in ``out``, float64 holding integral values.
+
+    ``raw = dmin + (values - pmin) * scale``, rounded half away from zero
+    and clamped to the digital range. ``sign`` is scratch of the same
+    shape; ``first`` is the index of ``values[0]`` in its signal, for the
+    error a NaN raises.
+    """
+    scale = (hdr.digital_max - hdr.digital_min) / (hdr.physical_max - hdr.physical_min)
+    np.subtract(values, hdr.physical_min, out=out)
+    out *= scale
+    out += hdr.digital_min
+    np.sign(out, out=sign)
+    np.abs(out, out=out)
+    out += 0.5
+    np.floor(out, out=out)
+    out *= sign
+    np.clip(out, hdr.digital_min, hdr.digital_max, out=out)
+    if out.size and np.isnan(out.max()):
+        index = first + int(np.flatnonzero(np.isnan(out))[0])
+        raise EdfError(f"signal {hdr.label!r} has a NaN sample at index {index}")
+    return out
 
 
 def to_trace(
     file_hdr: EdfFileHeader, sig_hdr: EdfSignalHeader, digital: np.ndarray
 ) -> SignalTrace:
-    """Decode one signal's digital samples into a physical trace."""
+    """Decode one signal's digital samples into a physical trace.
+
+    Decodes one block at a time, straight into the returned trace.
+    """
     rate = sig_hdr.samples_per_record / file_hdr.record_duration_s
-    return SignalTrace(digital_to_physical(np.asarray(digital), sig_hdr), rate)
+    digital = np.asarray(digital)
+    samples = np.empty(digital.shape)
+    for start in range(0, len(samples), _BLOCK_LEN):
+        block = slice(start, start + _BLOCK_LEN)
+        _to_physical(digital[block], samples[block], sig_hdr)
+    return SignalTrace(samples, rate)
 
 
 def read_signal(
@@ -344,9 +401,13 @@ def write_edf(
     """Encode physical signals into EDF bytes.
 
     ``signals`` holds one physical sample array per signal header; each is
-    converted to digital codes through :func:`physical_to_digital` (values
-    beyond the physical range clamp to the digital limits). Reparsing the
-    output reproduces the header fields and digital samples bit-exactly.
+    converted to digital codes as by :func:`physical_to_digital` (values
+    beyond the physical range clamp to the digital limits, and a NaN
+    raises ``EdfError``). Reparsing the output reproduces the header
+    fields and digital samples bit-exactly.
+
+    Each signal is encoded one block of whole records at a time, straight
+    into the data-record buffer.
     """
     ns = header.num_signals
     if ns != len(signal_headers) or ns != len(signals):
@@ -371,18 +432,21 @@ def write_edf(
         for hdr in hdrs
     ]
 
-    digital = [
-        np.asarray(physical_to_digital(np.asarray(s, dtype=np.float64), sig)).astype("<i2")
-        for sig, s in zip(signal_headers, signals)
-    ]
+    num_records = header.num_records
     record = np.empty(
-        (header.num_records, sum(s.samples_per_record for s in signal_headers)),
-        dtype="<i2",
+        (num_records, sum(s.samples_per_record for s in signal_headers)), dtype="<i2"
     )
     col = 0
-    for sig, codes in zip(signal_headers, digital):
+    for sig, samples in zip(signal_headers, signals):
         spr = sig.samples_per_record
-        record[:, col : col + spr] = codes.reshape(header.num_records, spr)
+        physical = np.asarray(samples, dtype=np.float64).reshape(num_records, spr)
+        rows = min(max(1, _BLOCK_LEN // spr), num_records)
+        codes, sign = np.empty((rows, spr)), np.empty((rows, spr))
+        for r in range(0, num_records, rows):
+            block = physical[r : r + rows]
+            n = len(block)
+            _to_digital(block, codes[:n], sign[:n], sig, r * spr)
+            record[r : r + n, col : col + spr] = codes[:n]
         col += spr
-    parts.append(record.tobytes())
+    parts.append(memoryview(record))
     return b"".join(parts)

@@ -9,6 +9,14 @@ fidelity measurements run entirely in software.
 Conventions: the DAC rounds to the nearest output level on the grid
 ``code / (2**bits - 1) * vref``; the ADC truncates, ``floor(2**bits *
 volts / vref)``. Both saturate at their code limits and never raise.
+
+Each transfer rule (the voltage mapping, the DAC, the ADC) is written
+once, as a private step that writes into a float64 array it is given,
+codes held as integral float64 values (never ``-0.0``); the public
+functions run it on a fresh array. :func:`replay_capture` runs
+the whole chain over one cache-sized block of samples at a time, in
+the block of its output array, so a replay holds the observed trace,
+the squared errors that ``mse`` averages, and O(block) scratch.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edf import SignalTrace
+from .edf import _BLOCK_LEN, SignalTrace
 
 # Typical mean-squared error measured on the physical DAC-to-ADC loopback
 # this module models, in the source recording's units squared. Reported
@@ -40,6 +48,21 @@ class DacModel:
     def lsb_volts(self) -> float:
         return self.vref_volts / (2**self.bits - 1)
 
+    def _quantize(self, v: np.ndarray) -> np.ndarray:
+        """Volts to codes, in place: ``clip(floor(v / vref * full_scale + 0.5))``."""
+        full_scale = 2**self.bits - 1
+        v /= self.vref_volts
+        v *= full_scale
+        v += 0.5
+        np.floor(v, out=v)
+        return np.clip(v, 0, full_scale, out=v)
+
+    def _level(self, code: np.ndarray) -> np.ndarray:
+        """Codes to the emitted volts, in place: ``code / full_scale * vref``."""
+        code /= 2**self.bits - 1
+        code *= self.vref_volts
+        return code
+
 
 @dataclass(frozen=True)
 class AdcModel:
@@ -54,6 +77,15 @@ class AdcModel:
     @property
     def lsb_volts(self) -> float:
         return self.vref_volts / 2**self.bits
+
+    def _quantize(self, v: np.ndarray) -> np.ndarray:
+        """Volts to codes, in place: ``clip(floor(2**bits * v / vref))``."""
+        v *= 2**self.bits
+        v /= self.vref_volts
+        np.floor(v, out=v)
+        np.clip(v, 0, 2**self.bits - 1, out=v)
+        v += 0.0  # floor(-0.0) survives the clip; the code is +0.0
+        return v
 
 
 def _check_converter(bits: int, vref: float) -> None:
@@ -94,10 +126,26 @@ class VoltageMapping:
         return cls(gain, vref_volts / 2 - gain * center)
 
     def to_volts(self, value: float | np.ndarray) -> float | np.ndarray:
-        return self.gain_volts_per_unit * value + self.offset_volts
+        return _scalar_or_array(self._to_volts(value, np.empty(np.shape(value))))
 
     def to_units(self, volts: float | np.ndarray) -> float | np.ndarray:
-        return (volts - self.offset_volts) / self.gain_volts_per_unit
+        return _scalar_or_array(self._to_units(volts, np.empty(np.shape(volts))))
+
+    def _to_volts(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Units to volts in ``out``, which may be ``x``: ``gain * x + offset``."""
+        np.multiply(x, self.gain_volts_per_unit, out=out)
+        out += self.offset_volts
+        return out
+
+    def _to_units(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Volts to units in ``out``, which may be ``v``: ``(v - offset) / gain``."""
+        np.subtract(v, self.offset_volts, out=out)
+        out /= self.gain_volts_per_unit
+        return out
+
+
+def _scalar_or_array(a: np.ndarray) -> float | np.ndarray:
+    return a if a.ndim else float(a)
 
 
 @dataclass(frozen=True)
@@ -145,11 +193,9 @@ def dac_emit(
     clamped to the code range and ``volts`` is the emitted level
     ``code / (2**bits - 1) * vref``. Saturates instead of raising.
     """
-    full_scale = 2**dac.bits - 1
-    v = np.asarray(mapping.to_volts(value), dtype=np.float64)
-    raw = v / dac.vref_volts * full_scale
-    code = np.clip(np.floor(raw + 0.5), 0, full_scale).astype(np.int64)
-    volts = code.astype(np.float64) / full_scale * dac.vref_volts
+    levels = dac._quantize(mapping._to_volts(value, np.empty(np.shape(value))))
+    code = levels.astype(np.int64)
+    volts = dac._level(levels)
     if np.isscalar(value):
         return int(code), float(volts)
     return code, volts
@@ -160,8 +206,7 @@ def adc_sample(volts: float | np.ndarray, adc: AdcModel) -> int | np.ndarray:
 
     Monotonic non-decreasing in the input voltage.
     """
-    raw = np.floor(2**adc.bits * np.asarray(volts, dtype=np.float64) / adc.vref_volts)
-    code = np.clip(raw, 0, 2**adc.bits - 1).astype(np.int64)
+    code = adc._quantize(np.array(volts, dtype=np.float64)).astype(np.int64)
     return int(code) if np.isscalar(volts) else code
 
 
@@ -173,7 +218,15 @@ def mse(expected: np.ndarray, observed: np.ndarray) -> float:
         raise ValueError(f"length mismatch: {e.shape} vs {o.shape}")
     if e.size == 0:
         raise ValueError("mse requires at least one sample")
-    return float(np.mean((o - e) ** 2))
+    return float(np.mean(_squared_error(o, e)))
+
+
+def _squared_error(
+    observed: np.ndarray, expected: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``(observed - expected) ** 2``, written into ``out`` when given."""
+    d = np.subtract(observed, expected, out=out)
+    return np.square(d, out=d)
 
 
 def quantization_error_bound(
@@ -209,30 +262,60 @@ def replay_capture(
     by the ADC model, and mapped back to physical units. Defaults are the
     modelled hardware: a 12-bit DAC into a 10-bit ADC at 3.3 V.
     ``dac=None`` or ``adc=None`` bypasses that converter; bypassing both
-    reproduces the input exactly.
+    reproduces the input exactly. A non-finite sample raises
+    ``ValueError`` naming its index.
+
+    The chain runs one block of samples at a time, in place in the
+    observed trace; the squared errors fill one full-length array, so
+    ``mse`` is one ``np.mean`` over it. Memory: those two arrays plus
+    O(block).
     """
     x = trace.samples
     if x.size == 0:
         raise ValueError("cannot replay an empty trace")
-    if dac is None and adc is None:
-        observed = x.copy()
-        clip_count = 0
-    else:
-        v = np.asarray(mapping.to_volts(x), dtype=np.float64)
-        clipped = np.zeros(x.shape, dtype=bool)
-        if dac is not None:
-            clipped |= (v < 0) | (v > dac.vref_volts)
-            _, v = dac_emit(x, mapping, dac)
-        if adc is not None:
-            clipped |= (v < 0) | (v > adc.vref_volts)
-            code = adc_sample(v, adc)
-            v = np.asarray(code, dtype=np.float64) * adc.lsb_volts
-        observed = np.asarray(mapping.to_units(v), dtype=np.float64)
-        clip_count = int(np.count_nonzero(clipped))
+    observed = np.empty_like(x)
+    squared_error = np.empty_like(x)
+    clipped = np.empty(x[:_BLOCK_LEN].shape, dtype=bool)
+    scratch = np.empty_like(clipped)
+    clip_count = 0
+    for start in range(0, len(x), _BLOCK_LEN):
+        block = slice(start, start + _BLOCK_LEN)
+        v = observed[block]
+        if dac is None and adc is None:
+            v[...] = x[block]
+        else:
+            c, s = clipped[: len(v)], scratch[: len(v)]
+            c[...] = False
+            mapping._to_volts(x[block], v)
+            if dac is not None:
+                _flag_outside(v, dac.vref_volts, c, s)
+                dac._level(dac._quantize(v))
+            if adc is not None:
+                _flag_outside(v, adc.vref_volts, c, s)
+                adc._quantize(v)
+                v *= adc.lsb_volts
+            mapping._to_units(v, v)
+            clip_count += int(np.count_nonzero(c))
+        _squared_error(v, x[block], out=squared_error[block])
+    error = float(np.mean(squared_error))
+    if not math.isfinite(error):  # as any non-finite sample makes it; so can overflow
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise ValueError(
+                f"cannot replay a non-finite sample: index {bad[0]} is {x.flat[bad[0]]}"
+            )
     return LoopbackResult(
         expected_trace=trace,
         observed_trace=SignalTrace(observed, trace.rate_hz),
         n=int(x.size),
-        mse=mse(x, observed),
+        mse=error,
         clip_count=clip_count,
     )
+
+
+def _flag_outside(
+    v: np.ndarray, vref: float, flags: np.ndarray, scratch: np.ndarray
+) -> None:
+    """``flags |= (v < 0) | (v > vref)``, in place."""
+    flags |= np.less(v, 0, out=scratch)
+    flags |= np.greater(v, vref, out=scratch)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegloop import features, gbt, pipeline
+from eegloop import cli, features, gbt, pipeline
 from eegloop.classes import CLASS_NAMES
 from eegloop.cli import main
 from eegloop.edf import EdfFileHeader, EdfSignalHeader, write_edf
@@ -647,6 +647,25 @@ class TestRun:
             summary["consumed"] + summary["dropped"] + summary["queued"])
         assert timing.read_text().strip().splitlines()[1].split(",")[0] == str(
             summary["produced"])
+
+    def test_interrupt_before_the_run_gives_one_error_line(self, workspace, capsys,
+                                                            monkeypatch):
+        # Ctrl-C while the input is read, before the live loop starts.
+        _, data, model = workspace
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "read_signal", interrupted)
+        try:
+            code = main(["run", "--input", str(data / "sham_wake.edf"), "--model",
+                         str(model), "--epoch-length", "4"])
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: interrupted\n"
 
     def test_raw_samples_on_stdin(self, workspace, capsys, monkeypatch):
         import io

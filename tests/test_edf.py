@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from eegloop.edf import (
+    _BLOCK_LEN,
     _FIXED_FIELDS,
     _SIGNAL_FIELDS,
     EdfError,
@@ -41,6 +42,118 @@ def make_file(
         n = num_records * samples_per_record
         signals = [np.linspace(-500.0, 500.0, n) for _ in range(num_signals)]
     return header, sig_headers, signals
+
+
+def reference_physical_to_digital(values, hdr):
+    """``physical_to_digital`` on arrays as first written: whole-array steps."""
+    scale = (hdr.digital_max - hdr.digital_min) / (hdr.physical_max - hdr.physical_min)
+    raw = hdr.digital_min + (values - hdr.physical_min) * scale
+    rounded = np.sign(raw) * np.floor(np.abs(raw) + 0.5)
+    return np.clip(rounded, hdr.digital_min, hdr.digital_max).astype(np.int64)
+
+
+def reference_digital_to_physical(codes, hdr):
+    """``digital_to_physical`` on arrays as first written."""
+    scale = (hdr.physical_max - hdr.physical_min) / (hdr.digital_max - hdr.digital_min)
+    return hdr.physical_min + (codes.astype(np.float64) - hdr.digital_min) * scale
+
+
+def reference_records(num_records, sig_headers, signals):
+    """The data records ``write_edf`` appends to the header, as first written."""
+    digital = [reference_physical_to_digital(np.asarray(s, dtype=np.float64), sig)
+               .astype("<i2") for sig, s in zip(sig_headers, signals)]
+    return np.concatenate(
+        [codes.reshape(num_records, sig.samples_per_record)
+         for sig, codes in zip(sig_headers, digital)], axis=1).tobytes()
+
+
+# (physical_min, physical_max, digital_min, digital_max), reversed maps included.
+CALIBRATIONS = [(-1000.0, 1000.0, -32768, 32767), (-500.0, 500.0, -2048, 2047),
+                (0.0, 100.0, 0, 100), (3.25, -3.25, -100, 100), (-0.5, 2000.0, -7, 32767)]
+
+# (num_records, samples_per_record of each signal): one sample, records around
+# a block, many short records per block, and demo 01's unequal signals.
+LAYOUTS = [(1, (1,)), (3, (7,)), (_BLOCK_LEN // 7 + 3, (7,)), (2, (_BLOCK_LEN - 1,)),
+           (2, (_BLOCK_LEN,)), (2, (_BLOCK_LEN + 1,)), (10, (256, 1)),
+           (2 * _BLOCK_LEN // 256 + 1, (256, 1, 7))]
+
+
+@st.composite
+def edf_files(draw):
+    """Header, signal headers and physical signals spanning past both limits."""
+    num_records, rates = draw(st.sampled_from(LAYOUTS))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sig_headers, signals = [], []
+    for i, spr in enumerate(rates):
+        pmin, pmax, dmin, dmax = draw(st.sampled_from(CALIBRATIONS))
+        sig = EdfSignalHeader(label=f"S{i}", physical_min=pmin, physical_max=pmax,
+                              digital_min=dmin, digital_max=dmax, samples_per_record=spr)
+        n = num_records * spr
+        x = pmin + rng.uniform(-0.2, 1.2, n) * (pmax - pmin)
+        half_codes = [pmin + (c + 0.5 - dmin) * (pmax - pmin) / (dmax - dmin)
+                      for c in (dmin, -1, 0, dmax - 1)]
+        specials = half_codes + [pmin, pmax, 0.0, -0.0, math.inf, -math.inf, 1e300]
+        picks = draw(st.lists(st.sampled_from(specials), max_size=6))
+        x[rng.integers(0, n, len(picks))] = picks
+        sig_headers.append(sig)
+        signals.append(x)
+    header = EdfFileHeader.create(num_signals=len(rates), num_records=num_records)
+    return header, sig_headers, signals
+
+
+class TestCodecsMatchReference:
+    """The blocked, in-place codecs give the whole-array result to the byte."""
+
+    @given(edf_files())
+    @settings(max_examples=60, deadline=None)
+    def test_write_edf_is_byte_identical(self, case):
+        header, sigs, signals = case
+        data = write_edf(header, sigs, signals)
+        assert data[header.header_bytes:] == reference_records(header.num_records,
+                                                               sigs, signals)
+        for sig, x in zip(sigs, signals):
+            assert physical_to_digital(x, sig).tobytes() == \
+                reference_physical_to_digital(x, sig).tobytes()
+
+    @given(edf_files())
+    @settings(max_examples=40, deadline=None)
+    def test_to_trace_is_byte_identical(self, case):
+        header, sigs, signals = case
+        parsed, parsed_sigs, digital = parse_edf(write_edf(header, sigs, signals))
+        for sig, codes in zip(parsed_sigs, digital):
+            expected = reference_digital_to_physical(codes, sig).tobytes()
+            assert to_trace(parsed, sig, codes).samples.tobytes() == expected
+            assert digital_to_physical(codes, sig).tobytes() == expected
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_LEN - 1, _BLOCK_LEN + 1, 3 * _BLOCK_LEN + 5])
+    def test_to_trace_of_every_code_is_byte_identical(self, n):
+        sig = EdfSignalHeader(physical_min=-187.5, physical_max=312.25)
+        codes = np.random.default_rng(n).integers(-32768, 32768, n).astype("<i2")
+        codes[0], codes[-1] = sig.digital_min, sig.digital_max
+        trace = to_trace(EdfFileHeader.create(1, 1), sig, codes)
+        assert trace.samples.tobytes() == reference_digital_to_physical(codes, sig).tobytes()
+
+    def test_code_out_of_range_in_a_later_block_raises(self):
+        sig = EdfSignalHeader(digital_min=-100, digital_max=100)
+        codes = np.zeros(2 * _BLOCK_LEN, dtype="<i2")
+        codes[_BLOCK_LEN + 1] = 101
+        with pytest.raises(EdfError, match="outside"):
+            to_trace(EdfFileHeader.create(1, 1), sig, codes)
+
+    @pytest.mark.parametrize("value, index", [(math.nan, 0), ([1.0, -2.0, math.nan], 2)])
+    def test_nan_sample_rejected_by_physical_to_digital(self, value, index):
+        with pytest.raises(EdfError, match=f"signal 'EEG' has a NaN sample at index {index}"):
+            physical_to_digital(np.array(value), EdfSignalHeader())
+
+    def test_nan_sample_rejected_by_write_edf(self):
+        header, sigs, signals = make_file(num_signals=2, num_records=3,
+                                          samples_per_record=_BLOCK_LEN,
+                                          label="EEG Pz-Oz")
+        sigs[1] = EdfSignalHeader(label="marker", samples_per_record=_BLOCK_LEN)
+        signals[1][_BLOCK_LEN + 5] = math.nan
+        with pytest.raises(EdfError, match=f"signal 'marker' has a NaN sample at "
+                                           f"index {_BLOCK_LEN + 5}"):
+            write_edf(header, sigs, signals)
 
 
 class TestHeaderLayout:

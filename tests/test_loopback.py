@@ -1,13 +1,14 @@
 """Converter model transfer functions, Nyquist check, and loopback fidelity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegloop.edf import SignalTrace
+from eegloop.edf import _BLOCK_LEN, SignalTrace
 from eegloop.features import PreprocessConfig
 from eegloop.loopback import (
     AdcModel,
@@ -20,6 +21,65 @@ from eegloop.loopback import (
     quantization_error_bound,
     replay_capture,
 )
+
+
+def reference_dac_emit(x, mapping, dac):
+    """``dac_emit`` on arrays as first written: whole-array steps, int64 codes."""
+    full_scale = 2**dac.bits - 1
+    v = mapping.gain_volts_per_unit * x + mapping.offset_volts
+    code = np.clip(np.floor(v / dac.vref_volts * full_scale + 0.5), 0,
+                   full_scale).astype(np.int64)
+    return code, code.astype(np.float64) / full_scale * dac.vref_volts
+
+
+def reference_adc_sample(volts, adc):
+    """``adc_sample`` on arrays as first written."""
+    raw = np.floor(2**adc.bits * volts / adc.vref_volts)
+    return np.clip(raw, 0, 2**adc.bits - 1).astype(np.int64)
+
+
+def reference_replay(x, mapping, dac, adc):
+    """(observed, mse, clip_count) of ``replay_capture`` as first written."""
+    if dac is None and adc is None:
+        observed, clip_count = x.copy(), 0
+    else:
+        v = mapping.gain_volts_per_unit * x + mapping.offset_volts
+        clipped = np.zeros(x.shape, dtype=bool)
+        if dac is not None:
+            clipped |= (v < 0) | (v > dac.vref_volts)
+            _, v = reference_dac_emit(x, mapping, dac)
+        if adc is not None:
+            clipped |= (v < 0) | (v > adc.vref_volts)
+            v = reference_adc_sample(v, adc).astype(np.float64) * adc.lsb_volts
+        observed = (v - mapping.offset_volts) / mapping.gain_volts_per_unit
+        clip_count = int(np.count_nonzero(clipped))
+    return observed, float(np.mean((observed - x) ** 2)), clip_count
+
+
+# One sample, around one block boundary, and several blocks.
+REPLAY_LENGTHS = [1, 2, _BLOCK_LEN - 1, _BLOCK_LEN, _BLOCK_LEN + 1, 3 * _BLOCK_LEN + 5]
+
+converters = st.integers(min_value=1, max_value=16), st.floats(min_value=0.1, max_value=10.0)
+
+
+@st.composite
+def replay_cases(draw):
+    """A trace, a mapping and converters; the trace spans past both rails."""
+    n = draw(st.sampled_from(REPLAY_LENGTHS))
+    gain = draw(st.floats(min_value=-1e3, max_value=1e3).filter(lambda g: abs(g) > 1e-3))
+    offset = draw(st.sampled_from([0.0, -0.0]) | st.floats(min_value=-10, max_value=10))
+    mapping = VoltageMapping(gain, offset)
+    dac = draw(st.none() | st.builds(DacModel, *converters))
+    adc = draw(st.none() | st.builds(AdcModel, *converters))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    window = (dac or adc or DacModel()).vref_volts
+    x = (rng.uniform(-0.2, 1.2, n) * window - offset) / gain
+    rails = [(volts - offset) / gain for c in (dac, adc) if c for volts in (0.0, c.vref_volts)]
+    specials = rails + [np.nextafter(r, np.inf) for r in rails] + [
+        0.0, -0.0, -5e-324, -1e-300, 1e300, -1e300]
+    picks = draw(st.lists(st.sampled_from(specials) | st.floats(-1e6, 1e6), max_size=8))
+    x[rng.integers(0, n, len(picks))] = picks
+    return SignalTrace(x, 256.0), mapping, dac, adc
 
 
 class TestNyquist:
@@ -208,6 +268,66 @@ class TestReplayCapture:
         dac, adc = DacModel(dac_bits), AdcModel(adc_bits)
         result = replay_capture(trace, mapping, dac, adc)
         assert result.max_abs_error <= quantization_error_bound(mapping, dac, adc)
+
+
+class TestReplayMatchesReference:
+    """The blocked, in-place chain gives the whole-array result to the byte."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # +-1e300 samples
+    @given(replay_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_replay_is_byte_identical(self, case):
+        trace, mapping, dac, adc = case
+        result = replay_capture(trace, mapping, dac, adc)
+        observed, expected_mse, clip_count = reference_replay(trace.samples, mapping,
+                                                              dac, adc)
+        assert result.observed_trace.samples.tobytes() == observed.tobytes()
+        assert result.mse == expected_mse
+        assert result.clip_count == clip_count
+
+    def test_adc_code_of_a_negative_zero_is_positive_zero(self):
+        # 2 * -5e-324 / 10 rounds to -0.0, and floor and clip keep its sign.
+        x = np.array([-5e-324, 1.0])
+        mapping, adc = VoltageMapping(1.0, 0.0), AdcModel(1, 10.0)
+        result = replay_capture(SignalTrace(x, 256.0), mapping, None, adc)
+        observed, _, _ = reference_replay(x, mapping, None, adc)
+        assert result.observed_trace.samples.tobytes() == observed.tobytes()
+
+    @given(replay_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_converters_are_byte_identical(self, case):
+        trace, mapping, dac, adc = case
+        x = trace.samples
+        dac, adc = dac or DacModel(), adc or AdcModel()
+        code, volts = dac_emit(x, mapping, dac)
+        ref_code, ref_volts = reference_dac_emit(x, mapping, dac)
+        assert code.tobytes() == ref_code.tobytes()
+        assert volts.tobytes() == ref_volts.tobytes()
+        assert adc_sample(volts, adc).tobytes() == reference_adc_sample(volts, adc).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dac, adc", [(DacModel(), AdcModel()), (None, AdcModel()),
+                                          (DacModel(), None), (None, None)],
+                             ids=["both", "adc", "dac", "bypass"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf
+    def test_non_finite_sample_rejected_by_index(self, bad, dac, adc):
+        x = np.linspace(-100.0, 100.0, _BLOCK_LEN + 10)
+        x[_BLOCK_LEN + 3] = bad
+        with pytest.raises(ValueError, match=f"index {_BLOCK_LEN + 3} is {bad}"):
+            replay_capture(SignalTrace(x, 256.0), VoltageMapping.centered(-100, 100),
+                           dac, adc)
+
+    def test_memory_is_output_squared_errors_and_a_block(self):
+        trace = SignalTrace(np.linspace(-100.0, 100.0, 2**20), 256.0)
+        mapping = VoltageMapping.centered(-100, 100)
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            result = replay_capture(trace, mapping)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.clip_count == 0
+        assert peak < 2.5 * trace.samples.nbytes
 
 
 class TestVoltageMapping:
