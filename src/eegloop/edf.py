@@ -37,7 +37,9 @@ ANNOTATION_LABEL = "EDF Annotations"
 # The fixed header and each signal's header are 256 bytes long.
 _BLOCK_BYTES = 256
 
-# Samples per block of the sample codecs here and of the loopback replay:
+# Samples per block of the sample codecs here, and the most per block of
+# the loopback replay, whose blocks are the leaves of numpy's pairwise-sum
+# tree (so about _BLOCK_LEN / 2 to _BLOCK_LEN samples on long traces):
 # 2**15 float64 values (256 KiB) keep a block's buffers in L2. Blocks of
 # 2**14 to 2**17 samples timed within noise of each other; at 2**12 the
 # per-block numpy calls made the replay ~1.5x slower (BENCH_18.json).
@@ -232,11 +234,10 @@ def _to_digital(
     np.subtract(values, hdr.physical_min, out=out)
     out *= scale
     out += hdr.digital_min
-    np.sign(out, out=sign)
-    np.abs(out, out=out)
-    out += 0.5
-    np.floor(out, out=out)
-    out *= sign
+    # Rounding is symmetric, so x + copysign(0.5, x) is exactly sign(x) * (|x| + 0.5)
+    # and its trunc rounds x half away from zero; only a zero's sign can differ.
+    out += np.copysign(0.5, out, out=sign)
+    np.trunc(out, out=out)
     np.clip(out, hdr.digital_min, hdr.digital_max, out=out)
     if out.size and np.isnan(out.max()):
         index = first + int(np.flatnonzero(np.isnan(out))[0])

@@ -15,14 +15,18 @@ once, as a private step that writes into a float64 array it is given,
 codes held as integral float64 values (never ``-0.0``); the public
 functions run it on a fresh array. :func:`replay_capture` runs
 the whole chain over one cache-sized block of samples at a time, in
-the block of its output array, so a replay holds the observed trace,
-the squared errors that ``mse`` averages, and O(block) scratch.
+the block of its output array. After the DAC a sample is one of
+``2**bits`` codes, so the rest of the chain runs once per code, into a
+table that each block indexes. ``mse`` is summed block by block in
+numpy's own pairwise order, so a replay holds the observed trace plus
+O(block) scratch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -50,12 +54,17 @@ class DacModel:
 
     def _quantize(self, v: np.ndarray) -> np.ndarray:
         """Volts to codes, in place: ``clip(floor(v / vref * full_scale + 0.5))``."""
-        full_scale = 2**self.bits - 1
+        return np.clip(self._round(v), 0, 2**self.bits - 1, out=v)
+
+    def _round(self, v: np.ndarray) -> np.ndarray:
+        """The codes before the clip, in place: ``floor(v / vref * full_scale + 0.5)``.
+
+        The clip is a no-op when every ``v`` lies in ``[0, vref]``.
+        """
         v /= self.vref_volts
-        v *= full_scale
+        v *= 2**self.bits - 1
         v += 0.5
-        np.floor(v, out=v)
-        return np.clip(v, 0, full_scale, out=v)
+        return np.floor(v, out=v)
 
     def _level(self, code: np.ndarray) -> np.ndarray:
         """Codes to the emitted volts, in place: ``code / full_scale * vref``."""
@@ -179,9 +188,15 @@ class LoopbackResult:
 
     @property
     def max_abs_error(self) -> float:
-        return float(
-            np.max(np.abs(self.observed_trace.samples - self.expected_trace.samples))
-        )
+        """``max(|observed - expected|)``, one block at a time."""
+        observed, expected = self.observed_trace.samples, self.expected_trace.samples
+        error = np.empty(observed[:_BLOCK_LEN].shape)
+        peak = -math.inf
+        for start in range(0, len(observed), _BLOCK_LEN):
+            block = slice(start, start + _BLOCK_LEN)
+            e = np.subtract(observed[block], expected[block], out=error[: len(observed) - start])
+            peak = np.maximum(peak, np.abs(e, out=e).max())  # a NaN stays, as in np.max
+        return float(peak)
 
 
 def dac_emit(
@@ -266,44 +281,58 @@ def replay_capture(
     ``ValueError`` naming its index.
 
     The chain runs one block of samples at a time, in place in the
-    observed trace; the squared errors fill one full-length array, so
-    ``mse`` is one ``np.mean`` over it. Memory: those two arrays plus
-    O(block).
+    observed trace. With a DAC, the steps after it run once per DAC
+    code into a table, and each block looks its codes up. The blocks
+    are the leaves of numpy's pairwise-summation tree, so ``mse`` is
+    ``np.mean`` of the squared errors to the bit without holding them.
+    Memory: the observed trace plus O(block).
     """
     x = trace.samples
     if x.size == 0:
         raise ValueError("cannot replay an empty trace")
     observed = np.empty_like(x)
-    squared_error = np.empty_like(x)
-    clipped = np.empty(x[:_BLOCK_LEN].shape, dtype=bool)
+    squared_error = np.empty(x[:_BLOCK_LEN].shape)
+    codes = np.empty(squared_error.shape, dtype=np.intp)
+    clipped = np.empty(squared_error.shape, dtype=bool)
     scratch = np.empty_like(clipped)
+    if dac is not None:
+        table = dac._level(np.arange(2.0**dac.bits))
+        table_clipped = np.zeros(table.shape, dtype=bool)
+        _capture(table, mapping, adc, table_clipped, np.empty_like(table_clipped))
+        table_clips = bool(table_clipped.any())
     clip_count = 0
-    for start in range(0, len(x), _BLOCK_LEN):
-        block = slice(start, start + _BLOCK_LEN)
-        v = observed[block]
+
+    def replay_block(start: int, stop: int) -> float:
+        nonlocal clip_count
+        n = stop - start
+        v, c, s, k = observed[start:stop], clipped[:n], scratch[:n], codes[:n]
         if dac is None and adc is None:
-            v[...] = x[block]
+            v[...] = x[start:stop]
         else:
-            c, s = clipped[: len(v)], scratch[: len(v)]
             c[...] = False
-            mapping._to_volts(x[block], v)
-            if dac is not None:
-                _flag_outside(v, dac.vref_volts, c, s)
-                dac._level(dac._quantize(v))
-            if adc is not None:
-                _flag_outside(v, adc.vref_volts, c, s)
-                adc._quantize(v)
-                v *= adc.lsb_volts
-            mapping._to_units(v, v)
+            mapping._to_volts(x[start:stop], v)
+            if dac is None:
+                _capture(v, mapping, adc, c, s)
+            else:
+                low = v.min()
+                if math.isnan(low):
+                    _check_finite(x)
+                if low < 0 or v.max() > dac.vref_volts:
+                    _flag_outside(v, dac.vref_volts, c, s)
+                    dac._quantize(v)
+                else:  # nothing to flag, and the clip is a no-op
+                    dac._round(v)
+                np.copyto(k, v, casting="unsafe")
+                # The codes lie in the table, so "clip" only skips take's buffered check.
+                if table_clips:
+                    c |= np.take(table_clipped, k, out=s, mode="clip")
+                np.take(table, k, out=v, mode="clip")
             clip_count += int(np.count_nonzero(c))
-        _squared_error(v, x[block], out=squared_error[block])
-    error = float(np.mean(squared_error))
+        return np.add.reduce(_squared_error(v, x[start:stop], out=squared_error[:n]))
+
+    error = float(_pairwise_sum(0, len(x), replay_block) / len(x))
     if not math.isfinite(error):  # as any non-finite sample makes it; so can overflow
-        bad = np.flatnonzero(~np.isfinite(x))
-        if bad.size:
-            raise ValueError(
-                f"cannot replay a non-finite sample: index {bad[0]} is {x.flat[bad[0]]}"
-            )
+        _check_finite(x)
     return LoopbackResult(
         expected_trace=trace,
         observed_trace=SignalTrace(observed, trace.rate_hz),
@@ -311,6 +340,53 @@ def replay_capture(
         mse=error,
         clip_count=clip_count,
     )
+
+
+def _capture(
+    v: np.ndarray, mapping: VoltageMapping, adc: AdcModel | None,
+    flags: np.ndarray, scratch: np.ndarray,
+) -> np.ndarray:
+    """The chain after the DAC, in place on volts ``v``.
+
+    Runs the ADC unless it is bypassed, ORing its clips into ``flags``,
+    then maps back to units. :func:`replay_capture` runs it once per DAC
+    code, or on each block when the DAC is bypassed.
+    """
+    if adc is not None:
+        _flag_outside(v, adc.vref_volts, flags, scratch)
+        adc._quantize(v)
+        v *= adc.lsb_volts
+    return mapping._to_units(v, v)
+
+
+def _pairwise_sum(
+    start: int, stop: int, leaf_sum: Callable[[int, int], float]
+) -> float:
+    """``leaf_sum`` over ``[start, stop)``, added in numpy's pairwise order.
+
+    numpy sums a contiguous float64 array along a fixed binary tree: a
+    node of more than 128 values splits at ``n//2 - n//2 % 8``. Splitting
+    the same way down to nodes of at most ``_BLOCK_LEN`` values, and
+    adding the leaves' ``np.add.reduce`` sums up the tree, gives the
+    whole-array ``np.add.reduce`` to the bit. A module-level function:
+    a closure that called itself would be a reference cycle, holding
+    the caller's arrays until the garbage collector runs.
+    """
+    n = stop - start
+    if n <= _BLOCK_LEN:
+        return leaf_sum(start, stop)
+    half = n // 2 - n // 2 % 8
+    return (_pairwise_sum(start, start + half, leaf_sum)
+            + _pairwise_sum(start + half, stop, leaf_sum))
+
+
+def _check_finite(x: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first non-finite sample, if there is one."""
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(
+            f"cannot replay a non-finite sample: index {bad[0]} is {x.flat[bad[0]]}"
+        )
 
 
 def _flag_outside(

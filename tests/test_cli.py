@@ -512,7 +512,7 @@ class TestRun:
         assert out == ""
         assert_one_error_line(err)
 
-    @pytest.mark.parametrize("mode", MODES, ids=["threaded", "deterministic"])
+    @pytest.mark.parametrize("mode", MODES, ids=["paced", "max"])
     def test_processor_failure_exits_nonzero(self, workspace, capsys,
                                              failing_classifier, mode):
         _, data, model = workspace
@@ -523,7 +523,7 @@ class TestRun:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "classifier failed" in err
 
-    @pytest.mark.parametrize("mode", MODES, ids=["threaded", "deterministic"])
+    @pytest.mark.parametrize("mode", MODES, ids=["paced", "max"])
     def test_processor_failure_writes_partial_outputs(self, workspace, tmp_path, capsys,
                                                       failing_classifier, mode):
         _, data, model = workspace
@@ -547,7 +547,7 @@ class TestRun:
         assert_one_error_line(err)
         assert err.startswith("error: run incomplete: ")
 
-    @pytest.mark.parametrize("mode", MODES, ids=["threaded", "deterministic"])
+    @pytest.mark.parametrize("mode", MODES, ids=["paced", "max"])
     def test_source_failure_exits_nonzero_with_cause(self, workspace, capsys,
                                                      monkeypatch, mode):
         _, data, model = workspace

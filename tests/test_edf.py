@@ -140,6 +140,20 @@ class TestCodecsMatchReference:
         with pytest.raises(EdfError, match="outside"):
             to_trace(EdfFileHeader.create(1, 1), sig, codes)
 
+    def test_rounding_matches_sign_abs_floor(self):
+        # A unit scale: each value here lands on the code axis exactly.
+        sig = EdfSignalHeader(physical_min=-100.0, physical_max=100.0,
+                              digital_min=-100, digital_max=100)
+        halves = np.array([0.5, 1.5, 2.5, 50.5, 99.5])
+        values = np.concatenate([halves, halves - 2**-40, halves + 2**-40,
+                                 [0.0, -0.0, 5e-324, 0.25, 0.75, 1e300, math.inf]])
+        values = np.concatenate([values, -values])
+        codes = physical_to_digital(values, sig)
+        assert codes.tobytes() == reference_physical_to_digital(values, sig).tobytes()
+        assert codes[0] == 1 and codes[len(values) // 2] == -1  # half away from zero
+        with pytest.raises(EdfError, match=f"NaN sample at index {len(values)}"):
+            physical_to_digital(np.append(values, math.nan), sig)
+
     @pytest.mark.parametrize("value, index", [(math.nan, 0), ([1.0, -2.0, math.nan], 2)])
     def test_nan_sample_rejected_by_physical_to_digital(self, value, index):
         with pytest.raises(EdfError, match=f"signal 'EEG' has a NaN sample at index {index}"):

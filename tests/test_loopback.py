@@ -1,7 +1,9 @@
 """Converter model transfer functions, Nyquist check, and loopback fidelity."""
 
+import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +60,11 @@ def reference_replay(x, mapping, dac, adc):
 
 # One sample, around one block boundary, and several blocks.
 REPLAY_LENGTHS = [1, 2, _BLOCK_LEN - 1, _BLOCK_LEN, _BLOCK_LEN + 1, 3 * _BLOCK_LEN + 5]
+
+# Around the splits of numpy's pairwise sum: its 8-wide unrolled leaves, its
+# 128-value leaves, one block, a split into two blocks, and a 6400 s recording.
+PAIRWISE_LENGTHS = [1, 7, 8, 9, 127, 128, 129, _BLOCK_LEN - 1, _BLOCK_LEN + 1,
+                    2 * _BLOCK_LEN - 8, 2 * _BLOCK_LEN + 8, 3 * _BLOCK_LEN + 5, 1_638_400]
 
 converters = st.integers(min_value=1, max_value=16), st.floats(min_value=0.1, max_value=10.0)
 
@@ -305,17 +312,33 @@ class TestReplayMatchesReference:
         assert volts.tobytes() == ref_volts.tobytes()
         assert adc_sample(volts, adc).tobytes() == reference_adc_sample(volts, adc).tobytes()
 
+    @pytest.mark.parametrize("n", PAIRWISE_LENGTHS)
+    def test_mse_is_numpy_mean_to_the_bit(self, n):
+        # Clipped samples far past the rails give squared errors over many
+        # magnitudes, so another summation order would likely differ.
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-100.0, 100.0, n) * 10.0 ** rng.uniform(-2, 2, n)
+        mapping, dac, adc = VoltageMapping.centered(-100, 100), DacModel(), AdcModel()
+        result = replay_capture(SignalTrace(x, 256.0), mapping, dac, adc)
+        observed, _, clip_count = reference_replay(x, mapping, dac, adc)
+        assert result.observed_trace.samples.tobytes() == observed.tobytes()
+        assert result.mse == float(np.mean((observed - x) ** 2))
+        assert result.clip_count == clip_count
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("dac, adc", [(DacModel(), AdcModel()), (None, AdcModel()),
                                           (DacModel(), None), (None, None)],
                              ids=["both", "adc", "dac", "bypass"])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf
     def test_non_finite_sample_rejected_by_index(self, bad, dac, adc):
         x = np.linspace(-100.0, 100.0, _BLOCK_LEN + 10)
         x[_BLOCK_LEN + 3] = bad
-        with pytest.raises(ValueError, match=f"index {_BLOCK_LEN + 3} is {bad}"):
-            replay_capture(SignalTrace(x, 256.0), VoltageMapping.centered(-100, 100),
-                           dac, adc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # so a NaN cast to an integer code fails here
+            # The bypass's squared error takes inf - inf before the check names it.
+            warnings.filterwarnings("ignore", "invalid value encountered in subtract")
+            with pytest.raises(ValueError, match=f"index {_BLOCK_LEN + 3} is {bad}"):
+                replay_capture(SignalTrace(x, 256.0), VoltageMapping.centered(-100, 100),
+                               dac, adc)
 
     def test_memory_is_output_squared_errors_and_a_block(self):
         trace = SignalTrace(np.linspace(-100.0, 100.0, 2**20), 256.0)
@@ -328,6 +351,51 @@ class TestReplayMatchesReference:
             tracemalloc.stop()
         assert result.clip_count == 0
         assert peak < 2.5 * trace.samples.nbytes
+
+    def test_memory_is_the_output_and_a_block(self):
+        trace = SignalTrace(np.linspace(-100.0, 100.0, 2**20), 256.0)
+        tracemalloc.start()
+        try:
+            result = replay_capture(trace, VoltageMapping.centered(-100, 100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.n == 2**20
+        assert peak < 1.25 * trace.samples.nbytes
+
+    def test_replay_leaves_no_reference_cycle(self):
+        trace = SignalTrace(np.linspace(-100.0, 100.0, 2**18), 256.0)
+        mapping = VoltageMapping.centered(-100, 100)
+        gc.disable()  # so that only reference counts can free the replay's arrays
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            result = replay_capture(trace, mapping)
+            del result
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held - baseline < 0.05 * trace.samples.nbytes
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_LEN + 1, 3 * _BLOCK_LEN + 5])
+    def test_max_abs_error_is_the_whole_array_max(self, n):
+        x = np.random.default_rng(n).uniform(-150.0, 150.0, n)  # clips at both rails
+        result = replay_capture(SignalTrace(x, 256.0), VoltageMapping.centered(-100, 100))
+        assert result.max_abs_error == float(np.max(np.abs(result.observed_trace.samples - x)))
+
+    def test_max_abs_error_holds_a_block(self):
+        trace = SignalTrace(np.linspace(-100.0, 100.0, 2**20), 256.0)
+        mapping = VoltageMapping.centered(-100, 100)
+        result = replay_capture(trace, mapping)
+        tracemalloc.start()
+        try:
+            error = result.max_abs_error
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < error <= quantization_error_bound(mapping, DacModel(), AdcModel())
+        assert peak < trace.samples.nbytes
 
 
 class TestVoltageMapping:
