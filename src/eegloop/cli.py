@@ -229,7 +229,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         "error_bound": (
             0.0 if args.bypass else loopback.quantization_error_bound(mapping, dac, adc)
         ),
-        "signal_variance": float(np.var(trace.samples)),
+        "signal_variance": loopback.variance(trace.samples),
         "hardware_reference_mse": loopback.HARDWARE_LOOPBACK_REFERENCE_MSE,
     }
     if args.out:
@@ -260,16 +260,22 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ValueError(f"input holds {samples.size} samples, fewer than one "
                          f"{args.epoch_length_s} s epoch of {per_epoch}")
     source = pipeline.assemble(samples, args.epoch_length_s, rate_hz)
-    with contextlib.ExitStack() as outputs:
-        # A bad output path fails here, before any work; both files are
-        # written when the run ends.
-        log_fh, timing_fh = (outputs.enter_context(open(path, "w", newline=""))
-                             if path else None for path in (args.log_file, args.timing))
+    with contextlib.ExitStack() as unstarted, contextlib.ExitStack() as outputs:
+        # A bad output path fails here, before any work, and a failure before
+        # epoch 0 removes the files opened; both are written when the run ends.
+        def open_output(path: str) -> typing.TextIO:
+            fh = outputs.enter_context(open(path, "w", newline=""))
+            if os.path.isfile(path):  # not a device such as /dev/null
+                unstarted.callback(Path(path).unlink, missing_ok=True)
+            return fh
+        log_fh, timing_fh = (open_output(path) if path else None
+                             for path in (args.log_file, args.timing))
         # One silent epoch imports scipy and designs the filter and the Welch
         # window for this rate before the clock starts, so epoch 0 is timed
         # like the rest and a band that does not fit the rate fails here.
         silence = np.zeros(per_epoch)
         features.featurize(pipeline.Epoch(silence, 0, args.epoch_length_s, rate_hz))
+        unstarted.pop_all()
         clock = loopback.SampleClock(rate_hz=rate_hz, acceleration=args.acceleration)
         entries, report = pipeline.run_live(source, _make_processor(model),
                                             clock=clock, queue=queue)

@@ -15,8 +15,8 @@ proves that its search could only have found no valid split, so this
 changes no model either. There is no subsampling, binning, or
 threading, so a fixed dataset and config always produce the same model,
 and the JSON model format round trips bit-exactly across machines.
-Prediction sums leaf weights in fixed round-major order and scales them
-by the learning rate.
+Trees are flat node lists, as in XGBoost's JSON model, and leaf values
+include the learning rate: prediction adds one per tree, round-major.
 
 Desk-scale by design: exact splits over a few thousand epochs train in
 seconds, and single-vector inference stays well under a millisecond.
@@ -35,7 +35,8 @@ from .classes import CLASS_NAMES, class_index
 from .features import (FEATURE_NAMES, SCHEMA_ID, FeatureVector, schema_descriptor,
                        schema_id)
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
 
 _MIN_SPLIT_GAIN = 1e-12
 _MIN_HESSIAN = 1e-16
@@ -74,18 +75,19 @@ class TrainConfig:
 
 @dataclass
 class GbtModel:
-    """A trained forest: ``trees[round][class_index]`` roots plus scaling.
+    """A trained forest: ``trees[round][class_index]``, one flat tree each.
 
-    A tree is the node object of the model file: a leaf is
-    ``{"weight": w}`` and a split is ``{"feature_index", "threshold",
-    "left", "right"}``, where ``feature_index < threshold`` goes left.
+    A tree is the model file's object of equal-length ``_TREE_FIELDS``
+    lists; entry ``i`` is node ``i``, node 0 is the root, and children
+    follow their parent. Split ``i`` sends ``values[feature[i]] <
+    threshold[i]`` to ``left[i]``, else to ``right[i]``. A leaf has ``-1``
+    for ``feature``, ``left`` and ``right``, and its weight times the
+    learning rate as its value; unused thresholds and values are ``0.0``.
     A model reads vectors of this build's feature schema: ``train`` makes
     one from them, and ``load_model`` refuses a file of any other schema.
     """
 
     trees: list[list[dict]]
-    base_score: float
-    learning_rate: float
     training_loss: list[float] = field(default_factory=list, compare=False)
 
 
@@ -118,8 +120,10 @@ def _build_tree(
     ``j`` and column ``k`` splits after sorted value ``k``. Splits between
     equal values, with a side lighter than ``min_child_weight``, or with a
     side whose ``H + l2_lambda`` is not positive score ``-inf``. Ties go to
-    the lowest threshold, then the lowest feature index. ``leaf_values``
-    receives each sample's leaf weight.
+    the lowest threshold, then the lowest feature index. Returns the flat
+    tree of :class:`GbtModel`, each node appended before its children; a
+    leaf's value is ``learning_rate * -G / (H + lambda)``, and
+    ``leaf_values`` receives each sample's leaf value.
 
     Only a node that can split is searched or gets its rows partitioned:
     one below ``max_depth``, with at least 2 samples, and not lighter than
@@ -137,6 +141,7 @@ def _build_tree(
     lam = config.l2_lambda
     features = np.arange(X.shape[1])[:, None]
     min_split_weight = 2 * config.min_child_weight * (1 - 1e-9)
+    nodes: list[list] = []  # one row of _TREE_FIELDS per node
 
     def can_split(size: int, H: float, depth: int) -> bool:
         return depth < config.max_depth and size >= 2 and not H < min_split_weight
@@ -144,27 +149,25 @@ def _build_tree(
     # ``idx`` is the node's samples in ascending order, and G and H are
     # summed over it. ``rows()`` returns its rows of the presorted lists;
     # only a node that can split asks for them.
-    def build(idx: np.ndarray, rows: Callable[[], np.ndarray], depth: int) -> dict:
+    def build(idx: np.ndarray, rows: Callable[[], np.ndarray], depth: int) -> None:
         G = float(g[idx].sum())
         H = float(h[idx].sum())
-        if not can_split(idx.size, H, depth):
-            return make_leaf(idx, G, H)
-        order = rows()
-        split = best_split(order, G, H)
+        order = rows() if can_split(idx.size, H, depth) else None
+        split = None if order is None else best_split(order, G, H)
         if split is None:
-            return make_leaf(idx, G, H)
+            value = config.learning_rate * (-G / (H + lam) if idx.size else -0.0)
+            leaf_values[idx] = value
+            nodes.append([-1, 0.0, -1, -1, value])
+            return
         feature, threshold = split
+        node = [feature, threshold, len(nodes) + 1, -1, 0.0]
+        nodes.append(node)
         goes_left = X[:, feature] < threshold
         shape = len(order), -1
         # Boolean indexing keeps each row's order.
-        return {
-            "feature_index": feature,
-            "threshold": threshold,
-            "left": build(idx[goes_left[idx]],
-                          lambda: order[goes_left[order]].reshape(shape), depth + 1),
-            "right": build(idx[~goes_left[idx]],
-                           lambda: order[~goes_left[order]].reshape(shape), depth + 1),
-        }
+        build(idx[goes_left[idx]], lambda: order[goes_left[order]].reshape(shape), depth + 1)
+        node[3] = len(nodes)
+        build(idx[~goes_left[idx]], lambda: order[~goes_left[order]].reshape(shape), depth + 1)
 
     # Its own frame, so that the gain table is freed before the recursion.
     def best_split(order: np.ndarray, G: float, H: float) -> tuple[int, float] | None:
@@ -185,12 +188,8 @@ def _build_tree(
         k = int(np.argmax(gains[feature]))
         return feature, float((xs[feature, k] + xs[feature, k + 1]) / 2)
 
-    def make_leaf(idx: np.ndarray, G: float, H: float) -> dict:
-        weight = -G / (H + lam) if idx.size else -0.0
-        leaf_values[idx] = weight
-        return {"weight": float(weight)}
-
-    return build(np.arange(X.shape[0]), lambda: order, 0)
+    build(np.arange(X.shape[0]), lambda: order, 0)
+    return {name: list(column) for name, column in zip(_TREE_FIELDS, zip(*nodes))}
 
 
 def train(
@@ -230,33 +229,31 @@ def train(
             h = np.maximum(p[:, c] * (1 - p[:, c]), _MIN_HESSIAN)
             leaf_values = np.zeros(n)
             round_trees.append(_build_tree(X, order, g, h, config, leaf_values))
-            margins[:, c] += config.learning_rate * leaf_values
+            margins[:, c] += leaf_values
         forest.append(round_trees)
         loss_history.append(logloss())
 
-    return GbtModel(
-        trees=forest,
-        base_score=0.0,
-        learning_rate=config.learning_rate,
-        training_loss=loss_history,
-    )
+    return GbtModel(trees=forest, training_loss=loss_history)
 
 
-def _route(node: dict, values: np.ndarray) -> float:
-    while "weight" not in node:
-        goes_left = values[node["feature_index"]] < node["threshold"]
-        node = node["left"] if goes_left else node["right"]
-    return node["weight"]
+def _route(tree: dict, values: list[float]) -> float:
+    """The value of the leaf that ``values`` reaches in a flat ``tree``."""
+    feature, threshold, left, right = (tree["feature"], tree["threshold"],
+                                       tree["left"], tree["right"])
+    i = 0
+    while left[i] >= 0:
+        i = left[i] if values[feature[i]] < threshold[i] else right[i]
+    return tree["value"][i]
 
 
 def predict_margins(model: GbtModel, fv: FeatureVector) -> np.ndarray:
-    """Per-class margin scores, summed in fixed round-major order."""
-    values = fv.values
-    margins = np.full(len(CLASS_NAMES), model.base_score)
+    """Per-class margin scores: leaf values added to zero in fixed round-major order."""
+    values = fv.values.tolist()
+    margins = [0.0] * len(CLASS_NAMES)
     for round_trees in model.trees:
         for c, tree in enumerate(round_trees):
-            margins[c] += model.learning_rate * _route(tree, values)
-    return margins
+            margins[c] += _route(tree, values)
+    return np.array(margins)
 
 
 def predict_class(model: GbtModel, fv: FeatureVector) -> tuple[str, np.ndarray]:
@@ -270,38 +267,27 @@ def predict_labels(model: GbtModel, fvs: list[FeatureVector]) -> list[str]:
     return [predict_class(model, fv)[0] for fv in fvs]
 
 
-def _finite(value, what: str) -> float:
-    """``value`` as a float, or ``ModelFormatError`` unless it is a finite number."""
-    try:
-        if not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except (TypeError, OverflowError):  # not a number, or an int past float range
-        pass
-    raise ModelFormatError(f"{what} must be a finite number, got {value!r}")
-
-
-def _node_from_dict(doc: dict) -> dict:
-    # A checked, fresh copy of the node. Older files also carry an unused
-    # "default_left" on each split; the copy drops it.
-    if not isinstance(doc, dict):
-        raise ModelFormatError("tree node must be an object")
-    if "weight" in doc:
-        return {"weight": _finite(doc["weight"], "leaf weight")}
-    try:
-        feature_index = doc["feature_index"]
-        threshold = doc["threshold"]
-        left = doc["left"]
-        right = doc["right"]
-    except KeyError as exc:
-        raise ModelFormatError(f"tree node missing field {exc}") from None
-    if type(feature_index) is not int or not 0 <= feature_index < len(FEATURE_NAMES):
-        raise ModelFormatError(f"feature_index {feature_index!r} out of range")
-    return {
-        "feature_index": feature_index,
-        "threshold": _finite(threshold, "threshold"),
-        "left": _node_from_dict(left),
-        "right": _node_from_dict(right),
-    }
+def _check_tree(tree) -> None:
+    """Raise ``ModelFormatError`` unless ``tree`` has the layout of :class:`GbtModel`."""
+    if not isinstance(tree, dict) or tree.keys() != set(_TREE_FIELDS):
+        raise ModelFormatError(f"a tree must be an object of the lists {_TREE_FIELDS}")
+    columns = [tree[name] for name in _TREE_FIELDS]
+    n = len(columns[0]) if isinstance(columns[0], list) else -1
+    if n < 1 or not all(isinstance(c, list) and len(c) == n for c in columns):
+        raise ModelFormatError("a tree's lists must be non-empty and of equal length")
+    for i, node in enumerate(zip(*columns)):
+        feature, threshold, left, right, value = node
+        if not (type(feature) is type(left) is type(right) is int
+                and type(threshold) is type(value) is float
+                and math.isfinite(threshold) and math.isfinite(value)):
+            raise ModelFormatError(f"node {i}: feature, left and right must be integers "
+                                   f"and threshold and value finite floats, got {node}")
+        if feature == left == right == -1:
+            continue  # a leaf
+        if not 0 <= feature < len(FEATURE_NAMES):
+            raise ModelFormatError(f"node {i} feature {feature} out of range")
+        if not (i < left < n and i < right < n):
+            raise ModelFormatError(f"node {i} children {left}, {right} must lie in ({i}, {n})")
 
 
 def save_model(model: GbtModel) -> bytes:
@@ -313,8 +299,6 @@ def save_model(model: GbtModel) -> bytes:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "classes": list(CLASS_NAMES),
-        "base_score": float(model.base_score),
-        "learning_rate": float(model.learning_rate),
         "feature_schema": schema_descriptor(),
         "trees": model.trees,
     }
@@ -325,9 +309,10 @@ def load_model(data: bytes) -> GbtModel:
     """Parse and validate model bytes; predictions match the saved model exactly.
 
     Any malformed input raises ``ModelFormatError``, a ``feature_schema``
-    whose ``schema_id`` is not the hash of its other fields included. A
-    well-formed file whose schema is not this build's ``SCHEMA_ID``
-    raises ``SchemaMismatchError``, a ``ModelFormatError`` too.
+    whose ``schema_id`` is not the hash of its other fields included, and
+    so does a format 1 file, by name. A well-formed file whose schema is
+    not this build's ``SCHEMA_ID`` raises ``SchemaMismatchError``, a
+    ``ModelFormatError`` too. ``trees`` is the file's parsed object.
     """
     try:
         doc = json.loads(data)
@@ -337,13 +322,15 @@ def load_model(data: bytes) -> GbtModel:
         raise ModelFormatError("model file must hold a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
+        why = ("no longer read: retrain the model to write" if version == 1
+               else "not supported: this build reads")
         raise ModelFormatError(
-            f"unsupported model format_version {version!r} "
-            f"(expected {MODEL_FORMAT_VERSION})"
-        )
-    for key in ("classes", "base_score", "learning_rate", "feature_schema", "trees"):
-        if key not in doc:
-            raise ModelFormatError(f"model file missing field {key!r}")
+            f"model format_version {version!r} is {why} format_version {MODEL_FORMAT_VERSION}")
+    fields = {"format_version", "classes", "feature_schema", "trees"}
+    if missing := sorted(fields - doc.keys()):
+        raise ModelFormatError(f"model file missing field {missing[0]!r}")
+    if unknown := sorted(doc.keys() - fields):
+        raise ModelFormatError(f"model file has unknown field {unknown[0]!r}")
     schema = doc["feature_schema"]
     if not isinstance(schema, dict):
         raise ModelFormatError("feature_schema must be an object")
@@ -361,19 +348,12 @@ def load_model(data: bytes) -> GbtModel:
         )
     if doc["classes"] != list(CLASS_NAMES):
         raise ModelFormatError(f"classes must be {list(CLASS_NAMES)}")
-    trees_doc = doc["trees"]
-    if not isinstance(trees_doc, list):
+    trees = doc["trees"]
+    if not isinstance(trees, list):
         raise ModelFormatError("trees must be a list of rounds")
-    forest = []
-    for round_trees in trees_doc:
+    for round_trees in trees:
         if not isinstance(round_trees, list) or len(round_trees) != len(CLASS_NAMES):
             raise ModelFormatError("each round must hold one tree per class")
-        try:
-            forest.append([_node_from_dict(t) for t in round_trees])
-        except RecursionError:  # Python 3.12+ parses JSON deeper than it recurses
-            raise ModelFormatError("a tree nests too deeply") from None
-    return GbtModel(
-        trees=forest,
-        base_score=_finite(doc["base_score"], "base_score"),
-        learning_rate=_finite(doc["learning_rate"], "learning_rate"),
-    )
+        for tree in round_trees:
+            _check_tree(tree)
+    return GbtModel(trees=trees)

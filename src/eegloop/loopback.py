@@ -359,6 +359,18 @@ def _capture(
     return mapping._to_units(v, v)
 
 
+def variance(x: np.ndarray) -> float:
+    """``np.var(x)`` to the bit, squaring the deviations one block at a time."""
+    mean = np.add.reduce(x) / len(x)
+    scratch = np.empty(x[:_BLOCK_LEN].shape)
+
+    def leaf_sum(start: int, stop: int) -> float:
+        d = np.subtract(x[start:stop], mean, out=scratch[: stop - start])
+        return np.add.reduce(np.multiply(d, d, out=d))
+
+    return float(_pairwise_sum(0, len(x), leaf_sum) / len(x))
+
+
 def _pairwise_sum(
     start: int, stop: int, leaf_sum: Callable[[int, int], float]
 ) -> float:

@@ -309,13 +309,15 @@ class TestCriterion7:
             brute_ok &= rep.recall[c] == tp / (tp + fn)
         checks["metrics_brute_force"] = brute_ok
 
-        # leaf weight formula -G/(H + lambda) on hand-built gradients
+        # leaf weight formula -G/(H + lambda) on hand-built gradients; each
+        # single-leaf tree's value is that weight times the learning rate
         flat = [FeatureVector(np.zeros(21)) for _ in range(4)]
         labels = [CLASS_NAMES[0], CLASS_NAMES[1], CLASS_NAMES[0], CLASS_NAMES[0]]
-        stump_model = train(list(zip(flat, labels)), TrainConfig(rounds=1, l2_lambda=1.0))
-        weights = [t["weight"] for t in stump_model.trees[0]]
+        config = TrainConfig(rounds=1, l2_lambda=1.0)
+        stump_model = train(list(zip(flat, labels)), config)
+        weights = [t["value"] for t in stump_model.trees[0]]
         checks["leaf_weight_formula"] = weights == [
-            2.0 / 1.75, 0.0, -1.0 / 1.75, -1.0 / 1.75
+            [config.learning_rate * w] for w in [2.0 / 1.75, 0.0, -1.0 / 1.75, -1.0 / 1.75]
         ]
 
         # save/load prediction equivalence on 1000 random vectors

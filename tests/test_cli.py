@@ -89,8 +89,8 @@ def tampered_model(model, tmp_path):
     def edit(doc):
         doc["feature_schema"]["features"] += [f"extra_{i}" for i in range(5)]
         root = doc["trees"][0][0]
-        assert "feature_index" in root
-        root["feature_index"] = 25
+        assert root["left"][0] == 1
+        root["feature"][0] = 25
 
     return edited_model(model, tmp_path, edit)
 
@@ -264,11 +264,12 @@ class TestTrain:
         assert len(gbt.load_model(model.read_bytes()).trees) == 30
 
     def test_default_model_bytes_match_the_pin(self, seed7_data, tmp_path):
-        # Written by the per-node sort that the presorted split search replaced.
+        # The format 1 model of the per-node sort that the presorted split
+        # search replaced, converted to format 2 apart from the trainer.
         model = tmp_path / "m.json"
         assert main(["train", "--data", str(seed7_data), "--out", str(model)]) == 0
         assert sha256(model) == (
-            "0b4abf11cf10803941b9cdf6db11c2e2f70f639f1f66b6eca55ccde2de222a09")
+            "173c8a5352758833777c036f932e3bf0d30b300c73b68e2d49b7a3b9ed61f51d")
 
     def test_no_l2_penalty_trains_without_dividing_by_zero(self, seed7_data, tmp_path,
                                                            capsys):
@@ -281,7 +282,7 @@ class TestTrain:
                      "--min-child-weight", "0"]) == 0
         assert "warning:" not in capsys.readouterr().err
         assert sha256(model) == (
-            "35c1e0888150d4f1840c68048c12db0d9d118db3d5b220fd2ed4a1fb32dbe5e5")
+            "8b55a1d5b2932fb8716c2d824bbec2b09c2afc99daff57eca0bc2bbb35768e89")
 
     def test_training_log_loss_is_non_increasing(self, workspace, tmp_path):
         _, data, _ = workspace
@@ -708,6 +709,30 @@ class TestRun:
         assert_one_error_line(err)
         assert "band [0.5, 60.0] Hz invalid for 100.0 Hz sampling" in err
 
+    def test_outputs_of_a_run_that_fails_in_the_warm_up_are_removed(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        import io
+
+        _, _, model = workspace
+        monkeypatch.setattr("sys.stdin", io.StringIO("0.0\n" * 1200))
+        outputs = [tmp_path / "log.jsonl", tmp_path / "timing.csv"]
+        assert main(["run", "--input", "-", "--model", str(model), "--epoch-length", "4",
+                     "--rate", "100", "--acceleration", "max", "--log", str(outputs[0]),
+                     "--timing", str(outputs[1])]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+        assert not any(path.exists() for path in outputs)
+
+    def test_output_opened_before_a_bad_path_is_removed(self, workspace, tmp_path,
+                                                        capsys):
+        _, data, model = workspace
+        log_path = tmp_path / "ok.jsonl"
+        assert main(["run", "--input", str(data / "sham_wake.edf"), "--model",
+                     str(model), "--epoch-length", "4", "--acceleration", "max",
+                     "--log", str(log_path),
+                     "--timing", str(tmp_path / "missing" / "t.csv")]) == 2
+        assert "No such file" in capsys.readouterr().err
+        assert not log_path.exists()
+
     def test_first_epoch_is_timed_like_the_rest(self, workspace, tmp_path):
         # A fresh interpreter, since this one has imported scipy already:
         # the import and the filter design come before the clock starts.
@@ -828,13 +853,16 @@ def test_model_of_another_schema_fails_before_any_work(workspace, tmp_path, caps
 
 @pytest.mark.parametrize(
     "flags, cause",
-    [(["--model", "bad.json"], "missing field"), (["--folds", "1"], "folds")],
-    ids=["malformed_model", "folds"],
+    [(["--model", "bad.json"], "missing field"),
+     (["--model", "v1.json"], "format_version 1 is no longer read: retrain"),
+     (["--folds", "1"], "folds")],
+    ids=["malformed_model", "format_1_model", "folds"],
 )
 def test_evaluate_fails_before_featurizing(workspace, tmp_path, capsys, monkeypatch,
                                            flags, cause):
     _, data, _ = workspace
-    (tmp_path / "bad.json").write_text('{"format_version": 1}')
+    (tmp_path / "bad.json").write_text('{"format_version": 2}')
+    (tmp_path / "v1.json").write_text('{"format_version": 1, "base_score": 0.0}')
     monkeypatch.chdir(tmp_path)
     featurized = []
     monkeypatch.setattr(features, "featurize", featurized.append)

@@ -49,38 +49,34 @@ def quadrant_dataset(per_class=20, seed=0, spread=0.45):
     return dataset
 
 
-def hand_model(leaf_weights, learning_rate=1.0):
+def hand_model(leaf_values):
     """One depth-1 tree per class splitting feature 0 at 0.5."""
     trees = [
         [
-            {
-                "feature_index": 0,
-                "threshold": 0.5,
-                "left": {"weight": float(left)},
-                "right": {"weight": float(right)},
-            }
-            for left, right in leaf_weights
+            {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+             "right": [2, -1, -1], "value": [0.0, float(left), float(right)]}
+            for left, right in leaf_values
         ]
     ]
-    return GbtModel(
-        trees=trees,
-        base_score=0.0,
-        learning_rate=learning_rate,
-    )
+    return GbtModel(trees=trees)
+
+
+def root_is_leaf(tree):
+    return tree["left"][0] == -1
 
 
 class TestPrediction:
     def test_empty_forest_returns_base_score_everywhere(self):
-        model = GbtModel(trees=[], base_score=0.25, learning_rate=0.3)
+        # The base score, every margin's starting value, is zero.
+        model = GbtModel(trees=[])
         margins = predict_margins(model, fv(1.0))
-        np.testing.assert_array_equal(margins, np.full(4, 0.25))
+        np.testing.assert_array_equal(margins, np.zeros(4))
         label, probs = predict_class(model, fv(1.0))
         assert label == CLASS_NAMES[0]  # tie breaks to the lowest index
         np.testing.assert_allclose(probs, 0.25, atol=1e-15)
 
     def test_hand_traced_routing(self):
-        model = hand_model([(1.0, -1.0), (2.0, 0.5), (-3.0, 3.0), (0.0, 0.25)],
-                           learning_rate=0.5)
+        model = hand_model([(0.5, -0.5), (1.0, 0.25), (-1.5, 1.5), (0.0, 0.125)])
         low = predict_margins(model, fv(0.2))   # routes left everywhere
         high = predict_margins(model, fv(0.9))  # routes right everywhere
         np.testing.assert_allclose(low, [0.5, 1.0, -1.5, 0.0])
@@ -103,7 +99,7 @@ class TestPrediction:
         assert predict_class(model, fv(0.0))[0] == CLASS_NAMES[1]
 
     def test_softmax_of_zeros_is_uniform_and_normalized(self):
-        model = GbtModel(trees=[], base_score=0.0, learning_rate=0.3)
+        model = GbtModel(trees=[])
         _, probs = predict_class(model, fv(0.0))
         np.testing.assert_array_equal(probs, np.full(4, 0.25))
         assert abs(probs.sum() - 1.0) < 1e-12
@@ -141,6 +137,7 @@ class TestTraining:
         #   class 0: G = -2.0,  H = 0.75, w = -G/(H + 1) =  2.0/1.75
         #   class 1: G =  0.0,           w =  0.0
         #   class 2+3: G = 1.0,          w = -1.0/1.75
+        # and each leaf's value is w times the learning rate, 0.3.
         dataset = [
             (fv(1.0), CLASS_NAMES[0]),
             (fv(1.0), CLASS_NAMES[1]),
@@ -148,12 +145,12 @@ class TestTraining:
             (fv(1.0), CLASS_NAMES[0]),
         ]
         model = train(dataset, TrainConfig(rounds=1, l2_lambda=1.0))
-        leaves = [tree["weight"] for tree in model.trees[0]]
-        assert all("weight" in tree for tree in model.trees[0])
-        assert leaves[0] == 2.0 / 1.75
+        assert all(len(tree["value"]) == 1 and root_is_leaf(tree) for tree in model.trees[0])
+        leaves = [tree["value"][0] for tree in model.trees[0]]
+        assert leaves[0] == 0.3 * (2.0 / 1.75)
         assert leaves[1] == 0.0
-        assert leaves[2] == -1.0 / 1.75
-        assert leaves[3] == -1.0 / 1.75
+        assert leaves[2] == 0.3 * (-1.0 / 1.75)
+        assert leaves[3] == 0.3 * (-1.0 / 1.75)
 
     def test_training_loss_is_monotone_non_increasing(self):
         model = train(quadrant_dataset(per_class=30, spread=0.95),
@@ -186,7 +183,7 @@ class TestTraining:
             (fv(3.0), CLASS_NAMES[3]),
         ]
         model = train(dataset, TrainConfig(rounds=1, min_child_weight=10.0))
-        assert all("weight" in tree for tree in model.trees[0])
+        assert all(root_is_leaf(tree) for tree in model.trees[0])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -197,10 +194,12 @@ class TestTraining:
             TrainConfig(max_depth=0)
 
     def test_max_depth_respected(self):
-        def depth(node):
-            if "weight" in node:
-                return 0
-            return 1 + max(depth(node["left"]), depth(node["right"]))
+        def depth(tree):
+            depths = [0] * len(tree["value"])
+            for i, (left, right) in enumerate(zip(tree["left"], tree["right"])):
+                if left >= 0:
+                    depths[left] = depths[right] = depths[i] + 1
+            return max(depths)
 
         model = train(quadrant_dataset(per_class=40, spread=0.95),
                       TrainConfig(rounds=3, max_depth=2))
@@ -214,7 +213,8 @@ class TestSplitSearch:
 
     @staticmethod
     def roots(model):
-        return [(t["feature_index"], t["threshold"]) for t in model.trees[0] if "left" in t]
+        return [(t["feature"][0], t["threshold"][0])
+                for t in model.trees[0] if not root_is_leaf(t)]
 
     def test_duplicate_features_split_on_the_lower_index(self):
         dataset = [(fv(0.0, f2=f.values[0], f5=f.values[0]), label)
@@ -245,9 +245,10 @@ class TestSplitSearch:
         dataset = [(fv(1.0), a), (fv(np.nextafter(1.0, 2.0)), b)]
         for config in (self.NO_PENALTY, TrainConfig(rounds=1, min_child_weight=0.0)):
             tree = train(dataset, config).trees[0][0]
-            assert tree["threshold"] == 1.0
-            assert math.copysign(1.0, tree["left"]["weight"]) == -1.0
-            assert tree["left"]["weight"] == 0.0
+            assert tree["threshold"][0] == 1.0
+            left = tree["value"][tree["left"][0]]
+            assert math.copysign(1.0, left) == -1.0
+            assert left == 0.0
 
     def test_node_of_exactly_twice_min_child_weight_splits(self):
         # The root weighs 4 * 0.1875 = 0.75 = 2 * min_child_weight, so the
@@ -294,45 +295,47 @@ PINNED_CONFIGS = [
     TrainConfig(rounds=60, learning_rate=1.0, max_depth=2, l2_lambda=0.1),
 ]
 
-# sha256 of ``save_model`` bytes per (dataset, PINNED_CONFIGS index),
-# written by the per-feature split search that the gain table replaced.
+# sha256 of ``save_model`` bytes per (dataset, PINNED_CONFIGS index). Each
+# is the format 1 model of the per-feature split search that the gain
+# table replaced, converted to format 2 apart from the trainer: its nested
+# nodes listed in pre-order, leaves as -1 with weight times learning rate.
 PINNED_MODEL_DIGESTS = {
-    ("synth_seed7_16s", 0): "6d12b648485618eda4ce8cc65a9f0e43698eef3f9bfe578963c441b1b7698856",
-    ("synth_seed7_16s", 1): "6e97cad2b5ec56164b423103bc67a0891d88d157229003025adcb7c9cda4bf32",
-    ("synth_seed7_16s", 2): "0eb5ac0719558b3956c43fab9cf112771a23eada25fd1aabcb2916ea04eace50",
-    ("synth_seed7_16s", 3): "b0a992bc032c7f0fed426b0ee43d8efc3150ab3a60e3c788825c2d7da56b16b3",
-    ("synth_seed7_16s", 4): "7a70c1c4e95dca403b3ae52ffb2ecf17abb778d6dd6bfaefd2aac6e4460f2d7d",
-    ("synth_seed7_16s", 5): "c823de41f711cb28af47d0fbcaaeac29e038c5473f6eb23a78a3fcdcac18cfc0",
-    ("synth_seed1_4s", 0): "4c5dd119f3a27ee7abecf3a48645f2a58b0adcfe9fe20cf2f629647e16a0317e",
-    ("synth_seed1_4s", 1): "3058a1a73553a254ba033156775bd2a1595729b8258fe42e208b3abb9f53ad0d",
-    ("synth_seed1_4s", 2): "0238e01476434cfa110a1a193ea74c17e1ea01fce2494c0542990c1a58d810c0",
-    ("synth_seed1_4s", 5): "6ca8598cf81d38fdc0dbf7c55a5d3e4c49111d0b8a1805fd2dedd7d685826372",
-    ("synth_seed3_32s", 0): "2071ab982a64736152fbd03afc2ceb99ee4c6d418e34ce049732e158cfe992f3",
-    ("synth_seed3_32s", 1): "b48dad44418a50bb20358ba38ea07f3865393cb15eee682c14e092456fcf1704",
-    ("synth_seed3_32s", 2): "348b4e1ef3458710b959a22eeb28110ce8c6468458928da5cc15eef328efd8e8",
-    ("synth_seed3_32s", 3): "f6e14825b6fc88fe496e34e6748abb9428b23e20e827f1c01730e45ba9bbd201",
-    ("synth_seed3_32s", 4): "03d7965697163ac09f2600a87250fb1ce72669eb9b31e40ef0f7fa4c805fee4a",
-    ("synth_seed3_32s", 5): "6d83aa4538bd1ca4fe3f626fd5553a0302373c67af947aac747c972657b8383f",
-    ("quantised", 0): "0e969559b32a62706cd48a2d460e827f0383f27196a4f352f77b8f1e9c3b7809",
-    ("quantised", 1): "b0341150e90ae0ee85e3d1c69612a150447aaf0a68f820f0bbbc5ca42b1922d9",
-    ("quantised", 2): "8fd7ba24ae41c1c5fdcb7723afa764f96af3fd9d57973f1d16b3f0fb79a6ea30",
-    ("quantised", 3): "9900c0b3d2746cad1baf9811085111d1c7827004fc9a782fc9aed1a88684f22f",
-    ("quantised", 4): "cd7739a62f830010a5dc55232ce1ee8ac152c41435f2833134a3575e4030c122",
-    ("quantised", 5): "6c808f8c8c2b1a04ec25dfea78ce9933631bbd089de5326c84215ed64bbebd51",
-    ("separable", 0): "f324debe4bbd5e5b28890f081d37e1e0e0a7ba8d3393aa457d6d671774d828d4",
-    ("separable", 1): "3f0b1cca1d2c8aa8c087a46388d22a8b6fb2013b7e20a3bc2c68e8cf048a96c6",
-    ("separable", 2): "16459d4062e7cd2c4e6f71682bc28abf145123940ef2fa9c09a76bb9789b4d6c",
-    ("separable", 3): "70904a1bc4c922b0f40b8ac61bd5469e10e5a72593a2288e40a0b20fdf09fbff",
-    ("separable", 4): "5bd9d7101e291f5096d7676cc7ced3084933076b722479b979f6f539a368caa5",
-    ("separable", 5): "136b34d48f80161546c28c9f0310234d62fa4a00fd95395ce91c91db4c697cc2",
+    ("synth_seed7_16s", 0): "d7d22e39ad2d83e537ba117abf536893165bb1f7ef3104ce17b21f1c3b38b111",
+    ("synth_seed7_16s", 1): "9d84bcd2aa699fd9feeb032789543e0140c5cb2e4923166affc3846ec28654d5",
+    ("synth_seed7_16s", 2): "d2488b2b38bef0adb41cbda3b8620b7ac3fafeb1bfda283ca56a7de590ce8333",
+    ("synth_seed7_16s", 3): "a8a675f512a40c3ded579dc9ac494b15b93ecccca38f8b60d1a8a36755b5047a",
+    ("synth_seed7_16s", 4): "a7216b475424c86c4f7c60663dcb1b05923631a5d1d8e876af0b9b10507633e7",
+    ("synth_seed7_16s", 5): "4df0beff063d7ba9b2566934e6b289e82d2e9ec9fa89709e5d0ae6919118bc94",
+    ("synth_seed1_4s", 0): "32b455753f9f476208b388dc5fb081887732969e615a6374c7cffba342ec03d5",
+    ("synth_seed1_4s", 1): "f7e4c8376128ea4650b2b2249b5b7fdfcc77f6ef295daca72e23dfa3e26f048f",
+    ("synth_seed1_4s", 2): "affbc2e750f9e185ab99b5afd95d36a2cf58b970e4ae28a43747de3f6ce42ca0",
+    ("synth_seed1_4s", 5): "9d7e36147a41490e4434093b8419ebb6387c4f7e3373127b3e7d9418e3779a45",
+    ("synth_seed3_32s", 0): "72997aeb650877d833c8406bdda806bc13ed6e51b9eebd981340e5319f59fef4",
+    ("synth_seed3_32s", 1): "9dcac83ff18c4a3c502734d1f6a0cd4d975c8ee4616a8bcacc9eb22a7524f87b",
+    ("synth_seed3_32s", 2): "74cbe28276b4bd93914271413818fcf82d6a838f537f26e35c951c89d46bc2f1",
+    ("synth_seed3_32s", 3): "381f1f5bd5fed480b20a24e4bd1487ecb3ae1e80581a599702d4ff2cbecd5ea5",
+    ("synth_seed3_32s", 4): "506d345d4c40b953a16cd0824ac385b766e43f47cceb589b6d62a6b9cd738a3b",
+    ("synth_seed3_32s", 5): "c6cfb0467946c64600263c784354379ad4f77dfa4093be7dfcb16b2fb36b09ad",
+    ("quantised", 0): "3c367c0c9b2477de03059a901ec8d12420d7c7c97ab05a0fdefa0e0f86d03be2",
+    ("quantised", 1): "c54d66dce56c5a34ccf0abb4a8e59065bd276d9d2e6320a35204eb1a55dd9996",
+    ("quantised", 2): "778e0d7e320268e47de951dda8248ecca85137730e668f7c606ed1f05c0ec2f0",
+    ("quantised", 3): "154307fe27b287aed3248f318b89d52548d89f939066f34e15adb763c8a56ae2",
+    ("quantised", 4): "0537ccbe71d95623cab96c4b9337fcdbc4042f2904a37f26d7f834a2a66f263c",
+    ("quantised", 5): "90a02f51a405b98e364db4e5b2982ae45dbd643e87bc8acfee1d4659a669c09d",
+    ("separable", 0): "07c968cfa6d1244e1ef298313d5140ae92f7ddcafb4c950a9ffe1d1ae96a838c",
+    ("separable", 1): "6c57d1b80b2a59d6a07ba757eb36022c1ddb8e060aaef08e37fd9037cdfd3c6c",
+    ("separable", 2): "b5c2483a1ad05719f98c5190c718e14ad0176cf1bbd2ed600bf21ec679097e6d",
+    ("separable", 3): "695a7819a926c9659d60a9cec01d2a83b391e4b9cbb1752075cfe3e49ff70abf",
+    ("separable", 4): "8a685e28fcfd838cff01024ec965884e19c563fed2dcff8e1efbe221ad3a17c0",
+    ("separable", 5): "bc897d357450f01943b310fc86431f57a4c42898792293f3f55d95f19bd9214d",
 }
 
 # Without an l2 penalty the seed-1 set reaches an empty leaf, where
 # training used to fail dividing 0 by 0; pinned with the same split
-# search and the ``-0.0`` empty leaf.
+# search, the ``-0.0`` empty leaf and the same conversion.
 PINNED_EMPTY_LEAF_DIGESTS = {
-    ("synth_seed1_4s", 3): "6687ac2d81508d0097d1a64b3aef483d33438baf7518a8eb8850fde852aad656",
-    ("synth_seed1_4s", 4): "30a657cb90344e8daf1c5dce73508a97c1e4bde9d630dad31503c67978a09383",
+    ("synth_seed1_4s", 3): "11f5ad5bce185058526be3fe75d4e0f5c210ee8931862759e9efc895f3db1f14",
+    ("synth_seed1_4s", 4): "7f37d5d24f7e490dcb42a3ce16ed11455f1f24c6411f8e94893d281813cefb9d",
 }
 
 
@@ -367,27 +370,32 @@ def per_node_sort_build_tree(X, order, g, h, config, leaf_values):
     """Oracle for ``gbt._build_tree``: the split search in which every node
     sorts its own samples. It ignores the presorted ``order``. Like the
     trainer, it scores ``-inf`` where a side's ``H + l2_lambda`` is not
-    positive, instead of dividing by it."""
+    positive, instead of dividing by it, and writes the flat tree."""
     lam = config.l2_lambda
+    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+
+    def add(feature, threshold, value):
+        for name, entry in zip(tree, (feature, threshold, -1, -1, value)):
+            tree[name].append(entry)
 
     def build(idx, depth):
+        node = len(tree["value"])
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         split = None
         if depth < config.max_depth and idx.size >= 2:
             split = best_split(idx, G, H)
         if split is None:
-            weight = -G / (H + lam) if idx.size else -0.0
-            leaf_values[idx] = weight
-            return {"weight": float(weight)}
+            value = config.learning_rate * (-G / (H + lam) if idx.size else -0.0)
+            leaf_values[idx] = value
+            add(-1, 0.0, value)
+            return node
         feature, threshold = split
+        add(feature, threshold, 0.0)
         goes_left = X[idx, feature] < threshold
-        return {
-            "feature_index": feature,
-            "threshold": threshold,
-            "left": build(idx[goes_left], depth + 1),
-            "right": build(idx[~goes_left], depth + 1),
-        }
+        tree["left"][node] = build(idx[goes_left], depth + 1)
+        tree["right"][node] = build(idx[~goes_left], depth + 1)
+        return node
 
     def best_split(idx, G, H):
         node_order = idx[np.argsort(X[idx], axis=0, kind="stable")]
@@ -408,7 +416,8 @@ def per_node_sort_build_tree(X, order, g, h, config, leaf_values):
         k = int(np.argmax(gains[:, feature]))
         return feature, float((xs[k, feature] + xs[k + 1, feature]) / 2)
 
-    return build(np.arange(X.shape[0]), 0)
+    build(np.arange(X.shape[0]), 0)
+    return tree
 
 
 @st.composite
@@ -492,8 +501,8 @@ class TestModelFormat:
     def test_feature_index_out_of_range_rejected(self):
         model = hand_model([(0.1, 0.2)] * 4)
         doc = json.loads(save_model(model))
-        doc["trees"][0][0]["feature_index"] = 99
-        with pytest.raises(ModelFormatError, match="feature_index"):
+        doc["trees"][0][0]["feature"][0] = 99
+        with pytest.raises(ModelFormatError, match="feature 99 out of range"):
             load_model(json.dumps(doc).encode())
 
     def test_schema_id_must_be_the_hash_of_the_schema(self):
@@ -501,7 +510,7 @@ class TestModelFormat:
         # on a feature no vector has.
         doc = copy.deepcopy(VALID_DOC)
         doc["feature_schema"]["features"].append("extra")
-        doc["trees"][0][0]["feature_index"] = 21
+        doc["trees"][0][0]["feature"][0] = 21
         with pytest.raises(ModelFormatError, match="not the hash of its contents"):
             load_model(json.dumps(doc).encode())
 
@@ -538,35 +547,28 @@ class TestModelFormat:
 
     def test_format_fields_present(self):
         doc = json.loads(save_model(hand_model([(0.0, 1.0)] * 4)))
-        assert doc["format_version"] == 1
+        assert sorted(doc) == ["classes", "feature_schema", "format_version", "trees"]
+        assert doc["format_version"] == 2
         assert doc["classes"] == list(CLASS_NAMES)
         assert doc["feature_schema"]["schema_id"]
-        assert "default_left" not in doc["trees"][0][0]
+        assert sorted(doc["trees"][0][0]) == ["feature", "left", "right", "threshold", "value"]
 
-    def test_file_with_default_left_loads_unchanged(self):
-        # Files written before the unused "default_left" split field was
-        # dropped carry it on every split, under the same format version.
-        model = train(quadrant_dataset(seed=4), TrainConfig(rounds=6))
-        data = save_model(model)
-        doc = json.loads(data)
+    def test_trained_trees_list_each_node_before_its_children(self):
+        model = train(quadrant_dataset(per_class=40, spread=0.95), TrainConfig(rounds=3))
+        for tree in (t for round_trees in model.trees for t in round_trees):
+            splits = [i for i, left in enumerate(tree["left"]) if left >= 0]
+            assert all(tree["left"][i] == i + 1 < tree["right"][i] for i in splits)
+            children = [tree[side][i] for i in splits for side in ("left", "right")]
+            assert sorted(children) == list(range(1, len(tree["value"])))
 
-        def add_default_left(node):
-            if "weight" not in node:
-                node["default_left"] = True
-                add_default_left(node["left"])
-                add_default_left(node["right"])
-
-        for round_trees in doc["trees"]:
-            for tree in round_trees:
-                add_default_left(tree)
-        older = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-        assert older.replace(b'"default_left":true,', b"") == data
-        loaded = load_model(older)
-        assert save_model(loaded) == data
-        probe = FeatureVector(np.random.default_rng(3).uniform(-1, 4, NUM_FEATURES))
-        np.testing.assert_array_equal(
-            predict_margins(loaded, probe), predict_margins(model, probe)
-        )
+    def test_format_1_file_refused_by_name(self):
+        # The nested trees of format 1, with an unscaled leaf weight.
+        doc = copy.deepcopy(VALID_DOC)
+        doc.update(format_version=1, base_score=0.0, learning_rate=0.3)
+        doc["trees"] = [[{"feature_index": 0, "threshold": 0.5, "default_left": True,
+                          "left": {"weight": 1.0}, "right": {"weight": -1.0}}] * 4]
+        with pytest.raises(ModelFormatError, match="format_version 1 .* retrain"):
+            load_model(json.dumps(doc).encode())
 
     @pytest.mark.parametrize(
         "classes, trees_per_round",
@@ -585,7 +587,11 @@ class TestModelFormat:
         "malformed",
         ["bad_utf8", "deep_tree", "deep_array", "features_not_list",
          "learning_rate_null", "base_score_string", "base_score_nan",
-         "short_round", "huge_threshold", "bool_feature_index"],
+         "short_round", "huge_threshold", "bool_feature_index",
+         "child_at_its_node", "child_before_its_node", "child_past_the_end",
+         "leaf_with_a_left_child", "leaf_with_a_right_child", "unequal_lengths",
+         "empty_tree", "missing_key", "extra_key", "float_feature_index",
+         "nan_leaf_value", "inf_leaf_value", "int_threshold"],
     )
     def test_malformed_file_raises_model_format_error(self, malformed):
         with pytest.raises(ModelFormatError):
@@ -609,14 +615,33 @@ def malformed_model_bytes(case: str) -> bytes:
         deep = split * 3000 + '{"weight":0.0}' + "}" * 3000
         doc["trees"][0][0] = "DEEP"
         return json.dumps(doc).replace('"DEEP"', deep).encode()
+
+    def put(field, node, value):
+        tree[field][node] = value
+
     edits = {
         "features_not_list": lambda: doc["feature_schema"].update(features=5),
+        # The fields that format 2 folds into the leaves are refused.
         "learning_rate_null": lambda: doc.update(learning_rate=None),
         "base_score_string": lambda: doc.update(base_score="x"),
         "base_score_nan": lambda: doc.update(base_score=float("nan")),
         "short_round": lambda: doc["trees"][0].pop(),
-        "huge_threshold": lambda: tree.update(threshold=10**400),
-        "bool_feature_index": lambda: tree.update(feature_index=True),
+        "huge_threshold": lambda: put("threshold", 0, 10**400),
+        "bool_feature_index": lambda: put("feature", 0, True),
+        "child_at_its_node": lambda: put("left", 0, 0),
+        "child_before_its_node": lambda: (put("feature", 2, 0), put("left", 2, 1),
+                                          put("right", 2, 1)),
+        "child_past_the_end": lambda: put("right", 0, 3),
+        "leaf_with_a_left_child": lambda: put("left", 1, 2),
+        "leaf_with_a_right_child": lambda: put("right", 1, 2),
+        "unequal_lengths": lambda: tree["value"].append(0.0),
+        "empty_tree": lambda: tree.update({k: [] for k in tree}),
+        "missing_key": lambda: tree.pop("value"),
+        "extra_key": lambda: tree.update(default_left=[True, -1, -1]),
+        "float_feature_index": lambda: put("feature", 0, 0.0),
+        "nan_leaf_value": lambda: put("value", 1, float("nan")),
+        "inf_leaf_value": lambda: put("value", 2, float("inf")),
+        "int_threshold": lambda: put("threshold", 0, 1),
     }
     edits[case]()
     return json.dumps(doc).encode()
@@ -627,8 +652,8 @@ def json_values():
         st.none(), st.booleans(), st.integers(), st.floats(),
         st.sampled_from([10**400, -1, 0, 1, 21, "x", "sham_wake"]), st.text(max_size=4),
     )
-    keys = st.one_of(st.sampled_from(["weight", "feature_index", "threshold", "left",
-                                      "right", "features", "schema_id"]),
+    keys = st.one_of(st.sampled_from(["feature", "threshold", "left", "right", "value",
+                                      "features", "schema_id"]),
                      st.text(max_size=4))
     return st.recursive(
         scalars,

@@ -22,6 +22,7 @@ from eegloop.loopback import (
     mse,
     quantization_error_bound,
     replay_capture,
+    variance,
 )
 
 
@@ -65,6 +66,11 @@ REPLAY_LENGTHS = [1, 2, _BLOCK_LEN - 1, _BLOCK_LEN, _BLOCK_LEN + 1, 3 * _BLOCK_L
 # 128-value leaves, one block, a split into two blocks, and a 6400 s recording.
 PAIRWISE_LENGTHS = [1, 7, 8, 9, 127, 128, 129, _BLOCK_LEN - 1, _BLOCK_LEN + 1,
                     2 * _BLOCK_LEN - 8, 2 * _BLOCK_LEN + 8, 3 * _BLOCK_LEN + 5, 1_638_400]
+
+# Short arrays, one block ± 1, several blocks, and a 6400 s recording with and
+# without a tail past a block boundary.
+VARIANCE_LENGTHS = [1, 2, 7, 128, 129, 1000, _BLOCK_LEN - 1, _BLOCK_LEN + 1,
+                    3 * _BLOCK_LEN + 5, 1_638_400, 1_638_417]
 
 converters = st.integers(min_value=1, max_value=16), st.floats(min_value=0.1, max_value=10.0)
 
@@ -396,6 +402,25 @@ class TestReplayMatchesReference:
             tracemalloc.stop()
         assert 0 < error <= quantization_error_bound(mapping, DacModel(), AdcModel())
         assert peak < trace.samples.nbytes
+
+
+class TestVariance:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+    @pytest.mark.parametrize("n", VARIANCE_LENGTHS)
+    def test_variance_is_numpy_var_to_the_bit(self, n, scale):
+        rng = np.random.default_rng(n)
+        x = (rng.normal(size=n) + rng.uniform(-50.0, 50.0)) * scale
+        assert variance(x) == float(np.var(x))
+
+    def test_variance_holds_a_block(self):
+        x = np.random.default_rng(0).normal(size=2**20)
+        tracemalloc.start()
+        try:
+            variance(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * x.nbytes
 
 
 class TestVoltageMapping:

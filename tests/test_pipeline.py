@@ -336,7 +336,7 @@ class TestRunLive:
         self.assert_runs_on_the_calling_thread(paced_clock())
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_threaded_virtual_clock_never_drops(self, seed):
+    def test_infinite_clock_never_drops(self, seed):
         rng = np.random.default_rng(seed)
         source = [make_epoch(i, fill=float(rng.uniform())) for i in range(100)]
         q = EpochQueue(capacity=8)
