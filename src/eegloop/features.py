@@ -170,28 +170,33 @@ def preprocess(epoch: Epoch, config: PreprocessConfig = PreprocessConfig()) -> E
     if np.ptp(epoch.samples) == 0:
         return replace(epoch, samples=epoch.samples.copy())
     out = sps.sosfilt(sos, epoch.samples)
-    std = out.std()
+    # np.std's own steps, with its mean and centred array kept for the z-score.
+    centered = out - out.mean()
+    std = np.sqrt((centered * centered).sum() / out.size)
     if std > 0 and np.isfinite(std):
-        out = (out - out.mean()) / std
+        out = np.divide(centered, std, out=centered)
     return replace(epoch, samples=out)
 
 
 def _moments(x: np.ndarray) -> tuple[float, float, float]:
     """Population variance, skewness, and excess kurtosis with zero floors."""
     centered = x - x.mean()
-    m2 = float(np.mean(centered**2))
+    # Products, not np.power: an order of magnitude cheaper, last-ulp differences
+    # for the cube and the fourth power (numpy squares a float as x * x).
+    sq = centered * centered
+    m2 = float(sq.mean())
     if m2 == 0:
         return 0.0, 0.0, 0.0
-    # Products, not np.power: an order of magnitude cheaper, last-ulp differences.
-    sq = centered * centered
     m3 = float(np.mean(sq * centered))
     m4 = float(np.mean(sq * sq))
     return m2, m3 / m2**1.5, m4 / m2**2 - 3.0
 
 
-def _hjorth(x: np.ndarray) -> tuple[float, float]:
-    """Mobility and complexity from first/second difference variances."""
-    var0 = float(np.var(x))
+def _hjorth(x: np.ndarray, var0: float) -> tuple[float, float]:
+    """Mobility and complexity from first/second difference variances.
+
+    ``var0`` is ``np.var(x)``, which is ``_moments(x)[0]`` to the bit.
+    """
     if var0 == 0:
         return 0.0, 0.0
     d1 = np.diff(x)
@@ -205,14 +210,20 @@ def _hjorth(x: np.ndarray) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=16)
 def _welch_setup(
-    rate_hz: float, nperseg: int, hop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The PSD-scaled Hann window and the frequency axis ``sps.welch`` uses."""
+    rate_hz: float, nperseg: int
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[slice, np.ndarray], ...]]:
+    """The PSD-scaled Hann window and the frequency axis ``sps.welch`` uses,
+    and the bands on that axis.
+
+    The axis ascends, so each band of ``BANDS_HZ``, then
+    ``ANALYSIS_BAND_HZ``, is one slice of it; each comes with the
+    ``np.diff`` of its frequencies, the spacing ``np.trapezoid`` uses.
+    """
     from scipy import signal as sps
 
     stft = sps.ShortTimeFFT(
         sps.get_window("hann", nperseg),
-        hop,
+        nperseg - int(nperseg * WELCH_OVERLAP),
         rate_hz,
         fft_mode="onesided",
         mfft=nperseg,
@@ -220,8 +231,15 @@ def _welch_setup(
         phase_shift=None,
     )
     window, freqs = stft.win.conj(), stft.f
+    bands = []
+    for lo, hi in [*BANDS_HZ.values(), ANALYSIS_BAND_HZ]:
+        inside = np.flatnonzero((freqs >= lo) & (freqs <= hi))
+        band = slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
+        spacing = np.diff(freqs[band])
+        spacing.flags.writeable = False
+        bands.append((band, spacing))
     window.flags.writeable = freqs.flags.writeable = False
-    return window, freqs
+    return window, freqs, tuple(bands)
 
 
 def _welch(x: np.ndarray, rate_hz: float, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +255,7 @@ def _welch(x: np.ndarray, rate_hz: float, nperseg: int) -> tuple[np.ndarray, np.
 
     noverlap = int(nperseg * WELCH_OVERLAP)
     hop = nperseg - noverlap
-    window, freqs = _welch_setup(rate_hz, nperseg, hop)
+    window, freqs, _ = _welch_setup(rate_hz, nperseg)
     segments = sliding_window_view(x, nperseg)[::hop][: (x.size - noverlap) // hop]
     spectra = fft.rfft(
         (segments - segments.mean(axis=-1, keepdims=True)) * window, axis=-1
@@ -266,11 +284,13 @@ def extract(epoch: Epoch) -> FeatureVector:
             f"{WELCH_SEGMENT_S} s Welch segment ({nperseg})"
         )
     freqs, psd = _welch(x, epoch.rate_hz, nperseg)
+    *bands, (analysis, _) = _welch_setup(epoch.rate_hz, nperseg)[2]
 
     band_powers = []
-    for lo, hi in BANDS_HZ.values():
-        mask = (freqs >= lo) & (freqs <= hi)
-        band_powers.append(float(np.trapezoid(psd[mask], freqs[mask])))
+    for band, spacing in bands:
+        y = psd[band]
+        # np.trapezoid(y, freqs[band]), formula for formula.
+        band_powers.append(float((spacing * (y[1:] + y[:-1]) / 2.0).sum()))
     total = sum(band_powers)
     rel_powers = [_ratio(p, total) for p in band_powers]
     delta, theta, alpha, beta, _ = band_powers
@@ -282,12 +302,10 @@ def extract(epoch: Epoch) -> FeatureVector:
 
     variance, skewness, kurtosis = _moments(x)
     zcr = float(np.count_nonzero(x[:-1] * x[1:] < 0)) / max(x.size - 1, 1)
-    mobility, complexity = _hjorth(x)
+    mobility, complexity = _hjorth(x, variance)
 
-    lo, hi = ANALYSIS_BAND_HZ
-    band_mask = (freqs >= lo) & (freqs <= hi)
-    band_psd = psd[band_mask]
-    band_freqs = freqs[band_mask]
+    band_psd = psd[analysis]
+    band_freqs = freqs[analysis]
     psd_sum = float(band_psd.sum())
     if psd_sum > 0:
         p = band_psd / psd_sum
@@ -298,7 +316,7 @@ def extract(epoch: Epoch) -> FeatureVector:
         edge_hz = float(band_freqs[min(edge_idx, band_freqs.size - 1)])
     else:
         entropy = 0.0
-        edge_hz = lo
+        edge_hz = ANALYSIS_BAND_HZ[0]
 
     values = np.array(
         band_powers

@@ -100,6 +100,7 @@ def _softmax(margins: np.ndarray) -> np.ndarray:
 def _build_tree(
     X: np.ndarray,
     order: np.ndarray,
+    tie_rows: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     config: TrainConfig,
@@ -125,6 +126,16 @@ def _build_tree(
     leaf's value is ``learning_rate * -G / (H + lambda)``, and
     ``leaf_values`` receives each sample's leaf value.
 
+    ``tie_rows`` lists the features whose root row holds two equal
+    adjacent values. A node's row is a subsequence of the root's, and the
+    root's row is sorted, so any value between two equal ones is equal to
+    them too: a node's row can hold equal neighbours only where the
+    root's does. Only those rows are read for the tie mask. The side test
+    ``lighter + l2_lambda <= 0`` runs only when ``l2_lambda == 0``: for
+    ``l2_lambda > 0`` and ``lighter >= 0`` the rounded sum is at least
+    ``l2_lambda``, so the test can hold only where ``lighter < 0 <=
+    min_child_weight``, a cell the weight test already masks.
+
     Only a node that can split is searched or gets its rows partitioned:
     one below ``max_depth``, with at least 2 samples, and not lighter than
     ``2 * min_child_weight`` less a relative slack of ``1e-9``. Any other
@@ -139,8 +150,11 @@ def _build_tree(
     search rather than cell by cell within it.
     """
     lam = config.l2_lambda
-    features = np.arange(X.shape[1])[:, None]
-    min_split_weight = 2 * config.min_child_weight * (1 - 1e-9)
+    mcw = config.min_child_weight
+    tie_features = tie_rows[:, None]
+    gh = np.empty(g.size, complex)
+    gh.real, gh.imag = g, h
+    min_split_weight = 2 * mcw * (1 - 1e-9)
     nodes: list[list] = []  # one row of _TREE_FIELDS per node
 
     def can_split(size: int, H: float, depth: int) -> bool:
@@ -163,30 +177,51 @@ def _build_tree(
         node = [feature, threshold, len(nodes) + 1, -1, 0.0]
         nodes.append(node)
         goes_left = X[:, feature] < threshold
+        # Every row holds the same samples, so every row keeps the same
+        # count; compress keeps each row's order.
+        left = goes_left.take(order).ravel()
         shape = len(order), -1
-        # Boolean indexing keeps each row's order.
-        build(idx[goes_left[idx]], lambda: order[goes_left[order]].reshape(shape), depth + 1)
+        build(idx[goes_left[idx]], lambda: order.compress(left).reshape(shape), depth + 1)
         node[3] = len(nodes)
-        build(idx[~goes_left[idx]], lambda: order[~goes_left[order]].reshape(shape), depth + 1)
+        build(idx[~goes_left[idx]], lambda: order.compress(~left).reshape(shape), depth + 1)
 
     # Its own frame, so that the gain table is freed before the recursion.
+    # ``gh`` holds g and h as the real and imaginary parts of one array, so
+    # one gather and one cumulative sum serve both: complex addition adds
+    # the parts separately, each in the order a float cumsum would. The
+    # table is ``0.5 * (gl**2 / (hl + lam) + (G - gl)**2 / (hr + lam) -
+    # parent_score)``, its sum built with the same operations in the same
+    # order (numpy squares a float64 as ``x * x``). Subtracting a constant
+    # and halving are monotone, so they run on the row maxima and on the
+    # winning row only.
     def best_split(order: np.ndarray, G: float, H: float) -> tuple[int, float] | None:
-        xs = X[order, features]
-        gl = np.cumsum(g[order], axis=1)[:, :-1]
-        hl = np.cumsum(h[order], axis=1)[:, :-1]
+        sums = np.cumsum(gh.take(order), axis=1)[:, :-1]
+        gl, hl = sums.real, sums.imag
         hr = H - hl
         lighter = np.minimum(hl, hr)
-        parent_score = G * G / (H + lam)
+        invalid = lighter < mcw
+        if lam == 0:
+            invalid |= lighter <= 0
+        xs = X[order[tie_rows], tie_features]
+        invalid[tie_rows] |= xs[:, :-1] == xs[:, 1:]
+        right = G - gl
+        right *= right
+        hr += lam
+        score = gl * gl  # the left term, then the sum
+        hl += lam
         with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (gl**2 / (hl + lam) + (G - gl) ** 2 / (hr + lam) - parent_score)
-        gains[(xs[:, :-1] == xs[:, 1:]) | (lighter < config.min_child_weight)
-              | (lighter + lam <= 0)] = -np.inf
-        best = gains.max(axis=1)
+            right /= hr
+            score /= hl
+        score += right
+        score[invalid] = -np.inf
+        parent_score = G * G / (H + lam)
+        best = 0.5 * (score.max(axis=1) - parent_score)
         feature = int(np.argmax(best))  # the first maximum
         if not best[feature] > _MIN_SPLIT_GAIN:
             return None
-        k = int(np.argmax(gains[feature]))
-        return feature, float((xs[feature, k] + xs[feature, k + 1]) / 2)
+        k = int(np.argmax(0.5 * (score[feature] - parent_score)))
+        below, above = X[order[feature, k:k + 2], feature]
+        return feature, float((below + above) / 2)
 
     build(np.arange(X.shape[0]), lambda: order, 0)
     return {name: list(column) for name, column in zip(_TREE_FIELDS, zip(*nodes))}
@@ -220,6 +255,8 @@ def train(
 
     loss_history = [logloss()]
     order = np.argsort(X.T, axis=1, kind="stable")
+    xs = np.take_along_axis(X.T, order, axis=1)
+    tie_rows = np.flatnonzero((xs[:, :-1] == xs[:, 1:]).any(axis=1))  # see _build_tree
     forest: list[list[dict]] = []
     for _ in range(config.rounds):
         p = _softmax(margins)
@@ -228,22 +265,12 @@ def train(
             g = p[:, c] - onehot[:, c]
             h = np.maximum(p[:, c] * (1 - p[:, c]), _MIN_HESSIAN)
             leaf_values = np.zeros(n)
-            round_trees.append(_build_tree(X, order, g, h, config, leaf_values))
+            round_trees.append(_build_tree(X, order, tie_rows, g, h, config, leaf_values))
             margins[:, c] += leaf_values
         forest.append(round_trees)
         loss_history.append(logloss())
 
     return GbtModel(trees=forest, training_loss=loss_history)
-
-
-def _route(tree: dict, values: list[float]) -> float:
-    """The value of the leaf that ``values`` reaches in a flat ``tree``."""
-    feature, threshold, left, right = (tree["feature"], tree["threshold"],
-                                       tree["left"], tree["right"])
-    i = 0
-    while left[i] >= 0:
-        i = left[i] if values[feature[i]] < threshold[i] else right[i]
-    return tree["value"][i]
 
 
 def predict_margins(model: GbtModel, fv: FeatureVector) -> np.ndarray:
@@ -252,7 +279,11 @@ def predict_margins(model: GbtModel, fv: FeatureVector) -> np.ndarray:
     margins = [0.0] * len(CLASS_NAMES)
     for round_trees in model.trees:
         for c, tree in enumerate(round_trees):
-            margins[c] += _route(tree, values)
+            feature, threshold, left = tree["feature"], tree["threshold"], tree["left"]
+            i = 0
+            while left[i] >= 0:
+                i = left[i] if values[feature[i]] < threshold[i] else tree["right"][i]
+            margins[c] += tree["value"][i]
     return np.array(margins)
 
 
@@ -288,6 +319,10 @@ def _check_tree(tree) -> None:
             raise ModelFormatError(f"node {i} feature {feature} out of range")
         if not (i < left < n and i < right < n):
             raise ModelFormatError(f"node {i} children {left}, {right} must lie in ({i}, {n})")
+    # Each child lies after its parent, so if every node but the root is a
+    # child exactly once, every node is reached from the root by one path.
+    if sorted(c for c in tree["left"] + tree["right"] if c >= 0) != list(range(1, n)):
+        raise ModelFormatError("each node but the root must be the child of exactly one split")
 
 
 def save_model(model: GbtModel) -> bytes:

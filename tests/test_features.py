@@ -251,6 +251,71 @@ class TestMoments:
         assert _moments(np.full(64, 2.5)) == (0.0, 0.0, 0.0)
 
 
+def reference_featurize(epoch):
+    """``featurize`` as first written, kept as its reference: ``np.std`` then
+    the z-score, ``np.var`` in Hjorth, ``np.mean(centered**2)`` in the
+    moments, and ``np.trapezoid`` over boolean band masks."""
+    x = epoch.samples
+    if np.ptp(x) != 0:
+        x = sps.sosfilt(bandpass_sos(epoch.rate_hz), x)
+        std = x.std()
+        if std > 0 and np.isfinite(std):
+            x = (x - x.mean()) / std
+
+    def ratio(num, den):
+        return num / den if den > 0 else 0.0
+
+    freqs, psd = _welch(x, epoch.rate_hz, int(round(4.0 * epoch.rate_hz)))
+    masks = [(freqs >= lo) & (freqs <= hi) for lo, hi in [*BANDS_HZ.values(), (0.5, 60.0)]]
+    powers = [float(np.trapezoid(psd[mask], freqs[mask])) for mask in masks[:-1]]
+    delta, theta, alpha, beta, _ = powers
+    ratios = [ratio(theta, delta), ratio(alpha, delta), ratio(beta, alpha + theta)]
+
+    centered = x - x.mean()
+    m2 = float(np.mean(centered**2))
+    moments = [0.0, 0.0, 0.0]
+    if m2 != 0:
+        sq = centered * centered
+        moments = [m2, float(np.mean(sq * centered)) / m2**1.5,
+                   float(np.mean(sq * sq)) / m2**2 - 3.0]
+    zcr = float(np.count_nonzero(x[:-1] * x[1:] < 0)) / max(x.size - 1, 1)
+    hjorth = [0.0, 0.0]
+    var0 = float(np.var(x))
+    d1 = np.diff(x)
+    var1 = float(np.var(d1))
+    if var0 != 0 and var1 != 0:
+        mobility = np.sqrt(var1 / var0)
+        hjorth = [float(mobility),
+                  float(np.sqrt(float(np.var(np.diff(d1))) / var1) / mobility)]
+
+    band_psd, band_freqs = psd[masks[-1]], freqs[masks[-1]]
+    psd_sum = float(band_psd.sum())
+    entropy, edge_hz = 0.0, 0.5
+    if psd_sum > 0:
+        p = band_psd / psd_sum
+        nonzero = p[p > 0]
+        entropy = float(-(nonzero * np.log(nonzero)).sum() / np.log(p.size))
+        edge_idx = int(np.searchsorted(np.cumsum(band_psd), 0.95 * psd_sum))
+        edge_hz = float(band_freqs[min(edge_idx, band_freqs.size - 1)])
+    return np.array(powers + [ratio(p, sum(powers)) for p in powers] + ratios + moments
+                    + [zcr] + hjorth + [entropy, edge_hz])
+
+
+class TestAgainstTheReference:
+    @pytest.mark.parametrize("length_s", [4, 16, 64])
+    @pytest.mark.parametrize("rate_hz", [128.0, 256.0, 512.0])
+    def test_featurize_equals_the_reference_bit_for_bit(self, rate_hz, length_s):
+        spec = SyntheticSpec(epochs_per_class=1, epoch_length_s=length_s, rate_hz=rate_hz,
+                             seed=length_s)
+        rng = np.random.default_rng(spec.seed)
+        signals = [generate_epoch_samples(label, spec, rng) for label in CLASS_NAMES]
+        n = signals[0].size
+        signals += [np.full(n, 3.7), np.zeros(n)]  # constant, and zero power
+        for x in signals:
+            epoch = make_epoch(x, length_s, rate_hz)
+            assert np.array_equal(featurize(epoch).values, reference_featurize(epoch))
+
+
 class TestSchema:
     def test_schema_id_is_stable(self):
         assert SCHEMA_ID == "fee39d39bb7b34f8"

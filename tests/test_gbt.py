@@ -259,6 +259,20 @@ class TestSplitSearch:
         model = train(dataset, TrainConfig(rounds=1, max_depth=1, min_child_weight=0.375))
         assert self.roots(model) == [(0, 1.5), (0, 1.5)]
 
+    def test_side_whose_hessians_round_away_is_not_split_off(self):
+        # H = 0.75 + 1e-17 rounds to 0.75, so after the third sample H - hl
+        # is 0: with no l2 penalty and no weight floor, only the side test
+        # keeps the gain from dividing by zero and winning as +inf.
+        X = np.zeros((4, NUM_FEATURES))
+        X[:, 0] = np.arange(4)
+        g = np.array([0.5, -0.5, 0.5, 0.5])
+        h = np.array([0.25, 0.25, 0.25, 1e-17])
+        order = np.argsort(X.T, axis=1, kind="stable")
+        args = X, order, np.arange(1, NUM_FEATURES), g, h, self.NO_PENALTY
+        tree = gbt._build_tree(*args, np.zeros(4))
+        assert tree == per_node_sort_build_tree(*args, np.zeros(4))
+        assert (tree["feature"][0], tree["threshold"][0]) == (0, 1.5)
+
 
 def pinned_datasets(root):
     """Name -> (X, y) for the model-bytes pins: three small synthetic
@@ -366,9 +380,10 @@ class TestPinnedModelBytes:
         assert model_digest(pinned_data, case) == PINNED_EMPTY_LEAF_DIGESTS[case]
 
 
-def per_node_sort_build_tree(X, order, g, h, config, leaf_values):
+def per_node_sort_build_tree(X, order, tie_rows, g, h, config, leaf_values):
     """Oracle for ``gbt._build_tree``: the split search in which every node
-    sorts its own samples. It ignores the presorted ``order``. Like the
+    sorts its own samples. It ignores the presorted ``order`` and the
+    ``tie_rows`` found from it, and tests every feature for ties. Like the
     trainer, it scores ``-inf`` where a side's ``H + l2_lambda`` is not
     positive, instead of dividing by it, and writes the flat tree."""
     lam = config.l2_lambda
@@ -453,15 +468,31 @@ train_configs = st.builds(
 )
 
 
+def assert_matches_a_per_node_sort(dataset, config):
+    model = train(dataset, config)
+    with mock.patch.object(gbt, "_build_tree", per_node_sort_build_tree):
+        oracle = train(dataset, config)
+    assert save_model(model) == save_model(oracle)
+    assert model.training_loss == oracle.training_loss
+
+
 class TestPresortedSplitSearch:
     @given(tie_heavy_datasets(), train_configs)
     @settings(max_examples=150, deadline=None)
     def test_matches_a_per_node_sort_byte_for_byte(self, dataset, config):
-        model = train(dataset, config)
-        with mock.patch.object(gbt, "_build_tree", per_node_sort_build_tree):
-            oracle = train(dataset, config)
-        assert save_model(model) == save_model(oracle)
-        assert model.training_loss == oracle.training_loss
+        assert_matches_a_per_node_sort(dataset, config)
+
+    @pytest.mark.parametrize("config", PINNED_CONFIGS)
+    @pytest.mark.parametrize("name", ["synth_seed7_16s", "synth_seed1_4s"])
+    def test_matches_a_per_node_sort_on_synthetic_features(self, pinned_data, name, config):
+        # Featurized epochs tie in a few columns only, so the trainer reads
+        # equal neighbours in some rows and skips the others.
+        X, y = pinned_data[name]
+        sorted_columns = np.sort(X, axis=0)
+        ties = (sorted_columns[1:] == sorted_columns[:-1]).any(axis=0)
+        assert 0 < ties.sum() < NUM_FEATURES
+        assert_matches_a_per_node_sort(
+            [(FeatureVector(x), CLASS_NAMES[c]) for x, c in zip(X, y)], config)
 
 
 class TestModelFormat:
@@ -591,7 +622,8 @@ class TestModelFormat:
          "child_at_its_node", "child_before_its_node", "child_past_the_end",
          "leaf_with_a_left_child", "leaf_with_a_right_child", "unequal_lengths",
          "empty_tree", "missing_key", "extra_key", "float_feature_index",
-         "nan_leaf_value", "inf_leaf_value", "int_threshold"],
+         "nan_leaf_value", "inf_leaf_value", "int_threshold", "shared_child",
+         "unreachable_node"],
     )
     def test_malformed_file_raises_model_format_error(self, malformed):
         with pytest.raises(ModelFormatError):
@@ -642,6 +674,11 @@ def malformed_model_bytes(case: str) -> bytes:
         "nan_leaf_value": lambda: put("value", 1, float("nan")),
         "inf_leaf_value": lambda: put("value", 2, float("inf")),
         "int_threshold": lambda: put("threshold", 0, 1),
+        # right == [1, -1, -1]: node 1 is both children, node 2 nobody's.
+        "shared_child": lambda: put("right", 0, 1),
+        "unreachable_node": lambda: [tree[name].append(entry) for name, entry in
+                                     {"feature": -1, "threshold": 0.0, "left": -1,
+                                      "right": -1, "value": 0.0}.items()],
     }
     edits[case]()
     return json.dumps(doc).encode()
