@@ -139,7 +139,7 @@ def _featurize_dataset(
 
 def _make_processor(model: gbt.GbtModel):
     def processor(epoch: pipeline.Epoch) -> str:
-        return gbt.predict_class(model, features.featurize(epoch))[0]
+        return gbt.predict_labels(model, [features.featurize(epoch)])[0]
 
     return processor
 
@@ -183,7 +183,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         model = gbt.load_model(Path(args.model).read_bytes())
     else:
         train_config = _settings(gbt.TrainConfig, args.train_config, args)
-        cv_config = ev.CvConfig(folds=args.folds, seed=args.seed)
+        cv_config = _settings(ev.CvConfig, None, args)
     fvs, labels, epoch_length_s = _featurize_dataset(args.data)
     if args.model:
         cm = ev.confusion(labels, gbt.predict_labels(model, fvs))
@@ -193,7 +193,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         def trainer(train_fvs, train_labels):
             model = gbt.train(list(zip(train_fvs, train_labels)), train_config)
-            return lambda fv: gbt.predict_class(model, fv)[0]
+            return lambda fv: gbt.predict_labels(model, [fv])[0]
 
         result = ev.kfold_cv(fvs, labels, trainer, cv_config)
         report = ev.report_bytes(
@@ -211,7 +211,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     dac = None if args.bypass else loopback.DacModel(args.dac_bits, args.vref)
     adc = None if args.bypass else loopback.AdcModel(args.adc_bits, args.vref)
     if args.gain is not None:
-        mapping = loopback.VoltageMapping(args.gain, args.offset)
+        offset = args.vref / 2 if args.offset is None else args.offset
+        mapping = loopback.VoltageMapping(args.gain, offset)
+    elif args.offset is not None:
+        raise ValueError("--offset applies only with --gain")
     else:
         mapping = loopback.VoltageMapping.centered(
             sig.physical_min, sig.physical_max, args.vref, args.span
@@ -276,7 +279,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         silence = np.zeros(per_epoch)
         features.featurize(pipeline.Epoch(silence, 0, args.epoch_length_s, rate_hz))
         unstarted.pop_all()
-        clock = loopback.SampleClock(rate_hz=rate_hz, acceleration=args.acceleration)
+        # stdin is read to its end before epoch 0, so it is its own clock.
+        acceleration = args.acceleration
+        if acceleration is None:
+            acceleration = math.inf if args.input == "-" else 1.0
+        clock = loopback.SampleClock(acceleration=acceleration)
         entries, report = pipeline.run_live(source, _make_processor(model),
                                             clock=clock, queue=queue)
         if log_fh:
@@ -303,7 +310,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("batch sizes must be >= 1")
     model = gbt.load_model(Path(args.model).read_bytes())
     processor = _make_processor(model)
-    clock = loopback.SampleClock(rate_hz=args.rate_hz, acceleration=math.inf)
+    clock = loopback.SampleClock(acceleration=math.inf)
 
     def timed(epochs, classify) -> pipeline.TimingReport:
         _, report = pipeline.run_live(epochs, classify, clock=clock)
@@ -325,7 +332,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         epochs = list(pipeline.assemble(stream, length_s, args.rate_hz))
         # Inference-only latency, separated from preprocessing and extraction.
         fvs = {e.start_index: features.featurize(e) for e in epochs}
-        predict = timed(epochs, lambda e: gbt.predict_class(model, fvs[e.start_index])[0])
+        predict = timed(epochs, lambda e: gbt.predict_labels(model, [fvs[e.start_index]])[0])
         predict_us = predict.processing_time_s * 1e6 / predict.num_epochs
         rows += [{"epoch_length_s": length_s,
                   **_timing_row(timed(epochs[:size], processor)),
@@ -367,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output metrics JSON path")
     p.add_argument("--model", help="score this model instead of cross-validating")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    _add_field_flags(p, ev.CvConfig)
     p.add_argument("--train-config", dest="train_config")
     _add_field_flags(p, gbt.TrainConfig)
     p.set_defaults(func=cmd_evaluate)
@@ -382,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vref", type=float, default=3.3)
     p.add_argument("--span", type=float, default=0.9)
     p.add_argument("--gain", type=float, help="volts per unit (overrides --span)")
-    p.add_argument("--offset", type=float, default=1.65, help="volts, with --gain")
+    p.add_argument("--offset", type=float, help="volts, with --gain (default: --vref / 2)")
     p.add_argument("--bypass", action="store_true", help="bypass both converters")
     p.set_defaults(func=cmd_replay)
 
@@ -394,9 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", dest="rate_hz", type=float, default=256.0,
                    help="sample rate for stdin input (EDF carries its own)")
     p.add_argument("--capacity", type=int, default=8)
-    p.add_argument("--acceleration", type=_parse_acceleration, default=1.0,
+    p.add_argument("--acceleration", type=_parse_acceleration,
                    help="clock speed-up factor, or 'max' to classify each "
-                        "epoch as soon as it is read")
+                        "epoch as soon as it is read (default: 1 for an EDF, "
+                        "max for stdin)")
     p.add_argument("--log", dest="log_file", help="JSONL classification log path")
     p.add_argument("--timing", help="timing CSV path")
     p.set_defaults(func=cmd_run)

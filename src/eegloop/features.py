@@ -111,12 +111,7 @@ def schema_descriptor() -> dict:
 # because benchmark/workloads.py passes them; both go when it stops.
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """The fixed preprocessing: no settings, one rule (the band fits the rate)."""
-
-    def validate(self, rate_hz: float) -> None:
-        if not ANALYSIS_BAND_HZ[1] < rate_hz / 2:
-            lo, hi = ANALYSIS_BAND_HZ
-            raise ValueError(f"band [{lo}, {hi}] Hz invalid for {rate_hz} Hz sampling")
+    """The fixed preprocessing: no settings."""
 
 
 @dataclass(frozen=True)
@@ -134,8 +129,11 @@ class FeatureVector:
         object.__setattr__(self, "values", values)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16)  # a refused rate raises, so it is never cached
 def _design_sos(rate_hz: float) -> np.ndarray:
+    if not ANALYSIS_BAND_HZ[1] < rate_hz / 2:
+        lo, hi = ANALYSIS_BAND_HZ
+        raise ValueError(f"band [{lo}, {hi}] Hz invalid for {rate_hz} Hz sampling")
     from scipy import signal as sps
 
     sos = sps.butter(
@@ -148,14 +146,14 @@ def _design_sos(rate_hz: float) -> np.ndarray:
 def bandpass_sos(rate_hz: float) -> np.ndarray:
     """Design the causal Butterworth band-pass as second-order sections.
 
-    The design is cached per rate; each call returns a fresh writable
-    copy of it, since ``sosfilt`` refuses a read-only one.
+    Raises ``ValueError`` unless the analysis band ends below half of
+    ``rate_hz``. The design is cached per rate; each call returns a fresh
+    writable copy of it, since ``sosfilt`` refuses a read-only one.
     """
-    PreprocessConfig().validate(rate_hz)
     return _design_sos(rate_hz).copy()
 
 
-def preprocess(epoch: Epoch, config: PreprocessConfig = PreprocessConfig()) -> Epoch:
+def preprocess(epoch: Epoch, config: PreprocessConfig | None = None) -> Epoch:
     """Band-pass filter forward-only (causal), then z-score one epoch.
 
     Returns a new epoch whose samples have mean 0 and unit variance to
@@ -328,8 +326,6 @@ def extract(epoch: Epoch) -> FeatureVector:
     return FeatureVector(values)
 
 
-def featurize(
-    epoch: Epoch, config: PreprocessConfig = PreprocessConfig()
-) -> FeatureVector:
+def featurize(epoch: Epoch, config: PreprocessConfig | None = None) -> FeatureVector:
     """Preprocess then extract: the standard path from raw epoch to features."""
-    return extract(preprocess(epoch, config))
+    return extract(preprocess(epoch))

@@ -249,17 +249,16 @@ def train(
     margins = np.full((n, num_classes), 0.0)
     onehot = np.eye(num_classes)[y]
 
-    def logloss() -> float:
-        p = _softmax(margins)
+    def logloss(p: np.ndarray) -> float:
         return float(-np.mean(np.log(np.clip(p[np.arange(n), y], 1e-300, None))))
 
-    loss_history = [logloss()]
+    p = _softmax(margins)  # a round's gradients and the loss before that round share it
+    loss_history = [logloss(p)]
     order = np.argsort(X.T, axis=1, kind="stable")
     xs = np.take_along_axis(X.T, order, axis=1)
     tie_rows = np.flatnonzero((xs[:, :-1] == xs[:, 1:]).any(axis=1))  # see _build_tree
     forest: list[list[dict]] = []
     for _ in range(config.rounds):
-        p = _softmax(margins)
         round_trees = []
         for c in range(num_classes):
             g = p[:, c] - onehot[:, c]
@@ -268,7 +267,8 @@ def train(
             round_trees.append(_build_tree(X, order, tie_rows, g, h, config, leaf_values))
             margins[:, c] += leaf_values
         forest.append(round_trees)
-        loss_history.append(logloss())
+        p = _softmax(margins)
+        loss_history.append(logloss(p))
 
     return GbtModel(trees=forest, training_loss=loss_history)
 
@@ -287,15 +287,20 @@ def predict_margins(model: GbtModel, fv: FeatureVector) -> np.ndarray:
     return np.array(margins)
 
 
+def _label(margins: np.ndarray) -> str:
+    """The class of the largest margin; ties break to the lowest class index."""
+    return CLASS_NAMES[int(np.argmax(margins))]
+
+
 def predict_class(model: GbtModel, fv: FeatureVector) -> tuple[str, np.ndarray]:
-    """Predicted label (ties break to the lowest class index) and softmax probabilities."""
+    """Predicted label and softmax probabilities."""
     margins = predict_margins(model, fv)
-    return CLASS_NAMES[int(np.argmax(margins))], _softmax(margins)
+    return _label(margins), _softmax(margins)
 
 
 def predict_labels(model: GbtModel, fvs: list[FeatureVector]) -> list[str]:
-    """Predicted label for each vector."""
-    return [predict_class(model, fv)[0] for fv in fvs]
+    """Predicted label for each vector, from its margins: no softmax is computed."""
+    return [_label(predict_margins(model, fv)) for fv in fvs]
 
 
 def _check_tree(tree) -> None:

@@ -182,9 +182,9 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
     Expects the label index CSV next to the EDF files it names. Each file's
     first signal is cut into epochs of one record by :func:`assemble`, and
     a row's ``epoch_index`` must be an integer inside its file and its
-    ``class`` one of ``CLASS_NAMES``. Every file must have the first
-    file's record duration and sample rate. Epochs are returned in index
-    order with physical sample values.
+    ``class`` one of ``CLASS_NAMES``; no epoch may be listed twice. Every
+    file must have the first file's record duration and sample rate.
+    Epochs are returned in index order with physical sample values.
     """
     root = Path(dataset_dir)
     index_path = root / LABEL_INDEX_NAME
@@ -202,6 +202,7 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
         raise ValueError(f"label index {index_path} holds no entries")
 
     cut: dict[str, list[Epoch]] = {}
+    listed: dict[tuple[str, int], int] = {}  # (file, epoch_index) -> its line
     first = None  # (file, record duration, rate) of the first file read
     epochs = []
     for line, row in enumerate(rows, start=2):
@@ -239,5 +240,8 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
             class_index(row["class"])
         except ValueError as exc:
             raise ValueError(f"label index {index_path} line {line}: {exc}") from None
+        if (seen := listed.setdefault((filename, idx), line)) != line:
+            raise ValueError(f"label index {index_path} line {line}: epoch {idx} of "
+                             f"{filename} is already listed on line {seen}")
         epochs.append(replace(file_epochs[idx], label=row["class"]))
     return epochs

@@ -72,15 +72,15 @@ def mismatched_model(model, tmp_path):
 @pytest.fixture
 def failing_classifier(monkeypatch):
     """The CLI's classifier, made to raise from its second call on."""
-    predict_class, calls = gbt.predict_class, []
+    predict_margins, calls = gbt.predict_margins, []
 
-    def failing_predict_class(model, fv):
+    def failing_predict_margins(model, fv):
         calls.append(fv)
         if len(calls) >= 2:
             raise ValueError("classifier failed")
-        return predict_class(model, fv)
+        return predict_margins(model, fv)
 
-    monkeypatch.setattr(gbt, "predict_class", failing_predict_class)
+    monkeypatch.setattr(gbt, "predict_margins", failing_predict_margins)
 
 
 def tampered_model(model, tmp_path):
@@ -391,6 +391,28 @@ class TestEvaluate:
         assert_one_error_line(err)
         assert "tbi_sleep.edf: records of 16 s at 256 Hz differ from" in err
 
+    @pytest.mark.parametrize("label", ["sham_wake", "tbi_sleep"], ids=["same", "other"])
+    def test_epoch_listed_twice_fails_cleanly(self, workspace, tmp_path, capsys, label):
+        _, data, _ = workspace
+        copy = tmp_path / "ds"
+        shutil.copytree(data, copy)
+        index = copy / "labels.csv"
+        index.write_text(index.read_text() + f"sham_wake.edf,0,{label}\n")
+        assert main(["evaluate", "--data", str(copy), "--out", str(tmp_path / "m.json"),
+                     "--folds", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error_line(err)
+        assert f"{index} line 42: epoch 0 of sham_wake.edf is already listed on line 2" in err
+
+    def test_cross_validation_predicts_without_a_softmax(self, workspace, tmp_path,
+                                                          softmax_calls):
+        _, data, _ = workspace
+        assert main(["evaluate", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--folds", "2", "--rounds", "3"]) == 0
+        # Each fold's train runs one per round plus one; its predictor runs none.
+        assert softmax_calls == [(20, len(CLASS_NAMES))] * 2 * (3 + 1)
+
     def test_more_folds_than_epochs_fails(self, workspace, tmp_path, capsys):
         _, data, _ = workspace
         code = main(["evaluate", "--data", str(data), "--out",
@@ -437,6 +459,23 @@ class TestReplay:
         assert out == ""
         assert_one_error_line(err)
         assert "1 signal" in err
+
+    def test_offset_without_gain_fails_cleanly(self, workspace, capsys):
+        _, data, _ = workspace
+        assert main(["replay", "--edf", str(data / "sham_wake.edf"),
+                     "--offset", "1.0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --offset applies only with --gain\n"
+
+    def test_gain_offset_defaults_to_half_vref(self, workspace, capsys):
+        _, data, _ = workspace
+        reports = []
+        for flags in ([], ["--offset", "2.5"], ["--offset", "1.65"]):
+            assert main(["replay", "--edf", str(data / "sham_wake.edf"), "--vref", "5",
+                         "--gain", "0.01", *flags]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1] != reports[2]
 
     @pytest.mark.parametrize(
         "flags, cause",
@@ -682,6 +721,30 @@ class TestRun:
         assert summary["produced"] == 3
         assert summary["dropped"] == 0
 
+    @pytest.mark.parametrize(
+        "source, flags, acceleration",
+        [("-", [], math.inf), ("-", ["--acceleration", "100"], 100.0),
+         ("sham_wake.edf", [], 1.0), ("sham_wake.edf", ["--acceleration", "max"], math.inf)],
+        ids=["stdin", "stdin_paced", "edf", "edf_max"],
+    )
+    def test_stdin_is_not_paced_unless_asked(self, workspace, monkeypatch, source, flags,
+                                              acceleration):
+        import io
+
+        _, data, model = workspace
+        clocks = []
+
+        def capture(*args, clock, **kwargs):
+            clocks.append(clock)
+            raise ValueError("clock captured")
+
+        monkeypatch.setattr(pipeline, "run_live", capture)
+        monkeypatch.setattr("sys.stdin", io.StringIO("0.0\n" * 2048))
+        path = source if source == "-" else str(data / source)
+        assert main(["run", "--input", path, "--model", str(model),
+                     "--epoch-length", "4", *flags]) == 2
+        assert [clock.acceleration for clock in clocks] == [acceleration]
+
     @pytest.mark.parametrize("rate", ["inf", "nan"])
     def test_non_finite_stdin_rate_fails_cleanly(self, workspace, capsys, monkeypatch,
                                                  rate):
@@ -806,6 +869,21 @@ class TestRun:
         assert out == ""
         assert_one_error_line(err)
         assert "stdin holds no samples" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "run", "bench"])
+def test_labels_are_predicted_without_a_softmax(workspace, tmp_path, capsys,
+                                                softmax_calls, command):
+    _, data, model = workspace
+    out = tmp_path / "out"
+    args = {
+        "evaluate": ["--data", str(data), "--out", str(out)],
+        "run": ["--input", str(data / "sham_wake.edf"), "--epoch-length", "4",
+                "--acceleration", "max"],
+        "bench": ["--out", str(out), "--epoch-lengths", "16", "--batch-sizes", "2"],
+    }[command]
+    assert main([command, "--model", str(model), *args]) == 0
+    assert softmax_calls == []
 
 
 @pytest.mark.parametrize("command", ["evaluate", "run", "bench"])

@@ -1,5 +1,8 @@
 """Filter response oracles, feature values on known signals, and invariants."""
 
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +84,14 @@ class TestBandpass:
         second = bandpass_sos(RATE)
         assert second.flags.writeable and second is not first
         np.testing.assert_array_equal(second, expected)
+
+    @pytest.mark.parametrize("rate", [120.0, 100.0])
+    def test_refused_rate_raises_on_every_call_before_scipy_loads(self, monkeypatch, rate):
+        monkeypatch.setitem(sys.modules, "scipy", None)  # so importing it fails
+        message = re.escape(f"band [0.5, 60.0] Hz invalid for {rate} Hz sampling")
+        for _ in range(3):  # a refused rate is never cached
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                bandpass_sos(rate)
 
     def test_band_edges_validated(self):
         # A constant epoch skips filtering, but not the band check.

@@ -111,8 +111,33 @@ class TestPrediction:
             _, probs = predict_class(model, fv(rng.uniform(-2, 6)))
             assert abs(probs.sum() - 1.0) < 1e-12
 
+    def test_labels_are_predict_class_labels_without_a_softmax(self, softmax_calls):
+        model = train(quadrant_dataset(), TrainConfig(rounds=5))
+        rng = np.random.default_rng(3)
+        fvs = [FeatureVector(rng.uniform(-1, 5, NUM_FEATURES)) for _ in range(200)]
+        softmax_calls.clear()
+        labels = predict_labels(model, fvs)
+        assert softmax_calls == []
+        assert labels == [predict_class(model, v)[0] for v in fvs]
+        assert len(set(labels)) == len(CLASS_NAMES)
+
+    def test_tied_margins_label_the_lowest_class(self, softmax_calls):
+        model = train(quadrant_dataset(per_class=3), TrainConfig(rounds=0))
+        softmax_calls.clear()
+        rng = np.random.default_rng(4)
+        fvs = [FeatureVector(rng.normal(0, 10, NUM_FEATURES)) for _ in range(20)]
+        labels = predict_labels(model, fvs)
+        assert softmax_calls == []
+        assert labels == [predict_class(model, v)[0] for v in fvs] == ["sham_wake"] * 20
+
 
 class TestTraining:
+    @pytest.mark.parametrize("rounds", [0, 1, 7])
+    def test_one_softmax_per_round_plus_the_baseline(self, softmax_calls, rounds):
+        model = train(quadrant_dataset(), TrainConfig(rounds=rounds))
+        assert softmax_calls == [(80, len(CLASS_NAMES))] * (rounds + 1)
+        assert len(model.training_loss) == rounds + 1
+
     def test_separable_dataset_reaches_perfect_training_accuracy(self):
         dataset = quadrant_dataset()
         model = train(dataset, TrainConfig(rounds=8))

@@ -108,6 +108,14 @@ class TestLabelIndex:
                                              "label: 'sham_wak'"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("label", ["sham_wake", "tbi_sleep"], ids=["same", "other"])
+    def test_epoch_listed_twice_names_both_lines(self, tmp_path, label):
+        index = generate_dataset(SMALL, tmp_path)
+        index.write_text(index.read_text() + f"sham_wake.edf,0,{label}\n")
+        with pytest.raises(ValueError, match="labels.csv line 34: epoch 0 of sham_wake.edf "
+                                             "is already listed on line 2"):
+            load_dataset(tmp_path)
+
     @pytest.mark.parametrize("length, rate, form", [(16, 256.0, "16 s at 256 Hz"),
                                                      (4, 128.0, "4 s at 128 Hz")],
                              ids=["16s", "128Hz"])
