@@ -39,8 +39,9 @@ def _fits(value, hint) -> bool:
     """Whether the JSON value ``value`` can set a field annotated ``hint``."""
     if isinstance(value, bool):
         return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
+    if hint is float:  # an int must fit a float64
+        return isinstance(value, float) or (
+            isinstance(value, int) and abs(value) <= sys.float_info.max)
     return isinstance(value, typing.get_origin(hint) or hint)
 
 
@@ -208,8 +209,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     _, sig, trace = read_signal(Path(args.edf).read_bytes(), args.signal)
-    dac = None if args.bypass else loopback.DacModel(args.dac_bits, args.vref)
-    adc = None if args.bypass else loopback.AdcModel(args.adc_bits, args.vref)
+    converters = (loopback.DacModel(args.dac_bits, args.vref),  # checked even if bypassed
+                  loopback.AdcModel(args.adc_bits, args.vref))
+    dac, adc = (None, None) if args.bypass else converters
     if args.gain is not None:
         offset = args.vref / 2 if args.offset is None else args.offset
         mapping = loopback.VoltageMapping(args.gain, offset)

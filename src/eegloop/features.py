@@ -213,22 +213,14 @@ def _welch_setup(
     """The PSD-scaled Hann window and the frequency axis ``sps.welch`` uses,
     and the bands on that axis.
 
-    The axis ascends, so each band of ``BANDS_HZ``, then
-    ``ANALYSIS_BAND_HZ``, is one slice of it; each comes with the
-    ``np.diff`` of its frequencies, the spacing ``np.trapezoid`` uses.
+    The window is scipy's periodic Hann scaled to ``"psd"``, in scipy's
+    steps, so it is the same to the bit. The axis ascends, so each band of
+    ``BANDS_HZ``, then ``ANALYSIS_BAND_HZ``, is one slice of it; each comes
+    with the ``np.diff`` of its frequencies, the spacing ``np.trapezoid`` uses.
     """
-    from scipy import signal as sps
-
-    stft = sps.ShortTimeFFT(
-        sps.get_window("hann", nperseg),
-        nperseg - int(nperseg * WELCH_OVERLAP),
-        rate_hz,
-        fft_mode="onesided",
-        mfft=nperseg,
-        scale_to="psd",
-        phase_shift=None,
-    )
-    window, freqs = stft.win.conj(), stft.f
+    hann = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+    window = hann * (1 / np.sqrt(sum(hann * hann) / (1 / rate_hz)))  # Python's sum
+    freqs = np.fft.rfftfreq(nperseg, 1 / rate_hz)
     bands = []
     for lo, hi in [*BANDS_HZ.values(), ANALYSIS_BAND_HZ]:
         inside = np.flatnonzero((freqs >= lo) & (freqs <= hi))
@@ -249,13 +241,11 @@ def _welch(x: np.ndarray, rate_hz: float, nperseg: int) -> tuple[np.ndarray, np.
     per-row reductions and the (frequency, segment) layout of the average
     included, rounds as scipy's does.
     """
-    from scipy import fft
-
     noverlap = int(nperseg * WELCH_OVERLAP)
     hop = nperseg - noverlap
     window, freqs, _ = _welch_setup(rate_hz, nperseg)
     segments = sliding_window_view(x, nperseg)[::hop][: (x.size - noverlap) // hop]
-    spectra = fft.rfft(
+    spectra = np.fft.rfft(
         (segments - segments.mean(axis=-1, keepdims=True)) * window, axis=-1
     )
     power = np.ascontiguousarray((spectra.real**2 + spectra.imag**2).T)

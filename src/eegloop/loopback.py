@@ -25,6 +25,7 @@ O(block) scratch.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -159,11 +160,11 @@ def _scalar_or_array(a: np.ndarray) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class SampleClock:
-    """Sample timing: the nominal rate plus a simulation speed-up factor.
+    """The live loop's one time source: wall time sped up by ``acceleration``.
 
-    ``acceleration`` of 1 is real time; larger values compress the wall-clock
-    delivery interval accordingly, ``math.inf`` meaning "as fast as the
-    consumer allows".
+    ``now_ns`` reads monotonic nanoseconds and ``sleep_until`` waits for a
+    reading. ``acceleration`` of 1 is real time, ``math.inf`` "as fast as the
+    consumer allows". ``rate_hz`` is unread; benchmark/workloads.py passes it.
     """
 
     rate_hz: float = 256.0
@@ -174,6 +175,13 @@ class SampleClock:
             raise ValueError("rate_hz must be positive")
         if not self.acceleration >= 1:
             raise ValueError("acceleration must be >= 1")
+
+    def now_ns(self) -> int:
+        return time.monotonic_ns()
+
+    def sleep_until(self, t_ns: int) -> None:
+        if (wait_ns := t_ns - time.monotonic_ns()) > 0:
+            time.sleep(wait_ns / 1e9)
 
 
 @dataclass

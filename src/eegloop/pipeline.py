@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -180,7 +179,6 @@ def run_live(
     clock: SampleClock = SampleClock(),
     queue: EpochQueue | None = None,
     deterministic: bool = False,
-    timer: Callable[[], int] = time.perf_counter_ns,
 ) -> tuple[list[dict], TimingReport]:
     """Stream epochs from ``source`` through the queue into ``processor``.
 
@@ -190,14 +188,16 @@ def run_live(
     produced epochs, so accelerated runs report the real-time figure.
 
     One loop on the calling thread reads each epoch, and its deadline is
-    the start plus the recording up to its end, divided by the clock
-    acceleration. While that deadline is ahead the loop classifies
+    the start plus the recording up to its end, divided by the clock's
+    ``acceleration``. While that deadline is ahead the loop classifies
     queued epochs; it sleeps out the rest, then admits the epoch, and a
     full queue drops it. When the source ends, the queued epochs are
     classified. An infinite acceleration classifies each admitted epoch
     at once, before the next is read. ``deterministic=True`` does the
     same whatever the clock; it exists only because
-    benchmark/workloads.py passes it, and goes when that stops.
+    benchmark/workloads.py passes it, and goes when that stops. Time is
+    read only from the clock: deadlines and ``processing_us`` from its
+    ``now_ns()``, and the waits are its ``sleep_until``.
 
     Any failure, of the source or of the processor, or a
     ``KeyboardInterrupt``, ends the run. The queued epochs are still
@@ -207,8 +207,6 @@ def run_live(
     both fail). The epoch whose processor raised is logged with
     ``label`` None. ``produced == consumed + dropped + queued`` and
     ``consumed == len(log)`` hold on every exit.
-    ``timer`` must return monotonic nanoseconds; it is injectable so
-    tests can compare logs byte for byte.
     """
     q = queue if queue is not None else EpochQueue()
     pace = math.inf if deterministic else clock.acceleration
@@ -220,38 +218,36 @@ def run_live(
     def consume(epoch: Epoch) -> bool:
         """Classify and log one epoch; False once the processor has failed."""
         nonlocal processor_error
-        t0 = timer()
+        t0 = clock.now_ns()
         try:
             label = processor(epoch)
         except (Exception, KeyboardInterrupt) as exc:
             label, processor_error = None, _describe(exc)
-        elapsed_us = (timer() - t0) // 1000
         log.append(
             {
                 "epoch_index": len(log),
                 "start_index": epoch.start_index,
                 "label": label,
-                "processing_us": int(elapsed_us),
+                "processing_us": (clock.now_ns() - t0) // 1000,
             }
         )
         return processor_error is None
 
-    def classify_until(deadline: float) -> bool:
-        """Classify queued epochs while ``deadline`` is ahead; False once
+    def classify_until(deadline_ns: float) -> bool:
+        """Classify queued epochs while ``deadline_ns`` is ahead; False once
         the processor has failed."""
-        while len(q) and time.monotonic() < deadline:
+        while len(q) and clock.now_ns() < deadline_ns:
             if not consume(q.dequeue()):
                 return False
         return True
 
-    start = time.monotonic()
+    start_ns = clock.now_ns()
     try:  # consume() keeps the processor's failures to itself
         for epoch in source:
-            due = start + (collected_s + epoch.length_s) / pace
-            if not classify_until(due):
+            due_ns = start_ns + round((collected_s + epoch.length_s) * 1e9 / pace)
+            if not classify_until(due_ns):
                 break
-            if (wait_s := due - time.monotonic()) > 0:
-                time.sleep(wait_s)
+            clock.sleep_until(due_ns)
             collected_s += epoch.length_s
             q.enqueue(epoch)
             if pace == math.inf and not classify_until(math.inf):

@@ -152,9 +152,12 @@ def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     rng = np.random.default_rng(spec.seed)
     rows = []
     for label in CLASS_NAMES:
-        samples = np.concatenate(
-            [generate_epoch_samples(label, spec, rng) for _ in range(spec.epochs_per_class)]
-        )
+        try:  # settings whose numbers overflow fail by the class, not with warnings
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                samples = np.concatenate([generate_epoch_samples(label, spec, rng)
+                                          for _ in range(spec.epochs_per_class)])
+        except ArithmeticError as exc:
+            raise ValueError(f"class {label!r} cannot be generated: {exc.args[-1]}") from None
         header = EdfFileHeader.create(
             num_signals=1,
             num_records=spec.epochs_per_class,

@@ -1,6 +1,8 @@
 """End-to-end command-line behaviour: outputs, determinism, error paths."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eegloop import cli, features, gbt, pipeline
 from eegloop.classes import CLASS_NAMES
@@ -127,6 +131,32 @@ class TestSynth:
                      "--config", str(config)]) != 0
         assert capsys.readouterr().err.startswith("error:")
 
+
+    @pytest.mark.parametrize("bump, cause",
+                             [([6.5, 0.0, 1.0], "divide by zero"),
+                              ([6.5, 1e200, 1.0], "out of range")],
+                             ids=["zero_width", "huge_width"])
+    def test_profile_that_overflows_fails_by_its_class(self, tmp_path, capsys, bump,
+                                                        cause):
+        profiles = {name: {"bumps": [[6.5, 1.5, 1.0]]} for name in CLASS_NAMES}
+        profiles["tbi_wake"]["bumps"].append(bump)
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"profiles": profiles}))
+        assert main(["synth", "--out", str(tmp_path / "x"), "--config", str(config),
+                     "--epochs-per-class", "1", "--epoch-length", "4"]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith("error: class 'tbi_wake' cannot be generated: ")
+        assert cause in err
+
+    def test_number_too_large_for_a_float_rejected(self, tmp_path, capsys):
+        config = tmp_path / "spec.json"
+        config.write_text('{"noise_level": 1' + "0" * 400 + "}")
+        assert main(["synth", "--out", str(tmp_path / "x"),
+                     "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "field 'noise_level' has the wrong type" in err
 
     @pytest.mark.parametrize(
         "entry, cause",
@@ -490,6 +520,23 @@ class TestReplay:
         assert main(["replay", "--edf", str(data / "sham_wake.edf"), *flags]) == 2
         out, err = capsys.readouterr()
         assert out == ""  # no report
+        assert_one_error_line(err)
+        assert cause in err
+
+    @pytest.mark.parametrize(
+        "flags, cause",
+        [(["--vref", "-5"], "vref_volts must be positive and finite, got -5.0"),
+         (["--dac-bits", "40"], "converter bits must be in [1, 16], got 40"),
+         (["--vref", "nan"], "vref_volts must be positive and finite, got nan"),
+         (["--gain", "1", "--vref", "nan"], "vref_volts must be positive and finite")],
+        ids=["negative_vref", "dac_bits_40", "vref_nan", "gain_vref_nan"],
+    )
+    def test_bypass_checks_the_converter_flags(self, workspace, capsys, flags, cause):
+        _, data, _ = workspace
+        assert main(["replay", "--edf", str(data / "sham_wake.edf"), "--bypass",
+                     *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
         assert_one_error_line(err)
         assert cause in err
 
@@ -1001,3 +1048,103 @@ class TestBench:
                          str(tmp_path / "b.csv"), "--epoch-lengths", lengths])
             assert code == 2
             assert_one_error_line(capsys.readouterr().err)
+
+
+# Fuzzed untrusted input: a config file, a label index, stdin floats. Each
+# input gives a valid result or exactly one error line with exit 2, and
+# never a traceback, since main() turns only ValueError and OSError into
+# that line.
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.just(10**400)
+    | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+bumps = st.lists(st.lists(st.floats() | st.integers(-5, 200), min_size=3, max_size=3),
+                 max_size=3)
+profiles = st.fixed_dictionaries(
+    {name: st.fixed_dictionaries({"bumps": bumps}, optional={"power_scale": st.floats()})
+     for name in CLASS_NAMES})
+
+
+def config_files(fields):
+    """Config file bytes: JSON objects over ``fields`` and other keys, other
+    JSON, or neither."""
+    key = st.sampled_from(fields) | st.text(max_size=6)
+    docs = st.dictionaries(key, json_values, max_size=4) | json_values
+    return (docs.map(json.dumps).map(str.encode) | st.binary(max_size=40)
+            | st.text(max_size=40).map(str.encode))
+
+
+def assert_result_or_one_error(code, out, err):
+    if code == 0:
+        assert out and not err
+    else:
+        assert code == 2 and out == ""
+        assert_one_error_line(err)
+
+
+class TestFuzzedInput:
+    @given(config_files(["amplitude_uv", "noise_level", "amplitude_jitter", "seed",
+                         "profiles", "rate_hz"])
+           | st.builds(lambda p, doc: json.dumps({"profiles": p, **doc}).encode(),
+                       profiles, st.dictionaries(st.sampled_from(["seed", "noise_level"]),
+                                                 json_values, max_size=1)))
+    @FUZZ
+    def test_synth_config(self, tmp_path, capsys, config_bytes):
+        config, out = tmp_path / "spec.json", tmp_path / "ds"
+        config.write_bytes(config_bytes)
+        shutil.rmtree(out, ignore_errors=True)
+        code = main(["synth", "--out", str(out), "--config", str(config),
+                     "--epochs-per-class", "1", "--epoch-length", "4"])
+        assert_result_or_one_error(code, *capsys.readouterr())
+
+    @given(config_files(["rounds", "max_depth", "learning_rate", "l2_lambda",
+                         "min_child_weight"]))
+    @FUZZ
+    def test_train_config(self, workspace, tmp_path, capsys, config_bytes):
+        _, data, _ = workspace
+        config = tmp_path / "train.json"
+        config.write_bytes(config_bytes)
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--train-config", str(config), "--rounds", "1", "--max-depth", "1"])
+        assert_result_or_one_error(code, *capsys.readouterr())
+
+    @given(st.lists(st.tuples(st.sampled_from([f"{c}.edf" for c in CLASS_NAMES])
+                              | st.text(max_size=6),
+                              st.integers(-2, 12).map(str) | st.text(max_size=4),
+                              st.sampled_from(CLASS_NAMES) | st.text(max_size=6)),
+                    max_size=6),
+           st.sampled_from([["file", "epoch_index", "class"], ["class", "file"], []])
+           | st.lists(st.text(max_size=6), max_size=4),
+           st.binary(max_size=20))
+    @FUZZ
+    def test_label_index(self, workspace, tmp_path, capsys, rows, columns, tail):
+        _, data, model = workspace
+        dataset = tmp_path / "ds"
+        if not dataset.exists():
+            shutil.copytree(data, dataset)
+        text = io.StringIO(newline="")
+        csv.writer(text).writerows([columns, *rows])
+        (dataset / "labels.csv").write_bytes(text.getvalue().encode() + tail)
+        code = main(["evaluate", "--data", str(dataset), "--model", str(model),
+                     "--out", str(tmp_path / "report.json")])
+        assert_result_or_one_error(code, *capsys.readouterr())
+
+    @given(st.sampled_from(["", "0.5\n" * 1024]),
+           st.lists(st.floats().map(repr) | st.text(max_size=5)
+                    | st.sampled_from(["", "#", ",", "1 2", "1e400", "\t"]), max_size=20),
+           st.sampled_from(["\n", " ", ",", "\r\n"]),
+           st.binary(max_size=8))
+    @FUZZ
+    def test_stdin_floats(self, workspace, capsys, monkeypatch, head, tokens, sep, tail):
+        _, _, model = workspace
+        stdin = (head + sep.join(tokens)).encode() + tail
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), "utf-8"))
+        code = main(["run", "--input", "-", "--model", str(model), "--epoch-length", "4",
+                     "--rate", "256", "--acceleration", "max"])
+        assert_result_or_one_error(code, *capsys.readouterr())

@@ -20,6 +20,7 @@ from eegloop.features import (
     PreprocessConfig,
     _moments,
     _welch,
+    _welch_setup,
     bandpass_sos,
     extract,
     featurize,
@@ -233,6 +234,24 @@ class TestWelch:
              "zero": np.zeros(n),
              "constant": np.full(n, 3.7)}[kind]
         assert_welch_matches_scipy(x, rate_hz)
+
+    @pytest.mark.parametrize("rate_hz", [100, 128, 200, 250, 256, 500, 512, 1000])
+    def test_window_and_axis_equal_short_time_fft(self, rate_hz):
+        nperseg = 4 * rate_hz
+        stft = sps.ShortTimeFFT(sps.get_window("hann", nperseg),
+                                nperseg - int(nperseg * WELCH_OVERLAP), float(rate_hz),
+                                fft_mode="onesided", mfft=nperseg, scale_to="psd",
+                                phase_shift=None)
+        window, freqs, _ = _welch_setup(float(rate_hz), nperseg)
+        assert window.tobytes() == stft.win.conj().tobytes()
+        assert freqs.tobytes() == stft.f.tobytes()
+
+    def test_runs_without_scipy(self, monkeypatch):
+        x = np.random.default_rng(3).standard_normal(1500)
+        expected = reference_welch(x, 300.0, 1200)
+        monkeypatch.setitem(sys.modules, "scipy", None)  # so importing it fails
+        freqs, psd = _welch(x, 300.0, 1200)  # a rate no other test sets up
+        assert (freqs.tobytes(), psd.tobytes()) == tuple(a.tobytes() for a in expected)
 
     @pytest.mark.parametrize("length_s", [16, 32, 64])
     def test_bytes_equal_scipy_on_synthetic_epochs(self, length_s):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import VirtualClock
 from eegloop.loopback import SampleClock
 from eegloop.pipeline import (Epoch, EpochQueue, TimingReport, assemble, run_live,
                               samples_per_epoch)
@@ -27,24 +28,38 @@ def assert_accounted(queue, log):
     assert c["consumed"] == len(log)
 
 
+MS = 1_000_000  # nanoseconds
+
+
 def paced_clock():
-    """A finite clock with 40 ms between 4 s epochs."""
-    return SampleClock(rate_hz=16.0, acceleration=100.0)
+    """A virtual clock with 40 ms between 4 s epochs."""
+    return VirtualClock(acceleration=100.0)
 
 
 def inline_clock():
-    return SampleClock(rate_hz=16.0, acceleration=math.inf)
+    return VirtualClock()
 
 
-def slow_then(seconds, then):
-    """A processor whose first call sleeps ``seconds`` and returns a label,
-    and whose later calls return ``then(epoch)``."""
+def spending(clock, seconds, then=lambda epoch: "sham_wake"):
+    """A processor that spends ``seconds`` of ``clock`` on each epoch, then
+    returns ``then(epoch)``."""
+
+    def processor(epoch):
+        clock.spend(seconds)
+        return then(epoch)
+
+    return processor
+
+
+def slow_then(clock, seconds, then):
+    """A processor whose first call spends ``seconds`` of ``clock`` and
+    returns a label, and whose later calls return ``then(epoch)``."""
     calls = []
 
     def processor(epoch):
         calls.append(epoch)
         if len(calls) == 1:
-            time.sleep(seconds)
+            clock.spend(seconds)
             return "sham_wake"
         return then(epoch)
 
@@ -55,16 +70,32 @@ def explode(epoch):
     raise RuntimeError("model exploded")
 
 
-class FakeTimer:
-    """Monotonic-ns stand-in advancing a fixed step per call."""
+class AdmissionQueue(EpochQueue):
+    """An ``EpochQueue`` that records each offered epoch as ``(epoch
+    number, clock time in ms, admitted)``."""
 
-    def __init__(self, step_ns=1000):
-        self.now = 0
-        self.step_ns = step_ns
+    def __init__(self, clock, capacity):
+        super().__init__(capacity)
+        self.clock = clock
+        self.offers = []
 
-    def __call__(self):
-        self.now += self.step_ns
-        return self.now
+    def enqueue(self, epoch):
+        admitted = super().enqueue(epoch)
+        self.offers.append((epoch.start_index // epoch.num_samples,
+                            self.clock.now_ns() / MS, admitted))
+        return admitted
+
+    @property
+    def dropped_epochs(self):
+        return [i for i, _, admitted in self.offers if not admitted]
+
+    @property
+    def admission_ms(self):
+        return [t for _, t, admitted in self.offers if admitted]
+
+
+def encode(log):
+    return "\n".join(json.dumps(entry, sort_keys=True) for entry in log)
 
 
 class TestEpoch:
@@ -171,33 +202,61 @@ class TestEpochQueue:
 class TestRunLive:
     def test_constant_processor_logs_every_epoch(self):
         source = [make_epoch(i) for i in range(10)]
-        log, report = run_live(iter(source), lambda e: "sham_wake",
-                               deterministic=True, timer=FakeTimer())
+        clock = inline_clock()
+        log, report = run_live(iter(source), spending(clock, 1e-6), clock=clock)
         assert len(log) == 10
         assert {entry["label"] for entry in log} == {"sham_wake"}
         assert [entry["start_index"] for entry in log] == [e.start_index for e in source]
+        assert [entry["processing_us"] for entry in log] == [1] * 10
         assert report.num_epochs == 10
-        assert report.processing_time_s == pytest.approx(10 * 1e-6)
+        assert report.processing_time_s == 10e-6
         assert report.complete
 
     def test_collection_time_is_analytic(self):
         source = [make_epoch(i, length_s=64, rate_hz=4.0) for i in range(3)]
-        _, report = run_live(iter(source), lambda e: "sham_wake",
-                             deterministic=True, timer=FakeTimer())
+        _, report = run_live(iter(source), lambda e: "sham_wake", clock=inline_clock())
         assert report.collection_time_s == 3 * 64
 
     def test_deterministic_log_is_byte_identical(self):
-        def encode(log):
-            return "\n".join(json.dumps(e, sort_keys=True) for e in log)
-
         runs = []
         for _ in range(2):
             source = [make_epoch(i, fill=float(i % 3)) for i in range(20)]
+            clock = inline_clock()
             log, _ = run_live(iter(source),
-                              lambda e: "tbi_wake" if e.samples[0] > 1 else "sham_wake",
-                              deterministic=True, timer=FakeTimer())
+                              spending(clock, 1e-6, lambda e: "tbi_wake"
+                                       if e.samples[0] > 1 else "sham_wake"),
+                              clock=clock)
             runs.append(encode(log))
         assert runs[0] == runs[1]
+
+    def test_paced_log_is_byte_identical(self):
+        # Epoch i costs 30, 50 or 70 ms against a 40 ms interval, so the
+        # queue fills and drains, and processing_us is part of each line.
+        def varying(epoch):
+            clock.spend(0.03 + 0.02 * epoch.samples[0])
+            return "sham_wake"
+
+        runs = []
+        for _ in range(2):
+            clock = paced_clock()
+            q = AdmissionQueue(clock, capacity=2)
+            log, report = run_live(
+                iter([make_epoch(i, fill=float(i % 3)) for i in range(12)]),
+                varying, clock=clock, queue=q)
+            assert report.complete
+            assert_accounted(q, log)
+            runs.append((encode(log), q.offers, clock.now_ns()))
+        assert runs[0] == runs[1]
+        assert [e["processing_us"] for e in log] == [
+            [30_000, 50_000, 70_000][e["start_index"] // 64 % 3] for e in log]
+
+    def test_deterministic_ignores_a_finite_clock(self):
+        # Only benchmark/workloads.py still passes deterministic=True.
+        clock = VirtualClock(acceleration=1.0)
+        log, report = run_live(iter([make_epoch(i) for i in range(3)]),
+                               lambda e: "sham_wake", clock=clock, deterministic=True)
+        assert len(log) == 3 and report.complete
+        assert clock.now_ns() == 0  # never slept
 
     def test_source_failure_flags_incomplete(self):
         def bad_source():
@@ -205,19 +264,21 @@ class TestRunLive:
             yield make_epoch(1)
             raise IOError("sensor unplugged")
 
-        for clock, deterministic in ((inline_clock(), True), (paced_clock(), False)):
+        for clock in (inline_clock(), paced_clock()):
             q = EpochQueue(capacity=8)
             log, report = run_live(bad_source(), lambda e: "sham_wake",
-                                   clock=clock, queue=q, deterministic=deterministic,
-                                   timer=FakeTimer())
+                                   clock=clock, queue=q)
             assert not report.complete
             assert report.error == "OSError: sensor unplugged"
             assert len(log) == 2
             assert q.counters() == {"produced": 2, "consumed": 2, "dropped": 0,
                                     "queued": 0}
 
-    @pytest.mark.parametrize("deterministic", [True, False])
-    def test_processor_failure_ends_run_with_partial_log(self, deterministic):
+    @pytest.mark.parametrize("make_clock", [inline_clock, paced_clock],
+                             ids=["inline", "paced"])
+    def test_processor_failure_ends_run_with_partial_log(self, make_clock):
+        # Paced, epoch 0 is classified in the 40 ms before epoch 1 is due,
+        # and epoch 1 fails before epoch 2 is admitted: as inline.
         def failing(epoch):
             if epoch.start_index > 0:
                 raise RuntimeError("model exploded")
@@ -225,32 +286,32 @@ class TestRunLive:
 
         source = [make_epoch(i) for i in range(10)]
         q = EpochQueue(capacity=8)
-        clock = inline_clock() if deterministic else paced_clock()
-        log, report = run_live(iter(source), failing, clock=clock, queue=q,
-                               deterministic=deterministic, timer=FakeTimer())
+        clock = make_clock()
+        log, report = run_live(iter(source), spending(clock, 1e-6, failing),
+                               clock=clock, queue=q)
         assert not report.complete
         assert report.error == "RuntimeError: model exploded"
         assert [entry["label"] for entry in log] == ["sham_wake", None]
         assert log[-1]["processing_us"] == 1
         assert_accounted(q, log)
-        if deterministic:
-            assert q.counters() == {"produced": 2, "consumed": 2, "dropped": 0,
-                                    "queued": 0}
+        assert q.counters() == {"produced": 2, "consumed": 2, "dropped": 0, "queued": 0}
 
     def test_paced_processor_failure_accounts_for_queued_epochs(self):
-        # Epoch 0 is classified for 0.42 s, over ten 40 ms intervals: epochs
-        # 1-4 fill the queue behind it and epochs 5-10 at least are dropped.
-        # Epoch 1 then fails, with the queue still holding 2-4.
-        q = EpochQueue(capacity=4)
+        # Epoch 0, admitted at 40 ms, is classified for 420 ms: epochs 1-4,
+        # each past its deadline, fill the queue at 460 ms, and epochs 5-10
+        # are dropped. Epoch 11 is due at 480 ms, so epoch 1 is classified
+        # first; it fails, with the queue still holding 2-4.
+        clock = paced_clock()
+        q = AdmissionQueue(clock, capacity=4)
         source = [make_epoch(i) for i in range(20)]
-        log, report = run_live(iter(source), slow_then(0.42, explode),
-                               clock=paced_clock(), queue=q)
+        log, report = run_live(iter(source), slow_then(clock, 0.42, explode),
+                               clock=clock, queue=q)
         assert report.error == "RuntimeError: model exploded"
         assert [entry["label"] for entry in log] == ["sham_wake", None]
-        c = q.counters()
-        assert (c["consumed"], c["queued"]) == (2, 3)
-        assert c["dropped"] >= 6
-        assert report.num_epochs == c["produced"] == 5 + c["dropped"]
+        assert q.counters() == {"produced": 11, "consumed": 2, "dropped": 6, "queued": 3}
+        assert q.dropped_epochs == [5, 6, 7, 8, 9, 10]
+        assert q.admission_ms == [40, 460, 460, 460, 460]
+        assert report.num_epochs == 11
         assert_accounted(q, log)
 
     def test_paced_processor_error_wins_over_source_error(self):
@@ -261,49 +322,71 @@ class TestRunLive:
             yield from (make_epoch(i) for i in range(3))
             raise IOError("sensor unplugged")
 
-        q = EpochQueue(capacity=8)
-        log, report = run_live(bad_source(), slow_then(0.1, explode),
-                               clock=paced_clock(), queue=q)
+        clock = paced_clock()
+        q = AdmissionQueue(clock, capacity=8)
+        log, report = run_live(bad_source(), slow_then(clock, 0.1, explode),
+                               clock=clock, queue=q)
         assert report.error == "RuntimeError: model exploded"
         assert [entry["label"] for entry in log] == ["sham_wake", None]
         assert q.counters() == {"produced": 3, "consumed": 2, "dropped": 0, "queued": 1}
+        assert q.admission_ms == [40, 140, 140]
         assert_accounted(q, log)
 
     def test_paced_slow_consumer_drops_its_overflow(self):
-        def slow(epoch):  # 2.5 intervals of the paced clock
-            time.sleep(0.1)
-            return "sham_wake"
-
-        q = EpochQueue(capacity=2)
-        log, report = run_live(iter([make_epoch(i) for i in range(10)]), slow,
-                               clock=paced_clock(), queue=q)
+        # 100 ms per epoch is 2.5 intervals of 40 ms, and the queue holds
+        # two: epochs 4, 5, 7 and 9 are due while it is full.
+        clock = paced_clock()
+        q = AdmissionQueue(clock, capacity=2)
+        log, report = run_live(iter([make_epoch(i) for i in range(10)]),
+                               spending(clock, 0.1), clock=clock, queue=q)
         assert report.complete
-        assert q.produced == 10 and q.dropped > 0
+        assert q.produced == 10
+        assert q.dropped_epochs == [4, 5, 7, 9]
+        assert q.admission_ms == [40, 140, 140, 240, 340, 440]
+        assert [entry["start_index"] // 64 for entry in log] == [0, 1, 2, 3, 6, 8]
+        assert {entry["processing_us"] for entry in log} == {100_000}
+        assert clock.now_ns() == 640 * MS
         assert_accounted(q, log)
 
-    @pytest.mark.parametrize("clock", [inline_clock(), paced_clock()],
+    def test_paced_admissions_keep_absolute_deadlines(self):
+        # 20 epochs at a 10 ms interval, each costing 5 ms to read: each is
+        # admitted at its deadline, not 5 ms after it.
+        clock = VirtualClock(acceleration=400.0)
+
+        def slow_source():
+            for i in range(20):
+                clock.spend(0.005)
+                yield make_epoch(i)
+
+        q = AdmissionQueue(clock, capacity=8)
+        log, report = run_live(slow_source(), lambda e: "sham_wake", clock=clock, queue=q)
+        assert len(log) == 20 and report.complete
+        assert q.admission_ms == [10 * (i + 1) for i in range(20)]
+
+    @pytest.mark.parametrize("make_clock", [inline_clock, paced_clock],
                              ids=["inline", "paced"])
-    def test_processor_interrupt_ends_run_with_partial_log(self, clock):
+    def test_processor_interrupt_ends_run_with_partial_log(self, make_clock):
         def interrupt(epoch):
             raise KeyboardInterrupt
 
         q = EpochQueue(capacity=8)
+        clock = make_clock()
         log, report = run_live(iter([make_epoch(i) for i in range(5)]),
-                               slow_then(0, interrupt), clock=clock, queue=q)
+                               slow_then(clock, 0, interrupt), clock=clock, queue=q)
         assert report.error == "KeyboardInterrupt"
         assert [entry["label"] for entry in log] == ["sham_wake", None]
         assert_accounted(q, log)
 
-    @pytest.mark.parametrize("clock", [inline_clock(), paced_clock()],
+    @pytest.mark.parametrize("make_clock", [inline_clock, paced_clock],
                              ids=["inline", "paced"])
-    def test_source_interrupt_ends_run_after_the_queued_epochs(self, clock):
+    def test_source_interrupt_ends_run_after_the_queued_epochs(self, make_clock):
         def interrupted_source():
             yield from (make_epoch(i) for i in range(2))
             raise KeyboardInterrupt
 
         q = EpochQueue(capacity=8)
         log, report = run_live(interrupted_source(), lambda e: "sham_wake",
-                               clock=clock, queue=q)
+                               clock=make_clock(), queue=q)
         assert report.error == "KeyboardInterrupt"
         assert [entry["label"] for entry in log] == ["sham_wake"] * 2
         assert q.counters() == {"produced": 2, "consumed": 2, "dropped": 0, "queued": 0}
@@ -352,14 +435,30 @@ class TestRunLive:
         assert report.complete
 
     def test_finite_acceleration_paces_and_completes(self):
-        source = [make_epoch(i) for i in range(5)]
-        q = EpochQueue(capacity=8)
-        log, report = run_live(
-            iter(source), lambda e: "sham_wake",
-            clock=SampleClock(rate_hz=16.0, acceleration=4000.0), queue=q,
-        )
+        clock = VirtualClock(acceleration=4000.0)
+        q = AdmissionQueue(clock, capacity=8)
+        log, report = run_live(iter([make_epoch(i) for i in range(5)]),
+                               lambda e: "sham_wake", clock=clock, queue=q)
         assert len(log) == 5
         assert q.counters()["dropped"] == 0
+        assert q.admission_ms == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("acceleration", [math.inf, 100.0], ids=["inline", "paced"])
+    def test_reads_no_time_but_its_clock(self, monkeypatch, acceleration):
+        def no_time(*args):
+            raise AssertionError("run_live read the time outside its clock")
+
+        for name in ("monotonic", "monotonic_ns", "perf_counter_ns", "sleep"):
+            monkeypatch.setattr(time, name, no_time)
+        clock = VirtualClock(acceleration)
+        q = EpochQueue(capacity=8)
+        log, report = run_live(iter([make_epoch(i) for i in range(5)]),
+                               spending(clock, 0.01), clock=clock, queue=q)
+        assert report.complete
+        assert log == [{"epoch_index": i, "start_index": 64 * i, "label": "sham_wake",
+                        "processing_us": 10_000} for i in range(5)]
+        assert q.counters() == {"produced": 5, "consumed": 5, "dropped": 0, "queued": 0}
+        assert clock.now_ns() == (50 if acceleration == math.inf else 210) * MS
 
     def test_paced_producer_keeps_absolute_deadlines(self):
         # 20 epochs at a 10 ms interval, each costing ~5 ms to read: relative
@@ -378,18 +477,19 @@ class TestRunLive:
 
     def test_paced_processor_failure_stops_producer_promptly(self):
         # Eight 4 s epochs at 16x: one 0.25 s interval each, 2 s in all.
+        # Epoch 0 is admitted at 0.25 s and fails then, and the run stops
+        # without waiting for epoch 1's deadline.
         def failing(epoch):
             raise RuntimeError("model exploded")
 
         source = [make_epoch(i) for i in range(8)]
         q = EpochQueue(capacity=8)
-        start = time.monotonic()
-        log, report = run_live(iter(source), failing,
-                               clock=SampleClock(rate_hz=16.0, acceleration=16.0),
-                               queue=q)
-        assert time.monotonic() - start < 0.6
+        clock = VirtualClock(acceleration=16.0)
+        log, report = run_live(iter(source), failing, clock=clock, queue=q)
+        assert clock.now_ns() == 250 * MS
         assert report.error == "RuntimeError: model exploded"
         assert log[-1]["label"] is None
+        assert q.counters() == {"produced": 1, "consumed": 1, "dropped": 0, "queued": 0}
         assert_accounted(q, log)
 
     def test_timing_report_ratio(self):
@@ -400,11 +500,11 @@ class TestRunLive:
 
 class TestBench:
     """Batch timing as `eegloop bench` does it: one run per size at an
-    infinite clock, which classifies on the calling thread."""
+    infinite real clock, which classifies on the calling thread."""
 
     @staticmethod
     def bench(batch_sizes, processor, epochs):
-        clock = inline_clock()
+        clock = SampleClock(acceleration=math.inf)
         return [run_live(epochs[:size], processor, clock=clock)[1]
                 for size in batch_sizes]
 
