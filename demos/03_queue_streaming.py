@@ -35,7 +35,7 @@ queue = EpochQueue(capacity=8)
 t0 = time.time()
 log, report = run_live(
     assemble(stream, 4, 256.0), processor,
-    clock=SampleClock(256.0, acceleration=math.inf), queue=queue,
+    clock=SampleClock(acceleration=math.inf), queue=queue,
 )
 print(f"\naccelerated run took {time.time() - t0:.3f} s of wall time")
 print("counters:", queue.counters())
@@ -59,7 +59,7 @@ def slow_processor(epoch):
 queue = EpochQueue(capacity=2)
 _, report = run_live(
     assemble(stream, 4, 256.0), slow_processor,
-    clock=SampleClock(256.0, acceleration=2000.0), queue=queue,
+    clock=SampleClock(acceleration=2000.0), queue=queue,
 )
 print("\nslow consumer under finite acceleration:", queue.counters())
 print("conservation: produced == consumed + dropped + queued ->",

@@ -7,7 +7,9 @@ and every value is checked by the class or constructor that uses it.
 ``synth``, ``evaluate`` and ``bench`` take ``--seed``. Every command
 exits nonzero with a single ``error: ...``
 line on stderr when anything fails, and a library warning is one
-``warning: ...`` line. Verbosity is controlled only by the
+``warning: ...`` line. A command opens its output files once its flags
+and model are checked and before any other work, and a failure removes
+them again. Verbosity is controlled only by the
 ``EEGLOOP_LOG`` environment variable.
 """
 
@@ -83,8 +85,8 @@ def _add_field_flags(parser: argparse.ArgumentParser, cls) -> None:
                             type=hints[f.name])
 
 
-def _write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+def _write_json(fh: typing.TextIO, doc: dict) -> None:
+    fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(fh: typing.TextIO, rows: list[dict]) -> None:
@@ -92,6 +94,22 @@ def _write_csv(fh: typing.TextIO, rows: list[dict]) -> None:
     writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
     writer.writeheader()
     writer.writerows(rows)
+
+
+@contextlib.contextmanager
+def _output_files():
+    """Yield ``open_output(path, mode="w")``, which opens an output file at once, so a
+    bad path fails before any work. If the block raises, the regular files opened (not
+    a device such as /dev/null) are removed: a failed command leaves no output behind."""
+    with contextlib.ExitStack() as unfinished, contextlib.ExitStack() as files:
+        def open_output(path: str, mode: str = "w") -> typing.IO:
+            fh = files.enter_context(open(path, mode, newline=None if "b" in mode else ""))
+            if os.path.isfile(path):
+                unfinished.callback(Path(path).unlink, missing_ok=True)
+            return fh
+
+        yield open_output
+        unfinished.pop_all()
 
 
 def _timing_row(report: pipeline.TimingReport) -> dict:
@@ -138,11 +156,11 @@ def _featurize_dataset(
     return fvs, labels, epochs[0].length_s
 
 
-def _make_processor(model: gbt.GbtModel):
-    def processor(epoch: pipeline.Epoch) -> str:
-        return gbt.predict_labels(model, [features.featurize(epoch)])[0]
-
-    return processor
+def _warm_up(length_s: int, rate_hz: float) -> None:
+    """One silent epoch imports scipy and designs the filter and Welch window before a
+    run's clock starts, so epoch 0 is timed like the rest; a band past Nyquist fails."""
+    silence = np.zeros(pipeline.samples_per_epoch(length_s, rate_hz))
+    features.featurize(pipeline.Epoch(silence, 0, length_s, rate_hz))
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -162,18 +180,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _settings(gbt.TrainConfig, args.train_config, args)
-    fvs, labels, _ = _featurize_dataset(args.data)
-    model = gbt.train(list(zip(fvs, labels)), config)
-    Path(args.out).write_bytes(gbt.save_model(model))
-    if args.log_file:
-        _write_json(
-            args.log_file,
-            {
-                "config": dataclasses.asdict(config),
-                "num_epochs": len(fvs),
-                "log_loss_per_round": model.training_loss,
-            },
-        )
+    with _output_files() as open_output:
+        model_fh = open_output(args.out, "wb")
+        log_fh = open_output(args.log_file) if args.log_file else None
+        fvs, labels, _ = _featurize_dataset(args.data)
+        model = gbt.train(list(zip(fvs, labels)), config)
+        model_fh.write(gbt.save_model(model))
+        if log_fh:
+            _write_json(
+                log_fh,
+                {
+                    "config": dataclasses.asdict(config),
+                    "num_epochs": len(fvs),
+                    "log_loss_per_round": model.training_loss,
+                },
+            )
     print(args.out)
     return 0
 
@@ -185,60 +206,64 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         train_config = _settings(gbt.TrainConfig, args.train_config, args)
         cv_config = _settings(ev.CvConfig, None, args)
-    fvs, labels, epoch_length_s = _featurize_dataset(args.data)
-    if args.model:
-        cm = ev.confusion(labels, gbt.predict_labels(model, fvs))
-        report = ev.report_bytes(cm, epoch_length_s, folds=None, seed=None,
-                                 accuracy_mean=ev.metrics(cm).accuracy,
-                                 accuracy_per_fold=[])
-    else:
-        def trainer(train_fvs, train_labels):
-            model = gbt.train(list(zip(train_fvs, train_labels)), train_config)
-            return lambda fv: gbt.predict_labels(model, [fv])[0]
+    with _output_files() as open_output:
+        out = open_output(args.out, "wb")
+        fvs, labels, epoch_length_s = _featurize_dataset(args.data)
+        if args.model:
+            cm = ev.confusion(labels, gbt.predict_labels(model, fvs))
+            report = ev.report_bytes(cm, epoch_length_s, folds=None, seed=None,
+                                     accuracy_mean=ev.metrics(cm).accuracy,
+                                     accuracy_per_fold=[])
+        else:
+            def trainer(train_fvs, train_labels):
+                model = gbt.train(list(zip(train_fvs, train_labels)), train_config)
+                return lambda fv: gbt.predict_labels(model, [fv])[0]
 
-        result = ev.kfold_cv(fvs, labels, trainer, cv_config)
-        report = ev.report_bytes(
-            result.pooled, epoch_length_s, folds=cv_config.folds, seed=cv_config.seed,
-            accuracy_mean=result.mean_accuracy,
-            accuracy_per_fold=[m.accuracy for m in result.per_fold],
-        )
-    Path(args.out).write_bytes(report)
+            result = ev.kfold_cv(fvs, labels, trainer, cv_config)
+            report = ev.report_bytes(
+                result.pooled, epoch_length_s, folds=cv_config.folds,
+                seed=cv_config.seed, accuracy_mean=result.mean_accuracy,
+                accuracy_per_fold=[m.accuracy for m in result.per_fold],
+            )
+        out.write(report)
     print(args.out)
     return 0
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    _, sig, trace = read_signal(Path(args.edf).read_bytes(), args.signal)
     converters = (loopback.DacModel(args.dac_bits, args.vref),  # checked even if bypassed
                   loopback.AdcModel(args.adc_bits, args.vref))
     dac, adc = (None, None) if args.bypass else converters
-    if args.gain is not None:
-        offset = args.vref / 2 if args.offset is None else args.offset
-        mapping = loopback.VoltageMapping(args.gain, offset)
-    elif args.offset is not None:
+    if args.offset is not None and args.gain is None:
         raise ValueError("--offset applies only with --gain")
-    else:
-        mapping = loopback.VoltageMapping.centered(
-            sig.physical_min, sig.physical_max, args.vref, args.span
-        )
-    result = loopback.replay_capture(trace, mapping, dac, adc)
-    doc = {
-        "edf": str(args.edf),
-        "n": result.n,
-        "mse": result.mse,
-        "max_abs_error": result.max_abs_error,
-        "clip_count": result.clip_count,
-        "bypass": bool(args.bypass),
-        "dac_bits": None if args.bypass else args.dac_bits,
-        "adc_bits": None if args.bypass else args.adc_bits,
-        "error_bound": (
-            0.0 if args.bypass else loopback.quantization_error_bound(mapping, dac, adc)
-        ),
-        "signal_variance": loopback.variance(trace.samples),
-        "hardware_reference_mse": loopback.HARDWARE_LOOPBACK_REFERENCE_MSE,
-    }
-    if args.out:
-        _write_json(args.out, doc)
+    with _output_files() as open_output:
+        out = open_output(args.out) if args.out else None
+        _, sig, trace = read_signal(Path(args.edf).read_bytes(), args.signal)
+        if args.gain is not None:
+            offset = args.vref / 2 if args.offset is None else args.offset
+            mapping = loopback.VoltageMapping(args.gain, offset)
+        else:
+            mapping = loopback.VoltageMapping.centered(
+                sig.physical_min, sig.physical_max, args.vref, args.span
+            )
+        result = loopback.replay_capture(trace, mapping, dac, adc)
+        doc = {
+            "edf": str(args.edf),
+            "n": result.n,
+            "mse": result.mse,
+            "max_abs_error": result.max_abs_error,
+            "clip_count": result.clip_count,
+            "bypass": bool(args.bypass),
+            "dac_bits": None if args.bypass else args.dac_bits,
+            "adc_bits": None if args.bypass else args.adc_bits,
+            "error_bound": (
+                0.0 if args.bypass else loopback.quantization_error_bound(mapping, dac, adc)
+            ),
+            "signal_variance": loopback.variance(trace.samples),
+            "hardware_reference_mse": loopback.HARDWARE_LOOPBACK_REFERENCE_MSE,
+        }
+        if out:
+            _write_json(out, doc)
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -246,48 +271,38 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     queue = pipeline.EpochQueue(capacity=args.capacity)
     model = gbt.load_model(Path(args.model).read_bytes())
-    if args.input == "-":
-        with warnings.catch_warnings():
-            # An empty stdin is reported below as one error line.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            samples = np.loadtxt(sys.stdin, dtype=np.float64).reshape(-1)
-        if samples.size == 0:
-            raise ValueError("stdin holds no samples")
-        if not (finite := np.isfinite(samples)).all():
-            i = int(np.argmin(finite))
-            raise ValueError(f"stdin sample {i} is not finite: {samples[i]}")
-        rate_hz = args.rate_hz
-    else:
-        _, _, trace = read_signal(Path(args.input).read_bytes(), args.signal)
-        samples, rate_hz = trace.samples, trace.rate_hz
-    per_epoch = pipeline.samples_per_epoch(args.epoch_length_s, rate_hz)
-    if samples.size < per_epoch:
-        raise ValueError(f"input holds {samples.size} samples, fewer than one "
-                         f"{args.epoch_length_s} s epoch of {per_epoch}")
-    source = pipeline.assemble(samples, args.epoch_length_s, rate_hz)
-    with contextlib.ExitStack() as unstarted, contextlib.ExitStack() as outputs:
-        # A bad output path fails here, before any work, and a failure before
-        # epoch 0 removes the files opened; both are written when the run ends.
-        def open_output(path: str) -> typing.TextIO:
-            fh = outputs.enter_context(open(path, "w", newline=""))
-            if os.path.isfile(path):  # not a device such as /dev/null
-                unstarted.callback(Path(path).unlink, missing_ok=True)
-            return fh
+    # stdin is read to its end before epoch 0, so it is its own clock.
+    acceleration = args.acceleration
+    if acceleration is None:
+        acceleration = math.inf if args.input == "-" else 1.0
+    clock = loopback.SampleClock(acceleration=acceleration)
+    with _output_files() as open_output:
+        # Both are written when the run ends, complete or not.
         log_fh, timing_fh = (open_output(path) if path else None
                              for path in (args.log_file, args.timing))
-        # One silent epoch imports scipy and designs the filter and the Welch
-        # window for this rate before the clock starts, so epoch 0 is timed
-        # like the rest and a band that does not fit the rate fails here.
-        silence = np.zeros(per_epoch)
-        features.featurize(pipeline.Epoch(silence, 0, args.epoch_length_s, rate_hz))
-        unstarted.pop_all()
-        # stdin is read to its end before epoch 0, so it is its own clock.
-        acceleration = args.acceleration
-        if acceleration is None:
-            acceleration = math.inf if args.input == "-" else 1.0
-        clock = loopback.SampleClock(acceleration=acceleration)
-        entries, report = pipeline.run_live(source, _make_processor(model),
-                                            clock=clock, queue=queue)
+        if args.input == "-":
+            with warnings.catch_warnings():
+                # An empty stdin is reported below as one error line.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                samples = np.loadtxt(sys.stdin, dtype=np.float64).reshape(-1)
+            if samples.size == 0:
+                raise ValueError("stdin holds no samples")
+            if not (finite := np.isfinite(samples)).all():
+                i = int(np.argmin(finite))
+                raise ValueError(f"stdin sample {i} is not finite: {samples[i]}")
+            rate_hz = args.rate_hz
+        else:
+            _, _, trace = read_signal(Path(args.input).read_bytes(), args.signal)
+            samples, rate_hz = trace.samples, trace.rate_hz
+        per_epoch = pipeline.samples_per_epoch(args.epoch_length_s, rate_hz)
+        if samples.size < per_epoch:
+            raise ValueError(f"input holds {samples.size} samples, fewer than one "
+                             f"{args.epoch_length_s} s epoch of {per_epoch}")
+        source = pipeline.assemble(samples, args.epoch_length_s, rate_hz)
+        _warm_up(args.epoch_length_s, rate_hz)
+        entries, report = pipeline.run_live(
+            source, lambda epoch: gbt.predict_labels(model, [features.featurize(epoch)])[0],
+            clock=clock, queue=queue)
         if log_fh:
             log_fh.writelines(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
         if timing_fh:
@@ -310,37 +325,41 @@ def cmd_bench(args: argparse.Namespace) -> int:
     batch_sizes = _int_list(args.batch_sizes, "--batch-sizes")
     if min(batch_sizes) < 1:
         raise ValueError("batch sizes must be >= 1")
+    specs = [synth.SyntheticSpec(epochs_per_class=1, epoch_length_s=length_s,
+                                 rate_hz=args.rate_hz, seed=args.seed)
+             for length_s in epoch_lengths]
     model = gbt.load_model(Path(args.model).read_bytes())
-    processor = _make_processor(model)
     clock = loopback.SampleClock(acceleration=math.inf)
+    predict_ns: list[int] = []
 
-    def timed(epochs, classify) -> pipeline.TimingReport:
-        _, report = pipeline.run_live(epochs, classify, clock=clock)
-        if not report.complete:
-            raise ValueError(f"bench run incomplete: {report.error}")
-        return report
+    def processor(epoch: pipeline.Epoch) -> str:
+        fv = features.featurize(epoch)
+        t0 = clock.now_ns()
+        label = gbt.predict_labels(model, [fv])[0]
+        predict_ns.append(clock.now_ns() - t0)
+        return label
 
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for length_s in epoch_lengths:
-        spec = synth.SyntheticSpec(
-            epochs_per_class=1, epoch_length_s=length_s, rate_hz=args.rate_hz,
-            seed=args.seed,
-        )
-        stream = np.concatenate([
-            synth.generate_epoch_samples("sham_wake", spec, rng)
-            for _ in range(max(batch_sizes))
-        ])
-        epochs = list(pipeline.assemble(stream, length_s, args.rate_hz))
-        # Inference-only latency, separated from preprocessing and extraction.
-        fvs = {e.start_index: features.featurize(e) for e in epochs}
-        predict = timed(epochs, lambda e: gbt.predict_labels(model, [fvs[e.start_index]])[0])
-        predict_us = predict.processing_time_s * 1e6 / predict.num_epochs
-        rows += [{"epoch_length_s": length_s,
-                  **_timing_row(timed(epochs[:size], processor)),
-                  "predict_per_epoch_us": predict_us} for size in batch_sizes]
-    with open(args.out, "w", newline="") as fh:
-        _write_csv(fh, rows)
+    with _output_files() as open_output:
+        out = open_output(args.out)
+        rng = np.random.default_rng(args.seed)
+        rows = []
+        for spec in specs:
+            stream = np.concatenate([synth.generate_epoch_samples("sham_wake", spec, rng)
+                                     for _ in range(max(batch_sizes))])
+            _warm_up(spec.epoch_length_s, spec.rate_hz)
+            predict_ns.clear()
+            entries, report = pipeline.run_live(pipeline.assemble(
+                stream, spec.epoch_length_s, spec.rate_hz), processor, clock=clock)
+            if not report.complete:
+                raise ValueError(f"bench run incomplete: {report.error}")
+            predict_us = sum(predict_ns) / len(predict_ns) / 1e3
+            for size in batch_sizes:  # the row for N epochs reads the first N entries
+                processing_s = sum(entry["processing_us"] for entry in entries[:size]) / 1e6
+                prefix = pipeline.TimingReport(size, float(size * spec.epoch_length_s),
+                                               processing_s)
+                rows.append({"epoch_length_s": spec.epoch_length_s, **_timing_row(prefix),
+                             "predict_per_epoch_us": predict_us})
+        _write_csv(out, rows)
     print(args.out)
     return 0
 

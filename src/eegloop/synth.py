@@ -20,6 +20,7 @@ EDF files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field, replace
@@ -145,37 +146,47 @@ def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     """Write one EDF per class plus the label index CSV; returns the CSV path.
 
     Each EDF data record holds exactly one epoch. Deterministic: equal
-    specs (including the seed) produce byte-identical files.
+    specs (including the seed) produce byte-identical files. Classes are
+    generated and written one at a time; if any step fails, the files
+    this call wrote and the directories it made are removed.
     """
     out = Path(out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(spec.seed)
-    rows = []
-    for label in CLASS_NAMES:
-        try:  # settings whose numbers overflow fail by the class, not with warnings
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                samples = np.concatenate([generate_epoch_samples(label, spec, rng)
-                                          for _ in range(spec.epochs_per_class)])
-        except ArithmeticError as exc:
-            raise ValueError(f"class {label!r} cannot be generated: {exc.args[-1]}") from None
-        header = EdfFileHeader.create(
-            num_signals=1,
-            num_records=spec.epochs_per_class,
-            record_duration_s=float(spec.epoch_length_s),
-            recording_id=f"synthetic {label}",
-        )
-        filename = f"{label}.edf"
-        (out / filename).write_bytes(
-            write_edf(header, [_signal_header(spec)], [samples])
-        )
-        rows.extend(
-            (filename, idx, label) for idx in range(spec.epochs_per_class)
-        )
-    index_path = out / LABEL_INDEX_NAME
-    with index_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_INDEX_COLUMNS)
-        writer.writerows(rows)
+    with contextlib.ExitStack() as unfinished:
+        for d in reversed(made):
+            unfinished.callback(d.rmdir)
+        rng = np.random.default_rng(spec.seed)
+        rows = []
+        for label in CLASS_NAMES:
+            try:  # settings whose numbers overflow fail by the class, not with warnings
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    samples = np.concatenate([generate_epoch_samples(label, spec, rng)
+                                              for _ in range(spec.epochs_per_class)])
+            except ArithmeticError as exc:
+                raise ValueError(
+                    f"class {label!r} cannot be generated: {exc.args[-1]}") from None
+            header = EdfFileHeader.create(
+                num_signals=1,
+                num_records=spec.epochs_per_class,
+                record_duration_s=float(spec.epoch_length_s),
+                recording_id=f"synthetic {label}",
+            )
+            filename = f"{label}.edf"
+            unfinished.callback((out / filename).unlink, missing_ok=True)
+            (out / filename).write_bytes(
+                write_edf(header, [_signal_header(spec)], [samples])
+            )
+            rows.extend(
+                (filename, idx, label) for idx in range(spec.epochs_per_class)
+            )
+        index_path = out / LABEL_INDEX_NAME
+        unfinished.callback(index_path.unlink, missing_ok=True)
+        with index_path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(_INDEX_COLUMNS)
+            writer.writerows(rows)
+        unfinished.pop_all()
     return index_path
 
 

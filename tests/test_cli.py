@@ -17,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eegloop import cli, features, gbt, pipeline
+from conftest import VirtualClock
+from eegloop import cli, features, gbt, loopback, pipeline
 from eegloop.classes import CLASS_NAMES
 from eegloop.cli import main
 from eegloop.edf import EdfFileHeader, EdfSignalHeader, write_edf
@@ -148,6 +149,25 @@ class TestSynth:
         assert_one_error_line(err)
         assert err.startswith("error: class 'tbi_wake' cannot be generated: ")
         assert cause in err
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_dir", "existing_dir"])
+    def test_class_that_fails_leaves_out_as_found(self, tmp_path, capsys, existing):
+        # tbi_sleep is the last class, so the other three are written first.
+        profiles = {name: {"bumps": [[6.5, 1.5, 1.0]]} for name in CLASS_NAMES}
+        profiles["tbi_sleep"]["bumps"].append([6.5, 0.0, 1.0])
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"profiles": profiles}))
+        out = tmp_path / "ds" / "nested"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept")
+        assert main(["synth", "--out", str(out), "--config", str(config),
+                     "--epochs-per-class", "1", "--epoch-length", "4"]) == 2
+        assert "class 'tbi_sleep' cannot be generated" in capsys.readouterr().err
+        if existing:
+            assert [path.name for path in out.iterdir()] == ["notes.txt"]
+        else:
+            assert not (tmp_path / "ds").exists()
 
     def test_number_too_large_for_a_float_rejected(self, tmp_path, capsys):
         config = tmp_path / "spec.json"
@@ -998,7 +1018,101 @@ def test_evaluate_fails_before_featurizing(workspace, tmp_path, capsys, monkeypa
     assert cause in err
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [("train", ["--data", "{data}", "--out", "{bad}"]),
+     ("train", ["--data", "{data}", "--out", "{ok}", "--log", "{bad}"]),
+     ("evaluate", ["--data", "{data}", "--out", "{bad}"]),
+     ("evaluate", ["--data", "{data}", "--model", "{model}", "--out", "{bad}"]),
+     ("replay", ["--edf", "{data}/sham_wake.edf", "--out", "{bad}"]),
+     ("bench", ["--model", "{model}", "--out", "{bad}", "--epoch-lengths", "16",
+                "--batch-sizes", "2"])],
+    ids=["train", "train_log", "evaluate", "evaluate_model", "replay", "bench"],
+)
+def test_bad_output_path_fails_before_any_work(workspace, tmp_path, capsys, monkeypatch,
+                                               command, flags):
+    _, data, model = workspace
+    paths = {"data": data, "model": model, "ok": tmp_path / "ok.json",
+             "bad": tmp_path / "missing" / "out"}
+    featurized = []
+    monkeypatch.setattr(features, "featurize", featurized.append)
+    assert main([command, *(flag.format(**paths) for flag in flags)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and featurized == []
+    assert list(tmp_path.iterdir()) == []  # the output opened first is removed
+    assert_one_error_line(err)
+    assert "No such file" in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "replay"])
+def test_failure_after_the_outputs_opened_removes_them(tmp_path, capsys, command):
+    # An empty dataset directory, or an EDF that is not one, fails once the
+    # outputs are open; bench's processor failure is in TestBench.
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "bad.edf").write_bytes(b"not an EDF")
+    outputs = [tmp_path / "out.json", tmp_path / "log.json"]
+    args = {
+        "train": ["--data", str(tmp_path / "empty"), "--out", str(outputs[0]),
+                  "--log", str(outputs[1])],
+        "evaluate": ["--data", str(tmp_path / "empty"), "--out", str(outputs[0])],
+        "replay": ["--edf", str(tmp_path / "bad.edf"), "--out", str(outputs[0])],
+    }[command]
+    assert main([command, *args]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert not any(path.exists() for path in outputs)
+
+
 class TestBench:
+    def test_rows_are_prefixes_of_one_run_per_length(self, workspace, tmp_path,
+                                                      monkeypatch):
+        # Under the virtual clock, featurize call k spends k * 100 us and
+        # predict call k spends k us, so every figure is exact.
+        _, _, model = workspace
+        clock, featurized, predict_ns, logs = VirtualClock(), [], [], []
+        featurize, predict_labels = features.featurize, gbt.predict_labels
+        run_live = pipeline.run_live
+
+        def spending_featurize(epoch):
+            featurized.append(epoch)
+            clock.spend(1e-4 * len(featurized))
+            return featurize(epoch)
+
+        def spending_predict_labels(model, fvs):
+            predict_ns.append(1000 * (len(predict_ns) + 1))
+            clock.spend(predict_ns[-1] / 1e9)
+            return predict_labels(model, fvs)
+
+        def logged_run_live(*args, **kwargs):
+            log, report = run_live(*args, **kwargs)
+            logs.append([entry["processing_us"] for entry in log])
+            return log, report
+
+        monkeypatch.setattr(loopback, "SampleClock", lambda acceleration: clock)
+        monkeypatch.setattr(features, "featurize", spending_featurize)
+        monkeypatch.setattr(gbt, "predict_labels", spending_predict_labels)
+        monkeypatch.setattr(pipeline, "run_live", logged_run_live)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--model", str(model), "--out", str(out),
+                     "--epoch-lengths", "16,32", "--batch-sizes", "1,3,5"]) == 0
+        # One run per length, each epoch featurized once after a silent warm-up.
+        assert [sum(e.samples.any() for e in featurized), len(featurized)] == [10, 12]
+        assert logs == [[201, 302, 403, 504, 605], [806, 907, 1008, 1109, 1210]]
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = []
+        for length, log, predicted in zip([16, 32], logs, [predict_ns[:5], predict_ns[5:]]):
+            for size in (1, 3, 5):
+                processing_s = sum(log[:size]) / 1e6
+                expected.append({
+                    "epoch_length_s": length, "num_epochs": size,
+                    "collection_s": float(size * length), "processing_s": processing_s,
+                    "ratio_percent": 100.0 * processing_s / (size * length),
+                    "predict_per_epoch_us": sum(predicted) / len(predicted) / 1e3,
+                })
+        assert len(rows) == len(expected)
+        assert [{k: type(v)(row[k]) for k, v in e.items()} for row, e in zip(rows, expected)
+                ] == expected
+
     def test_row_per_length_and_batch_combination(self, workspace, tmp_path):
         _, _, model = workspace
         out = tmp_path / "bench.csv"

@@ -470,7 +470,7 @@ class TestRunLive:
 
         start = time.monotonic()
         log, report = run_live(slow_source(), lambda e: "sham_wake",
-                               clock=SampleClock(rate_hz=16.0, acceleration=400.0))
+                               clock=SampleClock(acceleration=400.0))
         elapsed = time.monotonic() - start
         assert len(log) == 20 and report.complete
         assert 0.2 <= elapsed < 0.27
