@@ -57,9 +57,6 @@ from .loopback import (
     LoopbackResult,
     SampleClock,
     VoltageMapping,
-    adc_sample,
-    dac_emit,
-    mse,
     quantization_error_bound,
     replay_capture,
 )
@@ -95,11 +92,9 @@ __all__ = [
     "TimingReport",
     "TrainConfig",
     "VoltageMapping",
-    "adc_sample",
     "assemble",
     "class_index",
     "confusion",
-    "dac_emit",
     "digital_to_physical",
     "extract",
     "featurize",
@@ -109,7 +104,6 @@ __all__ = [
     "load_dataset",
     "load_model",
     "metrics",
-    "mse",
     "parse_edf",
     "physical_to_digital",
     "predict_class",

@@ -9,7 +9,8 @@ exits nonzero with a single ``error: ...``
 line on stderr when anything fails, and a library warning is one
 ``warning: ...`` line. A command opens its output files once its flags
 and model are checked and before any other work, and a failure removes
-them again. Verbosity is controlled only by the
+them again; an output that is the same file as an input or as another
+output is refused. Verbosity is controlled only by the
 ``EEGLOOP_LOG`` environment variable.
 """
 
@@ -77,12 +78,15 @@ def _settings(cls, path: str | None, args: argparse.Namespace, **parsers):
     return cls(**values)
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _add_field_flags(parser: argparse.ArgumentParser, cls) -> None:
     """One ``--field-name`` flag per field of the dataclass ``cls``."""
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
-        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                            type=hints[f.name])
+        parser.add_argument(_flag(f.name), dest=f.name, type=hints[f.name])
 
 
 def _write_json(fh: typing.TextIO, doc: dict) -> None:
@@ -97,19 +101,56 @@ def _write_csv(fh: typing.TextIO, rows: list[dict]) -> None:
 
 
 @contextlib.contextmanager
-def _output_files():
-    """Yield ``open_output(path, mode="w")``, which opens an output file at once, so a
-    bad path fails before any work. If the block raises, the regular files opened (not
-    a device such as /dev/null) are removed: a failed command leaves no output behind."""
+def _output_files(inputs: list[tuple[str, str | Path | None]],
+                  outputs: dict[str, tuple[str | None, str]]):
+    """Open the output files ``{flag: (path, mode)}`` at once, so a bad path fails
+    before any work, and yield their handles in order (None for a path of None).
+
+    An output that is the same file as an input ``(flag, path or None)`` or as an
+    earlier output is refused before any is opened, and again as it is opened, since
+    an earlier output may have created it. If the block raises, the regular files
+    opened (not a device such as /dev/null) are removed: a failed command leaves no
+    output behind.
+    """
+    named = [(flag, path) for flag, (path, _) in outputs.items() if path is not None]
+    for i, (flag, path) in enumerate(named):
+        _refuse_same_file(flag, path, inputs + named[:i])
     with contextlib.ExitStack() as unfinished, contextlib.ExitStack() as files:
-        def open_output(path: str, mode: str = "w") -> typing.IO:
-            fh = files.enter_context(open(path, mode, newline=None if "b" in mode else ""))
+        handles, opened = [], []
+        for flag, (path, mode) in outputs.items():
+            if path is None:
+                handles.append(None)
+                continue
+            _refuse_same_file(flag, path, opened)
+            handles.append(files.enter_context(
+                open(path, mode, newline=None if "b" in mode else "")))
             if os.path.isfile(path):
                 unfinished.callback(Path(path).unlink, missing_ok=True)
-            return fh
-
-        yield open_output
+            opened.append((flag, path))
+        yield handles
         unfinished.pop_all()
+
+
+def _refuse_same_file(flag: str, path: str,
+                      others: list[tuple[str, str | Path | None]]) -> None:
+    """Raise ``ValueError`` naming both flags if ``path`` is the same regular file as
+    one of ``others``; a device such as /dev/null may repeat."""
+    for other, other_path in others:
+        if (other_path is not None and os.path.isfile(path) and os.path.isfile(other_path)
+                and os.path.samefile(path, other_path)):
+            raise ValueError(f"{flag} {path} is the same file as {other} {other_path}")
+
+
+def _dataset_inputs(data_dir: str) -> list[tuple[str, Path]]:
+    """``--data``'s label index and the files its ``file`` column names, as far as the
+    index reads; :func:`synth.load_dataset` reports what is wrong with it."""
+    index = Path(data_dir) / synth.LABEL_INDEX_NAME
+    inputs = [("--data", index)]
+    with contextlib.suppress(OSError, ValueError, csv.Error):
+        with index.open(newline="") as fh:
+            names = {row.get("file") for row in csv.DictReader(fh)}
+        inputs += [("--data", index.parent / name) for name in sorted(names - {None})]
+    return inputs
 
 
 def _timing_row(report: pipeline.TimingReport) -> dict:
@@ -156,11 +197,13 @@ def _featurize_dataset(
     return fvs, labels, epochs[0].length_s
 
 
-def _warm_up(length_s: int, rate_hz: float) -> None:
-    """One silent epoch imports scipy and designs the filter and Welch window before a
-    run's clock starts, so epoch 0 is timed like the rest; a band past Nyquist fails."""
-    silence = np.zeros(pipeline.samples_per_epoch(length_s, rate_hz))
-    features.featurize(pipeline.Epoch(silence, 0, length_s, rate_hz))
+def _warm_up(model: gbt.GbtModel, length_s: int, rate_hz: float) -> None:
+    """One silent epoch imports scipy, designs the filter and Welch window and walks the
+    trees before a run's clock starts, so epoch 0 is timed like the rest; a band past
+    Nyquist fails."""
+    samples = np.zeros(pipeline.samples_per_epoch(length_s, rate_hz))
+    silence = pipeline.Epoch(samples, 0, length_s, rate_hz)
+    gbt.predict_labels(model, [features.featurize(silence)])
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -180,9 +223,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _settings(gbt.TrainConfig, args.train_config, args)
-    with _output_files() as open_output:
-        model_fh = open_output(args.out, "wb")
-        log_fh = open_output(args.log_file) if args.log_file else None
+    inputs = [*_dataset_inputs(args.data), ("--train-config", args.train_config)]
+    outputs = {"--out": (args.out, "wb"), "--log": (args.log_file, "w")}
+    with _output_files(inputs, outputs) as (model_fh, log_fh):
         fvs, labels, _ = _featurize_dataset(args.data)
         model = gbt.train(list(zip(fvs, labels)), config)
         model_fh.write(gbt.save_model(model))
@@ -202,12 +245,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # The model or the settings fail before the dataset is featurized.
     if args.model:
+        ignored = ["train_config", *(f.name for cls in (ev.CvConfig, gbt.TrainConfig)
+                                     for f in dataclasses.fields(cls))]
+        for name in ignored:
+            if getattr(args, name) is not None:
+                raise ValueError(f"{_flag(name)} does not apply with --model")
         model = gbt.load_model(Path(args.model).read_bytes())
     else:
         train_config = _settings(gbt.TrainConfig, args.train_config, args)
         cv_config = _settings(ev.CvConfig, None, args)
-    with _output_files() as open_output:
-        out = open_output(args.out, "wb")
+    inputs = [*_dataset_inputs(args.data), ("--model", args.model),
+              ("--train-config", args.train_config)]
+    with _output_files(inputs, {"--out": (args.out, "wb")}) as (out,):
         fvs, labels, epoch_length_s = _featurize_dataset(args.data)
         if args.model:
             cm = ev.confusion(labels, gbt.predict_labels(model, fvs))
@@ -236,8 +285,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     dac, adc = (None, None) if args.bypass else converters
     if args.offset is not None and args.gain is None:
         raise ValueError("--offset applies only with --gain")
-    with _output_files() as open_output:
-        out = open_output(args.out) if args.out else None
+    with _output_files([("--edf", args.edf)], {"--out": (args.out, "w")}) as (out,):
         _, sig, trace = read_signal(Path(args.edf).read_bytes(), args.signal)
         if args.gain is not None:
             offset = args.vref / 2 if args.offset is None else args.offset
@@ -276,10 +324,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if acceleration is None:
         acceleration = math.inf if args.input == "-" else 1.0
     clock = loopback.SampleClock(acceleration=acceleration)
-    with _output_files() as open_output:
-        # Both are written when the run ends, complete or not.
-        log_fh, timing_fh = (open_output(path) if path else None
-                             for path in (args.log_file, args.timing))
+    inputs = [("--input", None if args.input == "-" else args.input), ("--model", args.model)]
+    # Both are written when the run ends, complete or not.
+    outputs = {"--log": (args.log_file, "w"), "--timing": (args.timing, "w")}
+    with _output_files(inputs, outputs) as (log_fh, timing_fh):
         if args.input == "-":
             with warnings.catch_warnings():
                 # An empty stdin is reported below as one error line.
@@ -299,7 +347,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ValueError(f"input holds {samples.size} samples, fewer than one "
                              f"{args.epoch_length_s} s epoch of {per_epoch}")
         source = pipeline.assemble(samples, args.epoch_length_s, rate_hz)
-        _warm_up(args.epoch_length_s, rate_hz)
+        _warm_up(model, args.epoch_length_s, rate_hz)
         entries, report = pipeline.run_live(
             source, lambda epoch: gbt.predict_labels(model, [features.featurize(epoch)])[0],
             clock=clock, queue=queue)
@@ -339,14 +387,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         predict_ns.append(clock.now_ns() - t0)
         return label
 
-    with _output_files() as open_output:
-        out = open_output(args.out)
+    with _output_files([("--model", args.model)], {"--out": (args.out, "w")}) as (out,):
         rng = np.random.default_rng(args.seed)
         rows = []
         for spec in specs:
             stream = np.concatenate([synth.generate_epoch_samples("sham_wake", spec, rng)
                                      for _ in range(max(batch_sizes))])
-            _warm_up(spec.epoch_length_s, spec.rate_hz)
+            _warm_up(model, spec.epoch_length_s, spec.rate_hz)
             predict_ns.clear()
             entries, report = pipeline.run_live(pipeline.assemble(
                 stream, spec.epoch_length_s, spec.rate_hz), processor, clock=clock)

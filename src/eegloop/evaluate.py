@@ -53,9 +53,6 @@ class ConfusionMatrix:
     def fn(self, c: int) -> int:
         return int(self.counts[c, :].sum() - self.counts[c, c])
 
-    def tn(self, c: int) -> int:
-        return self.total - self.tp(c) - self.fp(c) - self.fn(c)
-
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         return ConfusionMatrix(self.counts + other.counts)
 

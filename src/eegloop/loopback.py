@@ -12,12 +12,12 @@ volts / vref)``. Both saturate at their code limits and never raise.
 
 Each transfer rule (the voltage mapping, the DAC, the ADC) is written
 once, as a private step that writes into a float64 array it is given,
-codes held as integral float64 values (never ``-0.0``); the public
-functions run it on a fresh array. :func:`replay_capture` runs
-the whole chain over one cache-sized block of samples at a time, in
-the block of its output array. After the DAC a sample is one of
+codes held as integral float64 values (never ``-0.0``).
+:func:`replay_capture` is the one entry that runs them: it runs the
+whole chain over one cache-sized block of samples at a time, in the
+block of its output array. After the DAC a sample is one of
 ``2**bits`` codes, so the rest of the chain runs once per code, into a
-table that each block indexes. ``mse`` is summed block by block in
+table that each block indexes. The MSE is summed block by block in
 numpy's own pairwise order, so a replay holds the observed trace plus
 O(block) scratch.
 """
@@ -135,12 +135,6 @@ class VoltageMapping:
         center = 0.5 * (physical_min + physical_max)
         return cls(gain, vref_volts / 2 - gain * center)
 
-    def to_volts(self, value: float | np.ndarray) -> float | np.ndarray:
-        return _scalar_or_array(self._to_volts(value, np.empty(np.shape(value))))
-
-    def to_units(self, volts: float | np.ndarray) -> float | np.ndarray:
-        return _scalar_or_array(self._to_units(volts, np.empty(np.shape(volts))))
-
     def _to_volts(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Units to volts in ``out``, which may be ``x``: ``gain * x + offset``."""
         np.multiply(x, self.gain_volts_per_unit, out=out)
@@ -152,10 +146,6 @@ class VoltageMapping:
         np.subtract(v, self.offset_volts, out=out)
         out /= self.gain_volts_per_unit
         return out
-
-
-def _scalar_or_array(a: np.ndarray) -> float | np.ndarray:
-    return a if a.ndim else float(a)
 
 
 @dataclass(frozen=True)
@@ -207,47 +197,8 @@ class LoopbackResult:
         return float(peak)
 
 
-def dac_emit(
-    value: float | np.ndarray, mapping: VoltageMapping, dac: DacModel
-) -> tuple[int | np.ndarray, float | np.ndarray]:
-    """Quantize a physical value onto the DAC output grid.
-
-    Returns ``(code, volts)`` where ``code = round(v / vref * (2**bits - 1))``
-    clamped to the code range and ``volts`` is the emitted level
-    ``code / (2**bits - 1) * vref``. Saturates instead of raising.
-    """
-    levels = dac._quantize(mapping._to_volts(value, np.empty(np.shape(value))))
-    code = levels.astype(np.int64)
-    volts = dac._level(levels)
-    if np.isscalar(value):
-        return int(code), float(volts)
-    return code, volts
-
-
-def adc_sample(volts: float | np.ndarray, adc: AdcModel) -> int | np.ndarray:
-    """Truncating ADC transfer: ``floor(2**bits * volts / vref)``, saturated.
-
-    Monotonic non-decreasing in the input voltage.
-    """
-    code = adc._quantize(np.array(volts, dtype=np.float64)).astype(np.int64)
-    return int(code) if np.isscalar(volts) else code
-
-
-def mse(expected: np.ndarray, observed: np.ndarray) -> float:
-    """Mean squared error between two equal-length sequences."""
-    e = np.asarray(expected, dtype=np.float64)
-    o = np.asarray(observed, dtype=np.float64)
-    if e.shape != o.shape:
-        raise ValueError(f"length mismatch: {e.shape} vs {o.shape}")
-    if e.size == 0:
-        raise ValueError("mse requires at least one sample")
-    return float(np.mean(_squared_error(o, e)))
-
-
-def _squared_error(
-    observed: np.ndarray, expected: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``(observed - expected) ** 2``, written into ``out`` when given."""
+def _squared_error(observed: np.ndarray, expected: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``(observed - expected) ** 2``, written into ``out``."""
     d = np.subtract(observed, expected, out=out)
     return np.square(d, out=d)
 

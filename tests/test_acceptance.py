@@ -26,7 +26,6 @@ from eegloop import (
     SignalTrace,
     TrainConfig,
     VoltageMapping,
-    adc_sample,
     confusion,
     digital_to_physical,
     extract,
@@ -257,9 +256,11 @@ class TestCriterion7:
         )
         checks["calibration"] = endpoints and round_trip
 
-        # ADC monotonicity sweep
-        sweep_codes = adc_sample(np.linspace(-1, 5, 10_000), AdcModel())
-        checks["adc_monotonic"] = bool(np.all(np.diff(sweep_codes) >= 0))
+        # ADC monotonicity sweep: through the identity mapping with the DAC
+        # bypassed, the observed samples are the ADC codes times its LSB
+        sweep = SignalTrace(np.linspace(-1, 5, 10_000), 256.0)
+        swept = replay_capture(sweep, VoltageMapping(1.0, 0.0), None, AdcModel())
+        checks["adc_monotonic"] = bool(np.all(np.diff(swept.observed_trace.samples) >= 0))
 
         # queue conservation under a random interleaving
         queue = EpochQueue(capacity=3)

@@ -1062,6 +1062,108 @@ def test_failure_after_the_outputs_opened_removes_them(tmp_path, capsys, command
     assert not any(path.exists() for path in outputs)
 
 
+@pytest.mark.parametrize(
+    "command, flags, clash",
+    [("train", ["--data", "ds", "--out", "ds/labels.csv"], ("--out", "--data")),
+     ("train", ["--data", "ds", "--out", "m.json", "--log", "ds/tbi_wake.edf"],
+      ("--log", "--data")),
+     ("train", ["--data", "ds", "--train-config", "config.json", "--out", "config.json"],
+      ("--out", "--train-config")),
+     ("evaluate", ["--data", "ds", "--out", "ds/sham_sleep.edf"], ("--out", "--data")),
+     ("evaluate", ["--data", "ds", "--model", "model.json", "--out", "model.json"],
+      ("--out", "--model")),
+     ("replay", ["--edf", "ds/sham_wake.edf", "--out", "ds/sham_wake.edf"],
+      ("--out", "--edf")),
+     ("replay", ["--edf", "ds/sham_wake.edf", "--out", "link.edf"], ("--out", "--edf")),
+     ("run", ["--input", "ds/sham_wake.edf", "--model", "model.json",
+              "--log", "ds/sham_wake.edf"], ("--log", "--input")),
+     ("run", ["--input", "ds/sham_wake.edf", "--model", "model.json",
+              "--timing", "model.json"], ("--timing", "--model")),
+     ("run", ["--input", "ds/sham_wake.edf", "--model", "model.json",
+              "--log", "kept.csv", "--timing", "kept.csv"], ("--timing", "--log")),
+     ("run", ["--input", "ds/sham_wake.edf", "--model", "model.json",
+              "--log", "new.csv", "--timing", "./new.csv"], ("--timing", "--log")),
+     ("bench", ["--model", "model.json", "--out", "model.json"], ("--out", "--model"))],
+    ids=["train_labels", "train_log_edf", "train_config", "evaluate_edf", "evaluate_model",
+         "replay", "replay_symlink", "run_input", "run_model", "run_outputs",
+         "run_new_outputs", "bench"],
+)
+def test_output_that_is_an_input_or_output_is_refused(workspace, tmp_path, capsys,
+                                                       monkeypatch, command, flags, clash):
+    _, data, model = workspace
+    shutil.copytree(data, tmp_path / "ds")
+    shutil.copy(model, tmp_path / "model.json")
+    (tmp_path / "kept.csv").write_text("kept\n")
+    (tmp_path / "config.json").write_text("{}")
+    (tmp_path / "link.edf").symlink_to(tmp_path / "ds" / "sham_wake.edf")
+
+    def files():
+        return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+    before = files()
+    featurized = []
+    monkeypatch.setattr(features, "featurize", featurized.append)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *flags]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    output, other = clash
+    assert err.startswith(f"error: {output} ") and f" is the same file as {other} " in err
+    assert featurized == [] and files() == before
+
+
+def test_a_device_may_be_named_twice(workspace, capsys):
+    _, data, model = workspace
+    assert main(["run", "--input", str(data / "sham_wake.edf"), "--model", str(model),
+                 "--epoch-length", "4", "--acceleration", "max",
+                 "--log", os.devnull, "--timing", os.devnull]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--folds", "--seed", "--train-config", "--rounds",
+                                  "--max-depth", "--learning-rate", "--l2-lambda",
+                                  "--min-child-weight"])
+def test_evaluate_model_refuses_the_flags_it_ignores(workspace, tmp_path, capsys,
+                                                     monkeypatch, flag):
+    _, data, model = workspace
+    featurized = []
+    monkeypatch.setattr(features, "featurize", featurized.append)
+    out = tmp_path / "out.json"
+    value = "/nonexistent.json" if flag == "--train-config" else "1"
+    assert main(["evaluate", "--data", str(data), "--model", str(model),
+                 "--out", str(out), flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {flag} does not apply with --model\n"
+    assert featurized == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_warm_up_featurizes_and_predicts_before_each_run(workspace, tmp_path, monkeypatch,
+                                                         command):
+    _, data, model = workspace
+    calls = []
+
+    def recorded(module, name):
+        call = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            calls.append(name)
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+
+    for module, name in [(features, "featurize"), (gbt, "predict_labels"),
+                         (pipeline, "run_live")]:
+        recorded(module, name)
+    args, runs, epochs = {
+        "run": (["--input", str(data / "sham_wake.edf"), "--epoch-length", "4",
+                 "--acceleration", "max"], 1, 10),
+        "bench": (["--out", str(tmp_path / "bench.csv"), "--epoch-lengths", "4,16",
+                   "--batch-sizes", "3"], 2, 3),
+    }[command]
+    assert main([command, "--model", str(model), *args]) == 0
+    per_epoch = ["featurize", "predict_labels"]
+    assert calls == (per_epoch + ["run_live"] + per_epoch * epochs) * runs
+
+
 class TestBench:
     def test_rows_are_prefixes_of_one_run_per_length(self, workspace, tmp_path,
                                                       monkeypatch):
@@ -1094,13 +1196,15 @@ class TestBench:
         out = tmp_path / "bench.csv"
         assert main(["bench", "--model", str(model), "--out", str(out),
                      "--epoch-lengths", "16,32", "--batch-sizes", "1,3,5"]) == 0
-        # One run per length, each epoch featurized once after a silent warm-up.
+        # One run per length, each epoch featurized and predicted once after a
+        # silent warm-up that does both: calls 1 and 7.
         assert [sum(e.samples.any() for e in featurized), len(featurized)] == [10, 12]
-        assert logs == [[201, 302, 403, 504, 605], [806, 907, 1008, 1109, 1210]]
+        assert len(predict_ns) == 12
+        assert logs == [[202, 303, 404, 505, 606], [808, 909, 1010, 1111, 1212]]
         with out.open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         expected = []
-        for length, log, predicted in zip([16, 32], logs, [predict_ns[:5], predict_ns[5:]]):
+        for length, log, predicted in zip([16, 32], logs, [predict_ns[1:6], predict_ns[7:]]):
             for size in (1, 3, 5):
                 processing_s = sum(log[:size]) / 1e6
                 expected.append({
