@@ -57,6 +57,7 @@ from .loopback import (
     LoopbackResult,
     SampleClock,
     VoltageMapping,
+    capture,
     quantization_error_bound,
     replay_capture,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "TrainConfig",
     "VoltageMapping",
     "assemble",
+    "capture",
     "class_index",
     "confusion",
     "digital_to_physical",

@@ -198,12 +198,13 @@ def _featurize_dataset(
 
 
 def _warm_up(model: gbt.GbtModel, length_s: int, rate_hz: float) -> None:
-    """One silent epoch imports scipy, designs the filter and Welch window and walks the
+    """One 10 Hz sine epoch imports scipy, designs the filter and Welch window, runs
+    the filter and the feature branches that a constant epoch skips, and walks the
     trees before a run's clock starts, so epoch 0 is timed like the rest; a band past
     Nyquist fails."""
-    samples = np.zeros(pipeline.samples_per_epoch(length_s, rate_hz))
-    silence = pipeline.Epoch(samples, 0, length_s, rate_hz)
-    gbt.predict_labels(model, [features.featurize(silence)])
+    t = np.arange(pipeline.samples_per_epoch(length_s, rate_hz)) / rate_hz
+    sine = pipeline.Epoch(np.sin(2 * np.pi * 10.0 * t), 0, length_s, rate_hz)
+    gbt.predict_labels(model, [features.featurize(sine)])
 
 
 def _int_list(text: str, flag: str) -> list[int]:

@@ -13,13 +13,13 @@ volts / vref)``. Both saturate at their code limits and never raise.
 Each transfer rule (the voltage mapping, the DAC, the ADC) is written
 once, as a private step that writes into a float64 array it is given,
 codes held as integral float64 values (never ``-0.0``).
-:func:`replay_capture` is the one entry that runs them: it runs the
-whole chain over one cache-sized block of samples at a time, in the
-block of its output array. After the DAC a sample is one of
-``2**bits`` codes, so the rest of the chain runs once per code, into a
-table that each block indexes. The MSE is summed block by block in
-numpy's own pairwise order, so a replay holds the observed trace plus
-O(block) scratch.
+:func:`capture` is the one stage that runs them: it runs the whole chain
+over one cache-sized block of samples at a time and yields each observed
+block. After the DAC a sample is one of ``2**bits`` codes, so the rest
+of the chain runs once per code, into a table that each block indexes.
+:func:`replay_capture` reduces those blocks to the fidelity summary as
+they come, summing the MSE in numpy's own pairwise order, so a replay
+holds O(block) memory beyond its input.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
@@ -176,31 +176,12 @@ class SampleClock:
 
 @dataclass
 class LoopbackResult:
-    """Stored-versus-recaptured traces and their fidelity summary."""
+    """The fidelity summary of one replay: stored versus recaptured samples."""
 
-    expected_trace: SignalTrace
-    observed_trace: SignalTrace
     n: int
     mse: float
-    clip_count: int = 0
-
-    @property
-    def max_abs_error(self) -> float:
-        """``max(|observed - expected|)``, one block at a time."""
-        observed, expected = self.observed_trace.samples, self.expected_trace.samples
-        error = np.empty(observed[:_BLOCK_LEN].shape)
-        peak = -math.inf
-        for start in range(0, len(observed), _BLOCK_LEN):
-            block = slice(start, start + _BLOCK_LEN)
-            e = np.subtract(observed[block], expected[block], out=error[: len(observed) - start])
-            peak = np.maximum(peak, np.abs(e, out=e).max())  # a NaN stays, as in np.max
-        return float(peak)
-
-
-def _squared_error(observed: np.ndarray, expected: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``(observed - expected) ** 2``, written into ``out``."""
-    d = np.subtract(observed, expected, out=out)
-    return np.square(d, out=d)
+    max_abs_error: float
+    clip_count: int
 
 
 def quantization_error_bound(
@@ -224,54 +205,50 @@ _DEFAULT_DAC = DacModel()
 _DEFAULT_ADC = AdcModel()
 
 
-def replay_capture(
+def capture(
     trace: SignalTrace,
     mapping: VoltageMapping,
     dac: DacModel | None = _DEFAULT_DAC,
     adc: AdcModel | None = _DEFAULT_ADC,
-) -> LoopbackResult:
-    """Replay a stored trace through the DAC and recapture it via the ADC.
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Replay a stored trace through the DAC and recapture it via the ADC,
+    one block at a time.
 
     Each sample is mapped to volts, quantized by the DAC model, sampled
     by the ADC model, and mapped back to physical units. Defaults are the
     modelled hardware: a 12-bit DAC into a 10-bit ADC at 3.3 V.
     ``dac=None`` or ``adc=None`` bypasses that converter; bypassing both
-    reproduces the input exactly. A non-finite sample raises
-    ``ValueError`` naming its index.
+    reproduces the input exactly. An empty trace, and a NaN that would
+    reach a DAC code, raise ``ValueError``; the NaN's message names the
+    first non-finite index.
 
-    The chain runs one block of samples at a time, in place in the
-    observed trace. With a DAC, the steps after it run once per DAC
-    code into a table, and each block looks its codes up. The blocks
-    are the leaves of numpy's pairwise-summation tree, so ``mse`` is
-    ``np.mean`` of the squared errors to the bit without holding them.
-    Memory: the observed trace plus O(block).
+    The blocks are the leaves of numpy's pairwise-summation tree, in
+    order. For each it yields a fresh float64 array of observed samples
+    and the number of them that left a converter's ``[0, vref]``. With a
+    DAC, the steps after it run once per DAC code into a table, and each
+    block looks its codes up.
     """
     x = trace.samples
     if x.size == 0:
         raise ValueError("cannot replay an empty trace")
-    observed = np.empty_like(x)
-    squared_error = np.empty(x[:_BLOCK_LEN].shape)
-    codes = np.empty(squared_error.shape, dtype=np.intp)
-    clipped = np.empty(squared_error.shape, dtype=bool)
+    codes = np.empty(x[:_BLOCK_LEN].shape, dtype=np.intp)
+    clipped = np.empty(codes.shape, dtype=bool)
     scratch = np.empty_like(clipped)
     if dac is not None:
         table = dac._level(np.arange(2.0**dac.bits))
         table_clipped = np.zeros(table.shape, dtype=bool)
-        _capture(table, mapping, adc, table_clipped, np.empty_like(table_clipped))
+        _after_dac(table, mapping, adc, table_clipped, np.empty_like(table_clipped))
         table_clips = bool(table_clipped.any())
-    clip_count = 0
-
-    def replay_block(start: int, stop: int) -> float:
-        nonlocal clip_count
+    for start, stop in _leaves(0, len(x)):
         n = stop - start
-        v, c, s, k = observed[start:stop], clipped[:n], scratch[:n], codes[:n]
+        v, c, s, k = np.empty(n), clipped[:n], scratch[:n], codes[:n]
+        c[...] = False
         if dac is None and adc is None:
             v[...] = x[start:stop]
         else:
-            c[...] = False
             mapping._to_volts(x[start:stop], v)
             if dac is None:
-                _capture(v, mapping, adc, c, s)
+                _after_dac(v, mapping, adc, c, s)
             else:
                 low = v.min()
                 if math.isnan(low):
@@ -286,30 +263,48 @@ def replay_capture(
                 if table_clips:
                     c |= np.take(table_clipped, k, out=s, mode="clip")
                 np.take(table, k, out=v, mode="clip")
-            clip_count += int(np.count_nonzero(c))
-        return np.add.reduce(_squared_error(v, x[start:stop], out=squared_error[:n]))
+        yield v, int(np.count_nonzero(c))
 
-    error = float(_pairwise_sum(0, len(x), replay_block) / len(x))
+
+def replay_capture(
+    trace: SignalTrace,
+    mapping: VoltageMapping,
+    dac: DacModel | None = _DEFAULT_DAC,
+    adc: AdcModel | None = _DEFAULT_ADC,
+) -> LoopbackResult:
+    """The fidelity of :func:`capture`: its MSE, largest error and clip count.
+
+    Each observed block is compared with its stored samples as it comes,
+    and then dropped, so a replay holds O(block) memory beyond ``trace``.
+    The per-block sums of squared errors are added in numpy's pairwise
+    order, so ``mse`` is ``np.mean`` of the squared errors to the bit. A
+    non-finite sample raises ``ValueError`` naming its index.
+    """
+    x = trace.samples
+    sums, peak, clip_count, start = [], 0.0, 0, 0
+    for observed, clips in capture(trace, mapping, dac, adc):
+        stop = start + len(observed)
+        d = np.subtract(observed, x[start:stop], out=observed)
+        peak = max(peak, abs(max(d.max(), -d.min())))  # abs: +0.0, as np.abs gives it
+        sums.append(np.add.reduce(np.multiply(d, d, out=d)))
+        clip_count += clips
+        start = stop
+    error = float(_pairwise_sum(len(x), iter(sums)) / len(x))
     if not math.isfinite(error):  # as any non-finite sample makes it; so can overflow
         _check_finite(x)
-    return LoopbackResult(
-        expected_trace=trace,
-        observed_trace=SignalTrace(observed, trace.rate_hz),
-        n=int(x.size),
-        mse=error,
-        clip_count=clip_count,
-    )
+    return LoopbackResult(n=int(x.size), mse=error, max_abs_error=float(peak),
+                          clip_count=clip_count)
 
 
-def _capture(
+def _after_dac(
     v: np.ndarray, mapping: VoltageMapping, adc: AdcModel | None,
     flags: np.ndarray, scratch: np.ndarray,
 ) -> np.ndarray:
     """The chain after the DAC, in place on volts ``v``.
 
     Runs the ADC unless it is bypassed, ORing its clips into ``flags``,
-    then maps back to units. :func:`replay_capture` runs it once per DAC
-    code, or on each block when the DAC is bypassed.
+    then maps back to units. :func:`capture` runs it once per DAC code, or
+    on each block when the DAC is bypassed.
     """
     if adc is not None:
         _flag_outside(v, adc.vref_volts, flags, scratch)
@@ -322,33 +317,38 @@ def variance(x: np.ndarray) -> float:
     """``np.var(x)`` to the bit, squaring the deviations one block at a time."""
     mean = np.add.reduce(x) / len(x)
     scratch = np.empty(x[:_BLOCK_LEN].shape)
-
-    def leaf_sum(start: int, stop: int) -> float:
+    sums = []
+    for start, stop in _leaves(0, len(x)):
         d = np.subtract(x[start:stop], mean, out=scratch[: stop - start])
-        return np.add.reduce(np.multiply(d, d, out=d))
+        sums.append(np.add.reduce(np.multiply(d, d, out=d)))
+    return float(_pairwise_sum(len(x), iter(sums)) / len(x))
 
-    return float(_pairwise_sum(0, len(x), leaf_sum) / len(x))
+
+def _half(n: int) -> int:
+    """The size of the first child of a node of ``n > 128`` values in numpy's
+    pairwise sum of a contiguous float64 array: ``n//2 - n//2 % 8``."""
+    return n // 2 - n // 2 % 8
 
 
-def _pairwise_sum(
-    start: int, stop: int, leaf_sum: Callable[[int, int], float]
-) -> float:
-    """``leaf_sum`` over ``[start, stop)``, added in numpy's pairwise order.
+def _leaves(start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """``[start, stop)`` split as numpy's pairwise sum splits it, down to
+    nodes of at most ``_BLOCK_LEN`` values: the leaves, in order."""
+    if stop - start <= _BLOCK_LEN:
+        yield start, stop
+        return
+    middle = start + _half(stop - start)
+    yield from _leaves(start, middle)
+    yield from _leaves(middle, stop)
 
-    numpy sums a contiguous float64 array along a fixed binary tree: a
-    node of more than 128 values splits at ``n//2 - n//2 % 8``. Splitting
-    the same way down to nodes of at most ``_BLOCK_LEN`` values, and
-    adding the leaves' ``np.add.reduce`` sums up the tree, gives the
-    whole-array ``np.add.reduce`` to the bit. A module-level function:
-    a closure that called itself would be a reference cycle, holding
-    the caller's arrays until the garbage collector runs.
-    """
-    n = stop - start
+
+def _pairwise_sum(n: int, leaf_sums: Iterator[float]) -> float:
+    """The ``np.add.reduce`` sums of the :func:`_leaves` of ``n`` values, taken
+    in order from ``leaf_sums`` and added up numpy's pairwise tree: the
+    whole-array ``np.add.reduce`` to the bit."""
     if n <= _BLOCK_LEN:
-        return leaf_sum(start, stop)
-    half = n // 2 - n // 2 % 8
-    return (_pairwise_sum(start, start + half, leaf_sum)
-            + _pairwise_sum(start + half, stop, leaf_sum))
+        return next(leaf_sums)
+    half = _half(n)
+    return _pairwise_sum(half, leaf_sums) + _pairwise_sum(n - half, leaf_sums)
 
 
 def _check_finite(x: np.ndarray) -> None:

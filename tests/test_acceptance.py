@@ -26,6 +26,7 @@ from eegloop import (
     SignalTrace,
     TrainConfig,
     VoltageMapping,
+    capture,
     confusion,
     digital_to_physical,
     extract,
@@ -259,8 +260,9 @@ class TestCriterion7:
         # ADC monotonicity sweep: through the identity mapping with the DAC
         # bypassed, the observed samples are the ADC codes times its LSB
         sweep = SignalTrace(np.linspace(-1, 5, 10_000), 256.0)
-        swept = replay_capture(sweep, VoltageMapping(1.0, 0.0), None, AdcModel())
-        checks["adc_monotonic"] = bool(np.all(np.diff(swept.observed_trace.samples) >= 0))
+        swept = np.concatenate([block for block, _ in capture(
+            sweep, VoltageMapping(1.0, 0.0), None, AdcModel())])
+        checks["adc_monotonic"] = bool(np.all(np.diff(swept) >= 0))
 
         # queue conservation under a random interleaving
         queue = EpochQueue(capacity=3)

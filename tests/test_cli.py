@@ -501,6 +501,23 @@ class TestReplay:
                      "--gain", "0.05", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["clip_count"] > 0
 
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [([], "8037e64e4d63690fd0e929a7687af56db7b590aa82f7b1e45bb78e9475ca644a"),
+         (["--dac-bits", "16", "--adc-bits", "16"],
+          "e0b86f61bd987d5736a81150b8de569b90ec57bdc74c50d5702d7b8a2bfccff9"),
+         (["--gain", "0.1", "--offset", "1.65"],
+          "ee832b2555100eeb5d0bd3c1a71964d2e5fd5feffdaaa05d1b6e059c55e31c85"),
+         (["--bypass"], "9c4322e9046ec8aeca934f5561e27d308027f9ef094123e9c076f3c388b1e145")],
+        ids=["default", "16_bit", "gain_offset", "bypass"],
+    )
+    def test_report_matches_the_pin(self, workspace, tmp_path, monkeypatch, flags, digest):
+        _, data, _ = workspace
+        out = tmp_path / "replay.json"
+        monkeypatch.chdir(data)  # the report names the EDF as it was given
+        assert main(["replay", "--edf", "sham_wake.edf", "--out", str(out), *flags]) == 0
+        assert sha256(out) == digest
+
     def test_signal_out_of_range_fails_cleanly(self, workspace, capsys):
         _, data, _ = workspace
         assert main(["replay", "--edf", str(data / "sham_wake.edf"),
@@ -1164,6 +1181,34 @@ def test_warm_up_featurizes_and_predicts_before_each_run(workspace, tmp_path, mo
     assert calls == (per_epoch + ["run_live"] + per_epoch * epochs) * runs
 
 
+@pytest.mark.parametrize("length_s, rate_hz", [(4, 256.0), (16, 128.0)])
+def test_warm_up_runs_the_filter_and_the_branches_of_a_real_epoch(workspace, monkeypatch,
+                                                                  length_s, rate_hz):
+    # A constant epoch would return before the filter, with zero variance and power.
+    from scipy import signal as sps
+
+    _, _, model = workspace
+    sosfilt, moments, extract = sps.sosfilt, features._moments, features.extract
+    seen = []
+
+    def spied(name, call, record):
+        def spy(*args):
+            result = call(*args)
+            seen.append((name, record(result)))
+            return result
+        return spy
+
+    monkeypatch.setattr(sps, "sosfilt", spied("sosfilt", sosfilt, lambda out: out.size))
+    monkeypatch.setattr(features, "_moments",
+                        spied("variance", moments, lambda m: m[0] > 0))
+    monkeypatch.setattr(features, "extract", spied(
+        "spectral_entropy", extract,
+        lambda fv: fv.values[features.FEATURE_NAMES.index("spectral_entropy")] > 0))
+    cli._warm_up(gbt.load_model(model.read_bytes()), length_s, rate_hz)
+    assert seen == [("sosfilt", length_s * rate_hz), ("variance", True),
+                    ("spectral_entropy", True)]
+
+
 class TestBench:
     def test_rows_are_prefixes_of_one_run_per_length(self, workspace, tmp_path,
                                                       monkeypatch):
@@ -1197,8 +1242,13 @@ class TestBench:
         assert main(["bench", "--model", str(model), "--out", str(out),
                      "--epoch-lengths", "16,32", "--batch-sizes", "1,3,5"]) == 0
         # One run per length, each epoch featurized and predicted once after a
-        # silent warm-up that does both: calls 1 and 7.
-        assert [sum(e.samples.any() for e in featurized), len(featurized)] == [10, 12]
+        # silent warm-up on a 10 Hz sine that does both: calls 1 and 7.
+        def is_warm_up(epoch):
+            t = np.arange(epoch.samples.size) / epoch.rate_hz
+            return np.array_equal(epoch.samples, np.sin(2 * np.pi * 10.0 * t))
+
+        assert [i for i, e in enumerate(featurized) if is_warm_up(e)] == [0, 6]
+        assert len(featurized) == 12
         assert len(predict_ns) == 12
         assert logs == [[202, 303, 404, 505, 606], [808, 909, 1010, 1111, 1212]]
         with out.open(newline="") as fh:

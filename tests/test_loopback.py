@@ -17,6 +17,7 @@ from eegloop.loopback import (
     DacModel,
     SampleClock,
     VoltageMapping,
+    capture,
     quantization_error_bound,
     replay_capture,
     variance,
@@ -39,7 +40,7 @@ def reference_adc(volts, adc):
 
 
 def reference_replay(x, mapping, dac, adc):
-    """(observed, mse, clip_count) of ``replay_capture`` as first written."""
+    """(observed, mse, clip_count) of a replay as first written."""
     if dac is None and adc is None:
         observed, clip_count = x.copy(), 0
     else:
@@ -121,15 +122,22 @@ class TestSampleClock:
 IDENTITY = VoltageMapping(1.0, 0.0)  # volts in = volts out
 
 
+def captured(x, mapping, dac, adc):
+    """(observed samples, clip count) of ``capture``, its blocks joined."""
+    blocks = list(capture(SignalTrace(x, 256.0), mapping, dac, adc))
+    return np.concatenate([b for b, _ in blocks]), sum(c for _, c in blocks)
+
+
 def converted(volts, dac=None, adc=None):
-    """``replay_capture`` of ``volts`` under the identity mapping: the observed
-    samples are the DAC levels, or the ADC codes times ``lsb_volts``."""
+    """``replay_capture`` of ``volts`` under the identity mapping."""
     trace = SignalTrace(np.array(volts, dtype=np.float64, ndmin=1), 256.0)
     return replay_capture(trace, IDENTITY, dac, adc)
 
 
 def observed(volts, dac=None, adc=None):
-    return converted(volts, dac, adc).observed_trace.samples
+    """The captured ``volts`` under the identity mapping: the DAC levels, or
+    the ADC codes times ``lsb_volts``."""
+    return captured(np.array(volts, dtype=np.float64, ndmin=1), IDENTITY, dac, adc)[0]
 
 
 class TestDac:
@@ -145,9 +153,8 @@ class TestDac:
 
     def test_saturates_without_raising(self):
         for volts, level in [(10.0, 3.3), (-1.0, 0.0)]:
-            result = converted(volts, dac=DacModel())
-            assert result.observed_trace.samples.tolist() == [level]
-            assert result.clip_count == 1
+            assert observed(volts, dac=DacModel()).tolist() == [level]
+            assert converted(volts, dac=DacModel()).clip_count == 1
 
     def test_rounding_error_within_half_lsb(self):
         dac = DacModel(12, 3.3)
@@ -197,10 +204,10 @@ class TestReplayCapture:
     def test_constant_input_is_deterministic(self):
         trace = SignalTrace(np.full(1000, 12.5), 256.0)
         mapping = VoltageMapping.centered(-100, 100)
-        r1 = replay_capture(trace, mapping)
-        r2 = replay_capture(trace, mapping)
-        assert np.ptp(r1.observed_trace.samples) == 0.0
-        assert np.array_equal(r1.observed_trace.samples, r2.observed_trace.samples)
+        o1, _ = captured(trace.samples, mapping, DacModel(), AdcModel())
+        o2, _ = captured(trace.samples, mapping, DacModel(), AdcModel())
+        assert np.ptp(o1) == 0.0
+        assert np.array_equal(o1, o2)
 
     def test_full_range_ramp_within_cascade_bound(self):
         trace = self.ramp_trace()
@@ -238,13 +245,15 @@ class TestReplayCapture:
             replay_capture(SignalTrace(np.array([]), 256.0),
                            VoltageMapping.centered(-1, 1))
 
-    def test_result_traces_consistent(self):
+    def test_result_summarizes_its_capture(self):
         trace = self.ramp_trace(n=300)
-        result = replay_capture(trace, VoltageMapping.centered(-100, 100))
-        assert result.n == 300
-        expected, observed = result.expected_trace.samples, result.observed_trace.samples
-        assert expected.size == observed.size
-        assert result.mse == float(np.mean((observed - expected) ** 2))
+        mapping = VoltageMapping(gain_volts_per_unit=0.02, offset_volts=1.65)  # clips
+        result = replay_capture(trace, mapping)
+        observed, clip_count = captured(trace.samples, mapping, DacModel(), AdcModel())
+        assert result.n == observed.size == 300
+        assert result.mse == float(np.mean((observed - trace.samples) ** 2))
+        assert result.max_abs_error == float(np.max(np.abs(observed - trace.samples)))
+        assert result.clip_count == clip_count > 0
 
     def test_mse_of_a_hand_computed_case(self):
         # A 1-bit DAC over 8 V emits level 0 for both samples.
@@ -268,20 +277,22 @@ class TestReplayMatchesReference:
     @settings(max_examples=80, deadline=None)
     def test_replay_is_byte_identical(self, case):
         trace, mapping, dac, adc = case
+        x = trace.samples
         result = replay_capture(trace, mapping, dac, adc)
-        observed, expected_mse, clip_count = reference_replay(trace.samples, mapping,
-                                                              dac, adc)
-        assert result.observed_trace.samples.tobytes() == observed.tobytes()
+        observed, expected_mse, clip_count = reference_replay(x, mapping, dac, adc)
+        captured_observed, captured_clips = captured(x, mapping, dac, adc)
+        assert captured_observed.tobytes() == observed.tobytes()
         assert result.mse == expected_mse
-        assert result.clip_count == clip_count
+        peak = np.abs(observed - x).max()
+        assert np.float64(result.max_abs_error).tobytes() == peak.tobytes()
+        assert result.clip_count == captured_clips == clip_count
 
     def test_adc_code_of_a_negative_zero_is_positive_zero(self):
         # 2 * -5e-324 / 10 rounds to -0.0, and floor and clip keep its sign.
         x = np.array([-5e-324, 1.0])
         mapping, adc = VoltageMapping(1.0, 0.0), AdcModel(1, 10.0)
-        result = replay_capture(SignalTrace(x, 256.0), mapping, None, adc)
         observed, _, _ = reference_replay(x, mapping, None, adc)
-        assert result.observed_trace.samples.tobytes() == observed.tobytes()
+        assert captured(x, mapping, None, adc)[0].tobytes() == observed.tobytes()
 
     @pytest.mark.parametrize("n", PAIRWISE_LENGTHS)
     def test_mse_is_numpy_mean_to_the_bit(self, n):
@@ -292,7 +303,7 @@ class TestReplayMatchesReference:
         mapping, dac, adc = VoltageMapping.centered(-100, 100), DacModel(), AdcModel()
         result = replay_capture(SignalTrace(x, 256.0), mapping, dac, adc)
         observed, _, clip_count = reference_replay(x, mapping, dac, adc)
-        assert result.observed_trace.samples.tobytes() == observed.tobytes()
+        assert captured(x, mapping, dac, adc)[0].tobytes() == observed.tobytes()
         assert result.mse == float(np.mean((observed - x) ** 2))
         assert result.clip_count == clip_count
 
@@ -311,28 +322,20 @@ class TestReplayMatchesReference:
                 replay_capture(SignalTrace(x, 256.0), VoltageMapping.centered(-100, 100),
                                dac, adc)
 
-    def test_memory_is_output_squared_errors_and_a_block(self):
-        trace = SignalTrace(np.linspace(-100.0, 100.0, 2**20), 256.0)
-        mapping = VoltageMapping.centered(-100, 100)
+    @pytest.mark.parametrize("dac, adc", [(DacModel(), AdcModel()), (None, AdcModel()),
+                                          (DacModel(16), None), (None, None)],
+                             ids=["both", "adc", "dac16", "bypass"])
+    def test_memory_is_a_few_blocks(self, dac, adc):
+        # A 16-bit table is 64 Ki levels (512 KiB); a block is 256 KiB.
+        trace = SignalTrace(np.linspace(-100.0, 100.0, 2**20), 256.0)  # 8 MiB
         tracemalloc.start()  # numpy reports its array buffers to tracemalloc
         try:
-            result = replay_capture(trace, mapping)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.clip_count == 0
-        assert peak < 2.5 * trace.samples.nbytes
-
-    def test_memory_is_the_output_and_a_block(self):
-        trace = SignalTrace(np.linspace(-100.0, 100.0, 2**20), 256.0)
-        tracemalloc.start()
-        try:
-            result = replay_capture(trace, VoltageMapping.centered(-100, 100))
+            result = replay_capture(trace, VoltageMapping.centered(-100, 100), dac, adc)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert result.n == 2**20
-        assert peak < 1.25 * trace.samples.nbytes
+        assert peak <= 2 * 2**20
 
     def test_replay_leaves_no_reference_cycle(self):
         trace = SignalTrace(np.linspace(-100.0, 100.0, 2**18), 256.0)
@@ -352,21 +355,18 @@ class TestReplayMatchesReference:
     @pytest.mark.parametrize("n", [1, _BLOCK_LEN + 1, 3 * _BLOCK_LEN + 5])
     def test_max_abs_error_is_the_whole_array_max(self, n):
         x = np.random.default_rng(n).uniform(-150.0, 150.0, n)  # clips at both rails
-        result = replay_capture(SignalTrace(x, 256.0), VoltageMapping.centered(-100, 100))
-        assert result.max_abs_error == float(np.max(np.abs(result.observed_trace.samples - x)))
-
-    def test_max_abs_error_holds_a_block(self):
-        trace = SignalTrace(np.linspace(-100.0, 100.0, 2**20), 256.0)
         mapping = VoltageMapping.centered(-100, 100)
-        result = replay_capture(trace, mapping)
-        tracemalloc.start()
-        try:
-            error = result.max_abs_error
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert 0 < error <= quantization_error_bound(mapping, DacModel(), AdcModel())
-        assert peak < trace.samples.nbytes
+        result = replay_capture(SignalTrace(x, 256.0), mapping)
+        observed, _ = captured(x, mapping, DacModel(), AdcModel())
+        assert result.max_abs_error == float(np.max(np.abs(observed - x)))
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_LEN, _BLOCK_LEN + 1, 3 * _BLOCK_LEN + 5])
+    def test_capture_yields_fresh_blocks_no_longer_than_a_block(self, n):
+        x = np.linspace(-100.0, 100.0, n)
+        blocks = [b for b, _ in capture(SignalTrace(x, 256.0), IDENTITY, None, None)]
+        assert all(0 < b.size <= _BLOCK_LEN for b in blocks)
+        assert np.concatenate(blocks).tobytes() == x.tobytes()
+        assert not any(np.shares_memory(b, x) for b in blocks)
 
 
 class TestVariance:
