@@ -3,20 +3,16 @@ EDF files: write, parse, and calibrate
 ======================================
 
 Builds a two-signal EDF recording in memory, writes it to disk, parses
-it back, and walks through the digital/physical calibration map.
+it back, and walks through the digital/physical calibration map with
+the one codec path: ``write_edf`` encodes, ``parse_edf`` reads the codes
+back, and ``to_trace`` decodes them.
 """
+
+import dataclasses
 
 import numpy as np
 
-from eegloop import (
-    EdfFileHeader,
-    EdfSignalHeader,
-    digital_to_physical,
-    parse_edf,
-    physical_to_digital,
-    to_trace,
-    write_edf,
-)
+from eegloop import EdfFileHeader, EdfSignalHeader, parse_edf, to_trace, write_edf
 
 # A 10-second recording: 1 s data records, two signals at different rates.
 header = EdfFileHeader.create(
@@ -51,16 +47,21 @@ for sig, codes in zip(signals, digital):
     print(f"  {sig.label!r:16} {codes.size:5d} samples, "
           f"digital range seen [{codes.min()}, {codes.max()}]")
 
-# The calibration map is the exact line through the header's endpoints.
-print("\ncalibration for", signals[0].label)
-for code in (eeg.digital_min, 0, eeg.digital_max):
-    phys = digital_to_physical(code, eeg)
-    back = physical_to_digital(phys, eeg)
-    print(f"  code {code:6d} -> {phys:10.4f} uV -> code {back:6d}")
+# The calibration map is the exact line through the header's endpoints:
+# decode three codes, then encode their values, and two beyond the range,
+# into a one-record file and read the codes back.
+print("\ncalibration for", eeg.label)
+codes = np.array([eeg.digital_min, 0, eeg.digital_max])
+phys = to_trace(parsed, eeg, codes).samples
+probe = dataclasses.replace(eeg, samples_per_record=5)
+_, _, (back,) = parse_edf(write_edf(EdfFileHeader.create(num_signals=1, num_records=1),
+                                    [probe], [np.append(phys, [1e9, -np.inf])]))
+for code, value, again in zip(codes, phys, back):
+    print(f"  code {code:6d} -> {value:10.4f} uV -> code {again:6d}")
 
 # Physical values beyond the declared range saturate instead of failing,
 # mirroring what a converter would do.
-print("  1e9 uV ->", physical_to_digital(1e9, eeg), "(clamped)")
+print(f"  1e9 uV -> {back[3]}, -inf uV -> {back[4]} (clamped)")
 
 trace = to_trace(parsed, signals[0], digital[0])
 recovered_rmse = np.sqrt(np.mean((trace.samples - eeg_signal) ** 2))

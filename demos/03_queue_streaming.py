@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from eegloop import EpochQueue, SampleClock, assemble, run_live
+from eegloop.pipeline import EpochQueue, SampleClock, assemble, run_live
 from eegloop.synth import SyntheticSpec, generate_epoch_samples
 
 rng = np.random.default_rng(1)

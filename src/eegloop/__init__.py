@@ -13,9 +13,7 @@ from .edf import (
     EdfFileHeader,
     EdfSignalHeader,
     SignalTrace,
-    digital_to_physical,
     parse_edf,
-    physical_to_digital,
     read_signal,
     to_trace,
     write_edf,
@@ -55,13 +53,12 @@ from .loopback import (
     AdcModel,
     DacModel,
     LoopbackResult,
-    SampleClock,
     VoltageMapping,
     capture,
     quantization_error_bound,
     replay_capture,
 )
-from .pipeline import Epoch, EpochQueue, TimingReport, assemble, run_live
+from .pipeline import Epoch, EpochQueue, SampleClock, TimingReport, assemble, run_live
 from .synth import ClassProfile, SyntheticSpec, generate_dataset, load_dataset
 
 __version__ = "0.1.0"
@@ -97,7 +94,6 @@ __all__ = [
     "capture",
     "class_index",
     "confusion",
-    "digital_to_physical",
     "extract",
     "featurize",
     "fold_indices",
@@ -107,7 +103,6 @@ __all__ = [
     "load_model",
     "metrics",
     "parse_edf",
-    "physical_to_digital",
     "predict_class",
     "predict_labels",
     "predict_margins",

@@ -318,13 +318,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.input == "-" and args.signal is not None:
+        raise ValueError("--signal does not apply with --input -")
+    if args.input != "-" and args.rate_hz is not None:
+        raise ValueError("--rate does not apply with an EDF --input")
     queue = pipeline.EpochQueue(capacity=args.capacity)
     model = gbt.load_model(Path(args.model).read_bytes())
     # stdin is read to its end before epoch 0, so it is its own clock.
     acceleration = args.acceleration
     if acceleration is None:
         acceleration = math.inf if args.input == "-" else 1.0
-    clock = loopback.SampleClock(acceleration=acceleration)
+    clock = pipeline.SampleClock(acceleration=acceleration)
     inputs = [("--input", None if args.input == "-" else args.input), ("--model", args.model)]
     # Both are written when the run ends, complete or not.
     outputs = {"--log": (args.log_file, "w"), "--timing": (args.timing, "w")}
@@ -339,9 +343,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             if not (finite := np.isfinite(samples)).all():
                 i = int(np.argmin(finite))
                 raise ValueError(f"stdin sample {i} is not finite: {samples[i]}")
-            rate_hz = args.rate_hz
+            rate_hz = 256.0 if args.rate_hz is None else args.rate_hz
         else:
-            _, _, trace = read_signal(Path(args.input).read_bytes(), args.signal)
+            _, _, trace = read_signal(Path(args.input).read_bytes(), args.signal or 0)
             samples, rate_hz = trace.samples, trace.rate_hz
         per_epoch = pipeline.samples_per_epoch(args.epoch_length_s, rate_hz)
         if samples.size < per_epoch:
@@ -378,7 +382,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                                  rate_hz=args.rate_hz, seed=args.seed)
              for length_s in epoch_lengths]
     model = gbt.load_model(Path(args.model).read_bytes())
-    clock = loopback.SampleClock(acceleration=math.inf)
+    clock = pipeline.SampleClock(acceleration=math.inf)
     predict_ns: list[int] = []
 
     def processor(epoch: pipeline.Epoch) -> str:
@@ -464,10 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="live-classify epochs streamed from an EDF or stdin")
     p.add_argument("--input", required=True, help="EDF path, or '-' for stdin floats")
     p.add_argument("--model", required=True)
-    p.add_argument("--signal", type=int, default=0)
+    p.add_argument("--signal", type=int, help="signal of an EDF input (default: 0)")
     p.add_argument("--epoch-length", dest="epoch_length_s", type=int, default=64)
-    p.add_argument("--rate", dest="rate_hz", type=float, default=256.0,
-                   help="sample rate for stdin input (EDF carries its own)")
+    p.add_argument("--rate", dest="rate_hz", type=float,
+                   help="sample rate of stdin input (default: 256; an EDF carries its own)")
     p.add_argument("--capacity", type=int, default=8)
     p.add_argument("--acceleration", type=_parse_acceleration,
                    help="clock speed-up factor, or 'max' to classify each "

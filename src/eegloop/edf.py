@@ -9,14 +9,16 @@ The reader and the writer walk one (name, width, type) table per header.
 Every header byte is ASCII, reserved bytes included; numbers are plain
 decimals (no ``nan``, ``inf`` or ``1_0``); the record duration and the
 physical limits are finite; ``header_bytes`` is derived from the signal
-count, and the reader checks the stored value against it.
+count, and the reader checks the stored value against it. Each header
+class checks its fields when built, so no invalid header exists.
 
 The calibration maps between physical values and digital codes are
 each written once, as a private step that writes into a float64 array
-it is given. :func:`write_edf` and :func:`to_trace` run them over one
-cache-sized block of samples at a time, writing straight into the
-record buffer or the output trace, so besides their output they hold
-O(block) memory (a block of whole records when writing).
+it is given. :func:`write_edf` is the one encoder and :func:`to_trace`
+the one decoder: they run them over one cache-sized block of samples at
+a time, writing straight into the record buffer or the output trace, so
+besides their output they hold O(block) memory (a block of whole
+records when writing).
 
 Only continuous, plain EDF is handled here: annotation signals (the
 EDF+ "EDF Annotations" channel) are skipped with a warning, and the
@@ -91,7 +93,7 @@ class EdfError(ValueError):
 
 @dataclass(frozen=True)
 class EdfFileHeader:
-    """Decoded fixed header of an EDF file."""
+    """Decoded fixed header of an EDF file; ``EdfError`` if a field is invalid."""
 
     version: str = "0"
     patient_id: str = ""
@@ -100,7 +102,7 @@ class EdfFileHeader:
     start_time: str = "00.00.00"
     num_records: int = -1
     record_duration_s: float = 1.0
-    num_signals: int = 0
+    num_signals: int = 1
 
     @classmethod
     def create(
@@ -123,7 +125,7 @@ class EdfFileHeader:
         """Length of the fixed header plus every signal header."""
         return _BLOCK_BYTES * (self.num_signals + 1)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_signals < 1:
             raise EdfError(f"num_signals must be >= 1, got {self.num_signals}")
         if not 0 < self.record_duration_s < math.inf:
@@ -132,7 +134,7 @@ class EdfFileHeader:
 
 @dataclass(frozen=True)
 class EdfSignalHeader:
-    """Per-signal calibration and record layout from the EDF header."""
+    """Per-signal calibration and record layout; ``EdfError`` if a field is invalid."""
 
     label: str = "EEG"
     transducer: str = ""
@@ -144,7 +146,7 @@ class EdfSignalHeader:
     prefiltering: str = ""
     samples_per_record: int = 256
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.digital_min >= self.digital_max:
             raise EdfError("digital_min must be < digital_max")
         if not (math.isfinite(self.physical_min) and math.isfinite(self.physical_max)):
@@ -174,20 +176,6 @@ class SignalTrace:
             raise ValueError("rate_hz must be positive")
 
 
-def digital_to_physical(
-    code: int | np.ndarray, hdr: EdfSignalHeader
-) -> float | np.ndarray:
-    """Map digital codes to physical values via the header calibration.
-
-    The map is the exact linear interpolation sending ``digital_min`` to
-    ``physical_min`` and ``digital_max`` to ``physical_max``. Codes outside
-    the digital range raise ``EdfError``.
-    """
-    codes = np.asarray(code)
-    phys = _to_physical(codes, np.empty(codes.shape), hdr)
-    return float(phys) if np.isscalar(code) or codes.ndim == 0 else phys
-
-
 def _to_physical(
     codes: np.ndarray, out: np.ndarray, hdr: EdfSignalHeader
 ) -> np.ndarray:
@@ -201,22 +189,6 @@ def _to_physical(
     out *= scale
     out += hdr.physical_min
     return out
-
-
-def physical_to_digital(
-    value: float | np.ndarray, hdr: EdfSignalHeader
-) -> int | np.ndarray:
-    """Invert the calibration map, rounding half away from zero and clamping.
-
-    A total function: out-of-range physical values saturate at the digital
-    limits, mirroring converter behaviour; so do infinities. A NaN sample
-    raises ``EdfError`` naming the signal and the sample's index. For any
-    in-range code ``c``, ``physical_to_digital(digital_to_physical(c)) == c``.
-    """
-    values = np.asarray(value, dtype=np.float64)
-    out, sign = np.empty(values.shape), np.empty(values.shape)
-    codes = _to_digital(values, out, sign, hdr, 0).astype(np.int64)
-    return int(codes) if np.isscalar(value) or values.ndim == 0 else codes
 
 
 def _to_digital(
@@ -314,7 +286,7 @@ def parse_edf(
 
     Raises ``EdfError`` on truncated input, non-ASCII header bytes,
     numeric fields that are not plain decimals, an inconsistent
-    ``header_bytes``, a header that fails its ``validate()``, or a data
+    ``header_bytes``, a field its header class refuses, or a data
     section shorter than the declared records.
     """
     if len(data) < _BLOCK_BYTES:
@@ -323,7 +295,6 @@ def parse_edf(
     (fixed,) = _decode_fields(data, _FIXED_FIELDS, 1)
     stored_header_bytes = fixed.pop("header_bytes")
     header = EdfFileHeader(**fixed)
-    header.validate()
     ns = header.num_signals
     if stored_header_bytes != header.header_bytes:
         raise EdfError(
@@ -337,8 +308,6 @@ def parse_edf(
     signal_headers = [
         EdfSignalHeader(**row) for row in _decode_fields(signal_block, _SIGNAL_FIELDS, ns)
     ]
-    for sig in signal_headers:
-        sig.validate()
 
     samples_per_record = [h.samples_per_record for h in signal_headers]
     record_samples = sum(samples_per_record)
@@ -401,11 +370,13 @@ def write_edf(
 ) -> bytes:
     """Encode physical signals into EDF bytes.
 
-    ``signals`` holds one physical sample array per signal header; each is
-    converted to digital codes as by :func:`physical_to_digital` (values
-    beyond the physical range clamp to the digital limits, and a NaN
-    raises ``EdfError``). Reparsing the output reproduces the header
-    fields and digital samples bit-exactly.
+    ``signals`` holds one physical sample array per signal header. Each
+    value is mapped to a code by the calibration line, rounded half away
+    from zero and clamped to the digital range, so out-of-range values and
+    infinities saturate; a NaN raises ``EdfError`` naming the signal and
+    the sample's index. Every code decoded by :func:`to_trace` encodes back
+    to itself, and reparsing the output reproduces the header fields and
+    digital samples bit-exactly.
 
     Each signal is encoded one block of whole records at a time, straight
     into the data-record buffer.
@@ -413,11 +384,9 @@ def write_edf(
     ns = header.num_signals
     if ns != len(signal_headers) or ns != len(signals):
         raise EdfError("header.num_signals disagrees with provided signals")
-    header.validate()
     if header.num_records < 1:
         raise EdfError("num_records must be >= 1 when writing")
     for sig, samples in zip(signal_headers, signals):
-        sig.validate()
         expected = header.num_records * sig.samples_per_record
         if len(samples) != expected:
             raise EdfError(

@@ -25,13 +25,15 @@ holds O(block) memory beyond its input.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .edf import _BLOCK_LEN, SignalTrace
+# SampleClock lives in pipeline; it is re-exported here only because
+# benchmark/workloads.py builds loopback.SampleClock(...).
+from .pipeline import SampleClock
 
 # Typical mean-squared error measured on the physical DAC-to-ADC loopback
 # this module models, in the source recording's units squared. Reported
@@ -146,32 +148,6 @@ class VoltageMapping:
         np.subtract(v, self.offset_volts, out=out)
         out /= self.gain_volts_per_unit
         return out
-
-
-@dataclass(frozen=True)
-class SampleClock:
-    """The live loop's one time source: wall time sped up by ``acceleration``.
-
-    ``now_ns`` reads monotonic nanoseconds and ``sleep_until`` waits for a
-    reading. ``acceleration`` of 1 is real time, ``math.inf`` "as fast as the
-    consumer allows". ``rate_hz`` is unread; benchmark/workloads.py passes it.
-    """
-
-    rate_hz: float = 256.0
-    acceleration: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.rate_hz > 0:
-            raise ValueError("rate_hz must be positive")
-        if not self.acceleration >= 1:
-            raise ValueError("acceleration must be >= 1")
-
-    def now_ns(self) -> int:
-        return time.monotonic_ns()
-
-    def sleep_until(self, t_ns: int) -> None:
-        if (wait_ns := t_ns - time.monotonic_ns()) > 0:
-            time.sleep(wait_ns / 1e9)
 
 
 @dataclass

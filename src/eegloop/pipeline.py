@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -30,7 +31,6 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .classes import class_index
-from .loopback import SampleClock
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +53,32 @@ def samples_per_epoch(length_s: int, rate_hz: float) -> int:
             f"{length_s} s at {rate_hz} Hz is not a positive whole number of samples"
         )
     return int(n)
+
+
+@dataclass(frozen=True)
+class SampleClock:
+    """The live loop's one time source: wall time sped up by ``acceleration``.
+
+    ``now_ns`` reads monotonic nanoseconds and ``sleep_until`` waits for a
+    reading. ``acceleration`` of 1 is real time, ``math.inf`` "as fast as the
+    consumer allows". ``rate_hz`` is unread; benchmark/workloads.py passes it.
+    """
+
+    rate_hz: float = 256.0
+    acceleration: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.rate_hz > 0:
+            raise ValueError("rate_hz must be positive")
+        if not self.acceleration >= 1:
+            raise ValueError("acceleration must be >= 1")
+
+    def now_ns(self) -> int:
+        return time.monotonic_ns()
+
+    def sleep_until(self, t_ns: int) -> None:
+        if (wait_ns := t_ns - time.monotonic_ns()) > 0:
+            time.sleep(wait_ns / 1e9)
 
 
 @dataclass

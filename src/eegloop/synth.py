@@ -97,7 +97,7 @@ class SyntheticSpec:
             )
         # Checks the epoch length, and that one epoch fits one EDF record,
         # before any sample is allocated.
-        _signal_header(self).validate()
+        _signal_header(self)
 
     @property
     def samples_per_epoch(self) -> int:
@@ -236,7 +236,10 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
                     f"{filename}: records of {length_s:g} s at {trace.rate_hz:.17g} Hz "
                     f"differ from {first[0]}'s {first[1]:g} s at {first[2]:.17g} Hz"
                 )
-            cut[filename] = list(assemble(trace.samples, int(length_s), trace.rate_hz))
+            try:  # the record length must be an epoch length
+                cut[filename] = list(assemble(trace.samples, int(length_s), trace.rate_hz))
+            except ValueError as exc:
+                raise ValueError(f"{filename}: {exc}") from None
         file_epochs = cut[filename]
         try:
             idx = int(row["epoch_index"])

@@ -28,7 +28,6 @@ from eegloop import (
     VoltageMapping,
     capture,
     confusion,
-    digital_to_physical,
     extract,
     featurize,
     fold_indices,
@@ -36,12 +35,12 @@ from eegloop import (
     load_model,
     metrics,
     parse_edf,
-    physical_to_digital,
     predict_class,
     predict_margins,
     quantization_error_bound,
     replay_capture,
     save_model,
+    to_trace,
     train,
     write_edf,
 )
@@ -186,11 +185,11 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_loopback_fidelity_bound_and_bypass(self, small_dataset):
-        _, sig_headers, digital = parse_edf(
+        header, sig_headers, digital = parse_edf(
             (small_dataset / "sham_wake.edf").read_bytes()
         )
         sig = sig_headers[0]
-        trace = SignalTrace(digital_to_physical(digital[0], sig), 256.0)
+        trace = to_trace(header, sig, digital[0])
         mapping = VoltageMapping.centered(sig.physical_min, sig.physical_max)
         dac, adc = DacModel(12), AdcModel(10)
 
@@ -242,20 +241,18 @@ class TestCriterion7:
         data = write_edf(header, [sig], [signal])
         parsed, parsed_sigs, digital = parse_edf(data)
         rewritten = write_edf(parsed, parsed_sigs,
-                              [digital_to_physical(digital[0], parsed_sigs[0])])
+                              [to_trace(parsed, parsed_sigs[0], digital[0]).samples])
         checks["edf_round_trip"] = rewritten == data and parsed == header
 
-        # calibration endpoints and +/-1-code round trip
-        endpoints = (
-            digital_to_physical(sig.digital_min, sig) == sig.physical_min
-            and digital_to_physical(sig.digital_max, sig) == sig.physical_max
-        )
-        codes = rng.integers(sig.digital_min, sig.digital_max + 1, 500)
-        round_trip = all(
-            physical_to_digital(digital_to_physical(int(c), sig), sig) == c
-            for c in codes
-        )
-        checks["calibration"] = endpoints and round_trip
+        # calibration endpoints, and every code decoded by to_trace, encoded by
+        # write_edf and read back by parse_edf
+        codes = np.arange(sig.digital_min, sig.digital_max + 1)
+        phys = to_trace(parsed, sig, codes).samples
+        endpoints = phys[0] == sig.physical_min and phys[-1] == sig.physical_max
+        every_code = EdfFileHeader.create(num_signals=1,
+                                          num_records=codes.size // sig.samples_per_record)
+        _, _, (back,) = parse_edf(write_edf(every_code, [sig], [phys]))
+        checks["calibration"] = bool(endpoints and np.array_equal(back, codes))
 
         # ADC monotonicity sweep: through the identity mapping with the DAC
         # bypassed, the observed samples are the ADC codes times its LSB

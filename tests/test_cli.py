@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import VirtualClock
-from eegloop import cli, features, gbt, loopback, pipeline
+from eegloop import cli, features, gbt, pipeline
 from eegloop.classes import CLASS_NAMES
 from eegloop.cli import main
 from eegloop.edf import EdfFileHeader, EdfSignalHeader, write_edf
@@ -1152,6 +1152,23 @@ def test_evaluate_model_refuses_the_flags_it_ignores(workspace, tmp_path, capsys
     assert featurized == [] and not out.exists()
 
 
+@pytest.mark.parametrize("source, flag, value, applies",
+                         [("sham_wake.edf", "--rate", "256", "an EDF --input"),
+                          ("-", "--signal", "0", "--input -")],
+                         ids=["rate_with_edf", "signal_with_stdin"])
+def test_run_refuses_the_flag_its_input_ignores(workspace, tmp_path, capsys, monkeypatch,
+                                                source, flag, value, applies):
+    _, data, model = workspace
+    monkeypatch.setattr("sys.stdin", io.StringIO("0.0\n" * 2048))
+    log = tmp_path / "log.jsonl"
+    path = source if source == "-" else str(data / source)
+    assert main(["run", "--input", path, "--model", str(model), "--epoch-length", "4",
+                 "--acceleration", "max", "--log", str(log), flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {flag} does not apply with {applies}\n"
+    assert not log.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "bench"])
 def test_warm_up_featurizes_and_predicts_before_each_run(workspace, tmp_path, monkeypatch,
                                                          command):
@@ -1234,7 +1251,7 @@ class TestBench:
             logs.append([entry["processing_us"] for entry in log])
             return log, report
 
-        monkeypatch.setattr(loopback, "SampleClock", lambda acceleration: clock)
+        monkeypatch.setattr(pipeline, "SampleClock", lambda acceleration: clock)
         monkeypatch.setattr(features, "featurize", spending_featurize)
         monkeypatch.setattr(gbt, "predict_labels", spending_predict_labels)
         monkeypatch.setattr(pipeline, "run_live", logged_run_live)

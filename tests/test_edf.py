@@ -1,5 +1,6 @@
 """EDF parser/writer round trips, calibration maps, and malformed inputs."""
 
+import dataclasses
 import math
 import warnings
 
@@ -16,9 +17,7 @@ from eegloop.edf import (
     EdfError,
     EdfFileHeader,
     EdfSignalHeader,
-    digital_to_physical,
     parse_edf,
-    physical_to_digital,
     read_signal,
     to_trace,
     write_edf,
@@ -44,8 +43,22 @@ def make_file(
     return header, sig_headers, signals
 
 
+def encoded(values, sig):
+    """The codes ``write_edf`` stores for the physical ``values`` under ``sig``'s
+    calibration, as ``parse_edf`` reads them back."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    sig = dataclasses.replace(sig, samples_per_record=values.size)
+    _, _, (codes,) = parse_edf(write_edf(EdfFileHeader.create(1, 1), [sig], [values]))
+    return codes.astype(np.int64)
+
+
+def decoded(codes, sig):
+    """The physical values ``to_trace`` decodes ``codes`` to under ``sig``."""
+    return to_trace(EdfFileHeader(), sig, np.asarray(codes).reshape(-1)).samples
+
+
 def reference_physical_to_digital(values, hdr):
-    """``physical_to_digital`` on arrays as first written: whole-array steps."""
+    """The encoder on arrays as first written: whole-array steps."""
     scale = (hdr.digital_max - hdr.digital_min) / (hdr.physical_max - hdr.physical_min)
     raw = hdr.digital_min + (values - hdr.physical_min) * scale
     rounded = np.sign(raw) * np.floor(np.abs(raw) + 0.5)
@@ -53,7 +66,7 @@ def reference_physical_to_digital(values, hdr):
 
 
 def reference_digital_to_physical(codes, hdr):
-    """``digital_to_physical`` on arrays as first written."""
+    """The decoder on arrays as first written."""
     scale = (hdr.physical_max - hdr.physical_min) / (hdr.digital_max - hdr.digital_min)
     return hdr.physical_min + (codes.astype(np.float64) - hdr.digital_min) * scale
 
@@ -111,9 +124,6 @@ class TestCodecsMatchReference:
         data = write_edf(header, sigs, signals)
         assert data[header.header_bytes:] == reference_records(header.num_records,
                                                                sigs, signals)
-        for sig, x in zip(sigs, signals):
-            assert physical_to_digital(x, sig).tobytes() == \
-                reference_physical_to_digital(x, sig).tobytes()
 
     @given(edf_files())
     @settings(max_examples=40, deadline=None)
@@ -123,7 +133,6 @@ class TestCodecsMatchReference:
         for sig, codes in zip(parsed_sigs, digital):
             expected = reference_digital_to_physical(codes, sig).tobytes()
             assert to_trace(parsed, sig, codes).samples.tobytes() == expected
-            assert digital_to_physical(codes, sig).tobytes() == expected
 
     @pytest.mark.parametrize("n", [1, _BLOCK_LEN - 1, _BLOCK_LEN + 1, 3 * _BLOCK_LEN + 5])
     def test_to_trace_of_every_code_is_byte_identical(self, n):
@@ -148,16 +157,16 @@ class TestCodecsMatchReference:
         values = np.concatenate([halves, halves - 2**-40, halves + 2**-40,
                                  [0.0, -0.0, 5e-324, 0.25, 0.75, 1e300, math.inf]])
         values = np.concatenate([values, -values])
-        codes = physical_to_digital(values, sig)
+        codes = encoded(values, sig)
         assert codes.tobytes() == reference_physical_to_digital(values, sig).tobytes()
         assert codes[0] == 1 and codes[len(values) // 2] == -1  # half away from zero
         with pytest.raises(EdfError, match=f"NaN sample at index {len(values)}"):
-            physical_to_digital(np.append(values, math.nan), sig)
+            encoded(np.append(values, math.nan), sig)
 
     @pytest.mark.parametrize("value, index", [(math.nan, 0), ([1.0, -2.0, math.nan], 2)])
-    def test_nan_sample_rejected_by_physical_to_digital(self, value, index):
+    def test_nan_sample_rejected_naming_its_index(self, value, index):
         with pytest.raises(EdfError, match=f"signal 'EEG' has a NaN sample at index {index}"):
-            physical_to_digital(np.array(value), EdfSignalHeader())
+            encoded(value, EdfSignalHeader())
 
     def test_nan_sample_rejected_by_write_edf(self):
         header, sigs, signals = make_file(num_signals=2, num_records=3,
@@ -203,14 +212,15 @@ class TestRoundTrip:
         assert parsed == header
         assert parsed_sigs == sigs
         for sig, phys, dig in zip(sigs, signals, digital):
-            assert_array_equal(dig, physical_to_digital(phys, sig))
+            assert_array_equal(dig, reference_physical_to_digital(phys, sig))
 
     def test_write_parse_write_is_byte_identical(self):
         header, sigs, signals = make_file(num_records=3, record_duration_s=0.5)
         data = write_edf(header, sigs, signals)
         parsed, parsed_sigs, digital = parse_edf(data)
         rewritten = write_edf(
-            parsed, parsed_sigs, [digital_to_physical(d, s) for d, s in zip(digital, parsed_sigs)]
+            parsed, parsed_sigs,
+            [to_trace(parsed, s, d).samples for d, s in zip(digital, parsed_sigs)],
         )
         assert rewritten == data
 
@@ -234,53 +244,99 @@ class TestRoundTrip:
         header, sigs, _ = make_file(num_records=1, samples_per_record=4)
         data = write_edf(header, sigs, [np.array(values)])
         _, _, digital = parse_edf(data)
-        assert_array_equal(digital[0], physical_to_digital(np.array(values), sigs[0]))
+        assert_array_equal(digital[0],
+                           reference_physical_to_digital(np.array(values), sigs[0]))
 
 
 class TestCalibration:
+    """The calibration map through the one codec path: codes decode with
+    ``to_trace``, and physical values encode with ``write_edf``."""
+
     HDR = EdfSignalHeader(physical_min=-1000.0, physical_max=1000.0,
                           digital_min=-32768, digital_max=32767)
 
     def test_endpoints_map_exactly(self):
-        assert digital_to_physical(self.HDR.digital_min, self.HDR) == -1000.0
-        assert digital_to_physical(self.HDR.digital_max, self.HDR) == 1000.0
-        assert physical_to_digital(-1000.0, self.HDR) == -32768
-        assert physical_to_digital(1000.0, self.HDR) == 32767
+        assert_array_equal(decoded([-32768, 32767], self.HDR), [-1000.0, 1000.0])
+        assert_array_equal(encoded([-1000.0, 1000.0], self.HDR), [-32768, 32767])
 
     def test_code_zero_maps_off_center(self):
         # -1000 + 32768 * 2000/65535, evaluated independently
-        assert digital_to_physical(0, self.HDR) == pytest.approx(
-            0.015259021896667946, abs=1e-15
-        )
+        assert decoded(0, self.HDR)[0] == pytest.approx(0.015259021896667946, abs=1e-15)
 
     def test_out_of_range_code_raises(self):
         with pytest.raises(ValueError):
-            digital_to_physical(40000, self.HDR)
+            decoded(40000, self.HDR)
 
     @pytest.mark.parametrize("code", [-101, 101, np.array([0, 101])])
     def test_out_of_range_code_raises_edf_error(self, code):
         hdr = EdfSignalHeader(digital_min=-100, digital_max=100)
         with pytest.raises(EdfError, match=r"digital code outside \[-100, 100\]"):
-            digital_to_physical(code, hdr)
+            decoded(code, hdr)
 
-    def test_above_physical_max_clamps(self):
-        assert physical_to_digital(2000.0, self.HDR) == 32767
-        assert physical_to_digital(-2000.0, self.HDR) == -32768
+    def test_out_of_range_values_and_infinities_clamp(self):
+        assert_array_equal(encoded([2000.0, -2000.0, math.inf, -math.inf], self.HDR),
+                           [32767, -32768, 32767, -32768])
 
-    def test_round_trip_of_sampled_codes(self):
-        codes = np.linspace(self.HDR.digital_min, self.HDR.digital_max, 200).astype(int)
-        for code in codes:
-            assert physical_to_digital(digital_to_physical(int(code), self.HDR), self.HDR) == code
+    def test_round_trip_of_every_code(self):
+        codes = np.arange(self.HDR.digital_min, self.HDR.digital_max + 1)
+        assert_array_equal(encoded(decoded(codes, self.HDR), self.HDR), codes)
 
     @given(st.integers(min_value=-32768, max_value=32767))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_any_code(self, code):
-        assert physical_to_digital(digital_to_physical(code, self.HDR), self.HDR) == code
+        assert encoded(decoded(code, self.HDR), self.HDR)[0] == code
 
     def test_calibration_strictly_monotonic(self):
         codes = np.arange(-32768, 32767, 37)
-        phys = digital_to_physical(codes, self.HDR)
+        phys = decoded(codes, self.HDR)
         assert np.all(np.diff(phys) > 0)
+
+
+class TestHeadersCheckThemselves:
+    def test_default_headers_are_valid(self):
+        assert EdfFileHeader().num_signals == 1
+        assert EdfSignalHeader().samples_per_record == 256
+
+    @pytest.mark.parametrize(
+        "fields, cause",
+        [({"num_signals": 0}, "num_signals must be >= 1, got 0"),
+         ({"num_signals": -3}, "num_signals must be >= 1, got -3"),
+         ({"record_duration_s": 0.0}, "record duration must be positive and finite"),
+         ({"record_duration_s": -1.0}, "record duration must be positive and finite"),
+         ({"record_duration_s": math.inf}, "record duration must be positive and finite"),
+         ({"record_duration_s": math.nan}, "record duration must be positive and finite")],
+        ids=["no_signals", "negative_signals", "zero_duration", "negative_duration",
+             "infinite_duration", "nan_duration"],
+    )
+    def test_invalid_file_header_refused(self, fields, cause):
+        with pytest.raises(EdfError, match=f"^{cause}$"):
+            EdfFileHeader(**fields)
+        with pytest.raises(EdfError, match=f"^{cause}$"):
+            dataclasses.replace(EdfFileHeader(), **fields)
+
+    @pytest.mark.parametrize(
+        "fields, cause",
+        [({"digital_min": 5, "digital_max": 5}, "digital_min must be < digital_max"),
+         ({"digital_min": 6, "digital_max": 5}, "digital_min must be < digital_max"),
+         ({"physical_min": -math.inf}, "physical limits must be finite"),
+         ({"physical_max": math.inf}, "physical limits must be finite"),
+         ({"physical_max": math.nan}, "physical limits must be finite"),
+         ({"physical_min": 3.0, "physical_max": 3.0},
+          "physical_min must differ from physical_max"),
+         ({"samples_per_record": 0}, "samples_per_record must be 1 to 99999999, got 0"),
+         ({"samples_per_record": 10**8},
+          "samples_per_record must be 1 to 99999999, got 100000000"),
+         ({"digital_min": -32769}, "digital range must fit in signed 16 bits"),
+         ({"digital_max": 32768}, "digital range must fit in signed 16 bits")],
+        ids=["empty_digital_range", "reversed_digital_range", "infinite_physical_min",
+             "infinite_physical_max", "nan_physical_max", "empty_physical_range",
+             "no_samples", "too_many_samples", "digital_min_width", "digital_max_width"],
+    )
+    def test_invalid_signal_header_refused(self, fields, cause):
+        with pytest.raises(EdfError, match=f"^{cause}$"):
+            EdfSignalHeader(**fields)
+        with pytest.raises(EdfError, match=f"^{cause}$"):
+            dataclasses.replace(EdfSignalHeader(), **fields)
 
 
 class TestMalformedInput:
@@ -351,27 +407,10 @@ class TestMalformedInput:
         with pytest.raises(EdfError, match=cause):
             parse_edf(bytes(data))
 
-    @pytest.mark.parametrize(
-        "fields, cause",
-        [({"physical_max": math.inf}, "physical limits must be finite"),
-         ({"record_duration_s": math.inf}, "positive and finite")],
-        ids=["physical_max", "record_duration"],
-    )
-    def test_writer_rejects_infinite_value(self, fields, cause):
-        header, sigs, signals = make_file(**fields)
-        with pytest.raises(EdfError, match=cause):
-            write_edf(header, sigs, signals)
-
     def test_writer_rejects_partial_records(self):
         header, sigs, _ = make_file(num_records=2, samples_per_record=4)
         with pytest.raises(EdfError, match="samples"):
             write_edf(header, sigs, [np.zeros(7)])
-
-    def test_writer_rejects_bad_calibration(self):
-        header, _, signals = make_file()
-        bad = [EdfSignalHeader(digital_min=5, digital_max=5, samples_per_record=4)]
-        with pytest.raises(EdfError):
-            write_edf(header, bad, signals)
 
 
 def numeric_fields(num_signals):
@@ -418,10 +457,9 @@ class TestParserFuzz:
                 header, sig_headers, digital = parse_edf(bytes(data[:cut]))
         except EdfError:
             return
-        header.validate()
+        # The headers checked themselves when parse_edf built them.
         record_counts = set()
         for sig, codes in zip(sig_headers, digital, strict=True):
-            sig.validate()
             assert codes.size % sig.samples_per_record == 0
             record_counts.add(codes.size // sig.samples_per_record)
         assert len(record_counts) <= 1

@@ -15,7 +15,6 @@ from eegloop.features import bandpass_sos
 from eegloop.loopback import (
     AdcModel,
     DacModel,
-    SampleClock,
     VoltageMapping,
     capture,
     quantization_error_bound,
@@ -106,17 +105,6 @@ class TestNyquist:
     def test_undersampling_fails(self):
         with pytest.raises(ValueError, match="band"):
             bandpass_sos(100.0)
-
-
-class TestSampleClock:
-    @pytest.mark.parametrize(
-        "rate_hz, acceleration",
-        [(0.0, 1.0), (math.nan, 1.0), (256.0, 0.5), (256.0, math.nan)],
-        ids=["zero_rate", "nan_rate", "slow", "nan_acceleration"],
-    )
-    def test_invalid_clock_rejected(self, rate_hz, acceleration):
-        with pytest.raises(ValueError):
-            SampleClock(rate_hz, acceleration)
 
 
 IDENTITY = VoltageMapping(1.0, 0.0)  # volts in = volts out

@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import VirtualClock
-from eegloop.loopback import SampleClock
-from eegloop.pipeline import (Epoch, EpochQueue, TimingReport, assemble, run_live,
-                              samples_per_epoch)
+from eegloop.pipeline import (Epoch, EpochQueue, SampleClock, TimingReport, assemble,
+                              run_live, samples_per_epoch)
 
 
 def make_epoch(i=0, length_s=4, rate_hz=16.0, fill=0.0):
@@ -96,6 +95,21 @@ class AdmissionQueue(EpochQueue):
 
 def encode(log):
     return "\n".join(json.dumps(entry, sort_keys=True) for entry in log)
+
+
+class TestSampleClock:
+    @pytest.mark.parametrize(
+        "rate_hz, acceleration",
+        [(0.0, 1.0), (math.nan, 1.0), (256.0, 0.5), (256.0, math.nan)],
+        ids=["zero_rate", "nan_rate", "slow", "nan_acceleration"],
+    )
+    def test_invalid_clock_rejected(self, rate_hz, acceleration):
+        with pytest.raises(ValueError):
+            SampleClock(rate_hz, acceleration)
+
+    def test_loopback_re_exports_the_clock(self):
+        from eegloop import loopback
+        assert loopback.SampleClock is SampleClock
 
 
 class TestEpoch:

@@ -130,6 +130,15 @@ class TestLabelIndex:
                                              f"differ from sham_wake.edf's 4 s at 256 Hz"):
             load_dataset(tmp_path / "ds")
 
+    def test_record_length_that_is_no_epoch_length_names_the_file(self, tmp_path):
+        header = EdfFileHeader.create(num_signals=1, num_records=2, record_duration_s=8.0)
+        sig = EdfSignalHeader(samples_per_record=2048)
+        (tmp_path / "eight.edf").write_bytes(write_edf(header, [sig], [np.zeros(4096)]))
+        (tmp_path / "labels.csv").write_text("file,epoch_index,class\neight.edf,0,sham_wake\n")
+        with pytest.raises(ValueError, match=r"^eight.edf: epoch length must be one of "
+                                             r"\(4, 16, 32, 64\), got 8$"):
+            load_dataset(tmp_path)
+
     def test_digital_code_outside_the_header_range_names_the_file(self, tmp_path):
         header = EdfFileHeader.create(num_signals=1, num_records=3, record_duration_s=4.0)
         sig = EdfSignalHeader(digital_min=-100, digital_max=100, samples_per_record=1024)
