@@ -71,6 +71,8 @@ def _settings(cls, path: str | None, args: argparse.Namespace, **parsers):
                 raise ValueError(f"config {path}: unknown field {key!r}")
             if not _fits(value, types[key]):
                 raise ValueError(f"config {path}: field {key!r} has the wrong type")
+            if types[key] is float:
+                value = float(value)
             values[key] = parsers.get(key, lambda v: v)(value)
     for name in types:
         if getattr(args, name, None) is not None:
@@ -251,7 +253,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for name in ignored:
             if getattr(args, name) is not None:
                 raise ValueError(f"{_flag(name)} does not apply with --model")
-        model = gbt.load_model(Path(args.model).read_bytes())
+        model, cv_config = gbt.load_model(Path(args.model).read_bytes()), None
     else:
         train_config = _settings(gbt.TrainConfig, args.train_config, args)
         cv_config = _settings(ev.CvConfig, None, args)
@@ -261,21 +263,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         fvs, labels, epoch_length_s = _featurize_dataset(args.data)
         if args.model:
             cm = ev.confusion(labels, gbt.predict_labels(model, fvs))
-            report = ev.report_bytes(cm, epoch_length_s, folds=None, seed=None,
-                                     accuracy_mean=ev.metrics(cm).accuracy,
-                                     accuracy_per_fold=[])
+            result = ev.CvResult([], ev.metrics(cm).accuracy, cm)
         else:
             def trainer(train_fvs, train_labels):
                 model = gbt.train(list(zip(train_fvs, train_labels)), train_config)
                 return lambda fv: gbt.predict_labels(model, [fv])[0]
 
             result = ev.kfold_cv(fvs, labels, trainer, cv_config)
-            report = ev.report_bytes(
-                result.pooled, epoch_length_s, folds=cv_config.folds,
-                seed=cv_config.seed, accuracy_mean=result.mean_accuracy,
-                accuracy_per_fold=[m.accuracy for m in result.per_fold],
-            )
-        out.write(report)
+        out.write(ev.report_bytes(result, epoch_length_s, cv_config))
     print(args.out)
     return 0
 
@@ -305,9 +300,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             "bypass": bool(args.bypass),
             "dac_bits": None if args.bypass else args.dac_bits,
             "adc_bits": None if args.bypass else args.adc_bits,
-            "error_bound": (
-                0.0 if args.bypass else loopback.quantization_error_bound(mapping, dac, adc)
-            ),
+            "error_bound": loopback.quantization_error_bound(mapping, dac, adc),
             "signal_variance": loopback.variance(trace.samples),
             "hardware_reference_mse": loopback.HARDWARE_LOOPBACK_REFERENCE_MSE,
         }

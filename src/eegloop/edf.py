@@ -282,7 +282,8 @@ def parse_edf(
     Returns the fixed header, the non-annotation signal headers, and one
     ``int16`` array of digital samples per returned header (records
     concatenated in order). Annotation signals are skipped with a warning;
-    ``header.num_signals`` keeps the on-file count.
+    ``header.num_signals`` keeps the on-file count. Every returned array is
+    read-only; a one-signal file's array is a view of ``data``, not a copy.
 
     Raises ``EdfError`` on truncated input, non-ASCII header bytes,
     numeric fields that are not plain decimals, an inconsistent
@@ -338,7 +339,9 @@ def parse_edf(
             warnings.warn(f"skipping annotation signal at index {i}", stacklevel=2)
             continue
         out_headers.append(sig)
-        out_samples.append(records[:, offsets[i] : offsets[i + 1]].reshape(-1).copy())
+        samples = records[:, offsets[i] : offsets[i + 1]].reshape(-1)
+        samples.flags.writeable = False
+        out_samples.append(samples)
     return header, out_headers, out_samples
 
 

@@ -44,18 +44,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def tp(self, c: int) -> int:
-        return int(self.counts[c, c])
-
-    def fp(self, c: int) -> int:
-        return int(self.counts[:, c].sum() - self.counts[c, c])
-
-    def fn(self, c: int) -> int:
-        return int(self.counts[c, :].sum() - self.counts[c, c])
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.counts + other.counts)
-
 
 @dataclass
 class MetricsReport:
@@ -113,15 +101,12 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     """Accuracy (trace/total) and per-class one-vs-rest precision/recall."""
     if cm.total == 0:
         raise ValueError("confusion matrix is empty")
-    precision: dict[str, float | None] = {}
-    recall: dict[str, float | None] = {}
-    for c, name in enumerate(CLASS_NAMES):
-        predicted = cm.tp(c) + cm.fp(c)
-        actual = cm.tp(c) + cm.fn(c)
-        precision[name] = cm.tp(c) / predicted if predicted else None
-        recall[name] = cm.tp(c) / actual if actual else None
-    accuracy = float(np.trace(cm.counts)) / cm.total
-    return MetricsReport(accuracy=accuracy, precision=precision, recall=recall)
+    correct = np.diag(cm.counts).tolist()
+    predicted = cm.counts.sum(axis=0).tolist()
+    actual = cm.counts.sum(axis=1).tolist()
+    precision = {c: t / p if p else None for c, t, p in zip(CLASS_NAMES, correct, predicted)}
+    recall = {c: t / a if a else None for c, t, a in zip(CLASS_NAMES, correct, actual)}
+    return MetricsReport(accuracy=sum(correct) / cm.total, precision=precision, recall=recall)
 
 
 def fold_indices(n: int, config: CvConfig) -> list[np.ndarray]:
@@ -146,45 +131,41 @@ def kfold_cv(
 
     ``trainer`` receives the training split and returns a predictor; each
     fold is held out once and scored, and the mean of the fold accuracies
-    is reported alongside the pooled confusion matrix.
+    is reported alongside the confusion matrix of all held-out labels.
     """
     if len(features) != len(labels):
         raise ValueError("features and labels differ in length")
     for label in labels:
         class_index(label)
-    folds = fold_indices(len(features), config)
-    per_fold = []
-    pooled = ConfusionMatrix(np.zeros((len(CLASS_NAMES), len(CLASS_NAMES)), dtype=int))
-    for held_out in folds:
-        mask = np.zeros(len(features), dtype=bool)
-        mask[held_out] = True
-        train_fvs = [features[i] for i in range(len(features)) if not mask[i]]
-        train_labels = [labels[i] for i in range(len(features)) if not mask[i]]
-        predictor = trainer(train_fvs, train_labels)
-        predicted = [predictor(features[i]) for i in held_out]
-        cm = confusion([labels[i] for i in held_out], predicted)
-        per_fold.append(metrics(cm))
-        pooled = pooled + cm
+    n = len(features)
+    per_fold, truth, predicted = [], [], []
+    for held_out in fold_indices(n, config):
+        train = np.setdiff1d(np.arange(n), held_out, assume_unique=True)
+        predictor = trainer([features[i] for i in train], [labels[i] for i in train])
+        fold_truth = [labels[i] for i in held_out]
+        fold_predicted = [predictor(features[i]) for i in held_out]
+        per_fold.append(metrics(confusion(fold_truth, fold_predicted)))
+        truth += fold_truth
+        predicted += fold_predicted
     mean_accuracy = float(np.mean([m.accuracy for m in per_fold]))
-    return CvResult(per_fold=per_fold, mean_accuracy=mean_accuracy, pooled=pooled)
+    return CvResult(per_fold, mean_accuracy, confusion(truth, predicted))
 
 
-def report_bytes(pooled: ConfusionMatrix, epoch_length_s: int, *, folds: int | None,
-                 seed: int | None, accuracy_mean: float,
-                 accuracy_per_fold: list[float]) -> bytes:
+def report_bytes(result: CvResult, epoch_length_s: int, config: CvConfig | None) -> bytes:
     """The metrics report ``eegloop evaluate`` writes, as canonical JSON.
 
-    Per-class precision and recall come from ``pooled``; a fixed model's
-    report has ``folds`` and ``seed`` None and no fold accuracies.
+    Per-class precision and recall come from ``result.pooled``; with
+    ``config`` None (a fixed model's result) ``folds`` and ``seed`` are None.
     """
-    report = metrics(pooled)
+    pooled = result.pooled
+    report = result.pooled_metrics
     doc = {
         "epoch_length_s": epoch_length_s,
         "num_epochs": pooled.total,
-        "folds": folds,
-        "seed": seed,
-        "accuracy_mean": accuracy_mean,
-        "accuracy_per_fold": accuracy_per_fold,
+        "folds": None if config is None else config.folds,
+        "seed": None if config is None else config.seed,
+        "accuracy_mean": result.mean_accuracy,
+        "accuracy_per_fold": [m.accuracy for m in result.per_fold],
         "per_class": {
             name: {"precision": report.precision[name], "recall": report.recall[name]}
             for name in pooled.classes

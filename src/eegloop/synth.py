@@ -105,7 +105,7 @@ class SyntheticSpec:
 
 
 def _spectral_envelope(freqs: np.ndarray, profile: ClassProfile, spec: SyntheticSpec) -> np.ndarray:
-    envelope = np.full(freqs.shape, spec.noise_level)
+    envelope = np.full(freqs.shape, spec.noise_level, dtype=np.float64)
     for center, width, weight in profile.bumps:
         envelope += weight * np.exp(-((freqs - center) ** 2) / (2 * width**2))
     envelope[(freqs < 0.5) | (freqs > 60.0)] = 0.0

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import VirtualClock
@@ -124,6 +124,19 @@ class TestSynth:
                      "--epochs-per-class", "3"]) == 0
         rows = (out / "labels.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 3 * 4  # header + epochs
+
+    def test_integer_for_a_float_field_equals_its_flag(self, tmp_path):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"noise_level": 0}))
+        flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+        size = ["--epochs-per-class", "1", "--epoch-length", "4"]
+        assert main(["synth", "--out", str(flagged), "--noise", "0", *size]) == 0
+        assert main(["synth", "--out", str(configured), "--config", str(config),
+                     *size]) == 0
+        names = sorted(p.name for p in flagged.iterdir())
+        assert names == sorted(p.name for p in configured.iterdir())
+        for name in names:
+            assert (configured / name).read_bytes() == (flagged / name).read_bytes()
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         config = tmp_path / "spec.json"
@@ -357,6 +370,18 @@ class TestTrain:
         assert doc["config"]["rounds"] == 3
         assert doc["config"]["max_depth"] == 2
         assert len(doc["log_loss_per_round"]) == 1 + 3
+
+    def test_integer_for_a_float_field_logs_as_the_default(self, workspace, tmp_path):
+        _, data, _ = workspace
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"l2_lambda": 1, "rounds": 2}))
+        default_log, config_log = tmp_path / "default.json", tmp_path / "config.json"
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "a.json"),
+                     "--rounds", "2", "--log", str(default_log)]) == 0
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "b.json"),
+                     "--train-config", str(config), "--log", str(config_log)]) == 0
+        assert config_log.read_bytes() == default_log.read_bytes()
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
 
     @pytest.mark.parametrize(
         "entry",
@@ -1379,6 +1404,7 @@ class TestFuzzedInput:
            | st.builds(lambda p, doc: json.dumps({"profiles": p, **doc}).encode(),
                        profiles, st.dictionaries(st.sampled_from(["seed", "noise_level"]),
                                                  json_values, max_size=1)))
+    @example(b'{"noise_level": 0}')
     @FUZZ
     def test_synth_config(self, tmp_path, capsys, config_bytes):
         config, out = tmp_path / "spec.json", tmp_path / "ds"

@@ -214,6 +214,17 @@ class TestRoundTrip:
         for sig, phys, dig in zip(sigs, signals, digital):
             assert_array_equal(dig, reference_physical_to_digital(phys, sig))
 
+    def test_codes_are_read_only_and_one_signal_is_a_view_of_the_bytes(self):
+        header, sigs, signals = make_file(num_records=3, samples_per_record=8)
+        data = write_edf(header, sigs, signals)
+        _, _, (codes,) = parse_edf(data)
+        assert np.shares_memory(codes, np.frombuffer(data, dtype=np.uint8))
+        assert not codes.flags.writeable
+        header, sigs, signals = make_file(num_signals=2, num_records=3,
+                                          samples_per_record=8)
+        _, _, digital = parse_edf(write_edf(header, sigs, signals))
+        assert not any(d.flags.writeable for d in digital)
+
     def test_write_parse_write_is_byte_identical(self):
         header, sigs, signals = make_file(num_records=3, record_duration_s=0.5)
         data = write_edf(header, sigs, signals)

@@ -1,5 +1,7 @@
 """Confusion counting, metric formulas vs brute force, and fold protocol."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,12 @@ from eegloop.classes import CLASS_NAMES
 from eegloop.evaluate import (
     ConfusionMatrix,
     CvConfig,
+    CvResult,
     confusion,
     fold_indices,
     kfold_cv,
     metrics,
+    report_bytes,
 )
 from eegloop.features import FeatureVector
 
@@ -97,9 +101,10 @@ class TestMetrics:
     def test_micro_precision_equals_micro_recall_equals_accuracy(self):
         rng = np.random.default_rng(7)
         cm = confusion(labels(rng.integers(0, 4, 500)), labels(rng.integers(0, 4, 500)))
-        total_tp = sum(cm.tp(c) for c in range(4))
-        total_fp = sum(cm.fp(c) for c in range(4))
-        total_fn = sum(cm.fn(c) for c in range(4))
+        tp = np.diag(cm.counts)
+        total_tp = int(tp.sum())
+        total_fp = int((cm.counts.sum(axis=0) - tp).sum())
+        total_fn = int((cm.counts.sum(axis=1) - tp).sum())
         micro_p = total_tp / (total_tp + total_fp)
         micro_r = total_tp / (total_tp + total_fn)
         assert micro_p == micro_r == metrics(cm).accuracy
@@ -109,8 +114,9 @@ class TestMetrics:
         truth, pred = labels(rng.integers(0, 4, 200)), labels(rng.integers(0, 4, 200))
         cm = confusion(truth, pred)
         for c, name in enumerate(CLASS_NAMES):
-            assert cm.tp(c) + cm.fn(c) == truth.count(name)
-            assert cm.tp(c) + cm.fp(c) == pred.count(name)
+            tp = cm.counts[c, c]
+            assert tp + (cm.counts[c, :].sum() - tp) == truth.count(name)
+            assert tp + (cm.counts[:, c].sum() - tp) == pred.count(name)
 
 
 class TestFolds:
@@ -184,7 +190,44 @@ class TestKfoldCv:
         assert [m.accuracy for m in r1.per_fold] == [m.accuracy for m in r2.per_fold]
         np.testing.assert_array_equal(r1.pooled.counts, r2.pooled.counts)
 
+    def test_pooled_counts_are_the_sum_of_the_fold_matrices(self):
+        fvs, labs = self.dataset(seed=2)
+        rng = np.random.default_rng(4)
+        truth_of = {id(fv): lab for fv, lab in zip(fvs, labs)}
+        calls = []  # (true, predicted) per prediction, in call order
+
+        def noisy_trainer(train_fvs, train_labels):
+            def predict(fv):
+                label = CLASS_NAMES[int(rng.integers(0, 4))]
+                calls.append((truth_of[id(fv)], label))
+                return label
+
+            return predict
+
+        config = CvConfig(folds=4, seed=8)
+        result = kfold_cv(fvs, labs, noisy_trainer, config)
+        folds, start, expected = fold_indices(len(fvs), config), 0, np.zeros((4, 4))
+        for fold, report in zip(folds, result.per_fold):
+            truth, pred = zip(*calls[start : start + len(fold)])
+            cm = confusion(list(truth), list(pred))
+            assert report.accuracy == metrics(cm).accuracy
+            expected += cm.counts
+            start += len(fold)
+        assert start == len(calls) == len(fvs)
+        np.testing.assert_array_equal(result.pooled.counts, expected)
+
     def test_dataset_smaller_than_folds_rejected(self):
         fvs, labs = self.dataset(n_per_class=2)
         with pytest.raises(ValueError, match="folds"):
             kfold_cv(fvs, labs, self.threshold_trainer, CvConfig(folds=10, seed=0))
+
+
+class TestReportBytes:
+    def test_a_fixed_model_result_has_no_folds(self):
+        cm = confusion(labels([0, 1, 2, 3, 3]), labels([0, 1, 2, 3, 0]))
+        doc = json.loads(report_bytes(CvResult([], metrics(cm).accuracy, cm), 16, None))
+        assert doc["folds"] is None and doc["seed"] is None
+        assert doc["accuracy_per_fold"] == []
+        assert doc["accuracy_mean"] == 0.8
+        assert doc["num_epochs"] == 5
+        assert doc["pooled_confusion"] == cm.counts.tolist()
