@@ -15,7 +15,7 @@ import numpy as np
 from eegloop import EdfFileHeader, EdfSignalHeader, parse_edf, to_trace, write_edf
 
 # A 10-second recording: 1 s data records, two signals at different rates.
-header = EdfFileHeader.create(
+header = EdfFileHeader(
     num_signals=2,
     num_records=10,
     record_duration_s=1.0,
@@ -54,7 +54,7 @@ print("\ncalibration for", eeg.label)
 codes = np.array([eeg.digital_min, 0, eeg.digital_max])
 phys = to_trace(parsed, eeg, codes).samples
 probe = dataclasses.replace(eeg, samples_per_record=5)
-_, _, (back,) = parse_edf(write_edf(EdfFileHeader.create(num_signals=1, num_records=1),
+_, _, (back,) = parse_edf(write_edf(EdfFileHeader(num_records=1),
                                     [probe], [np.append(phys, [1e9, -np.inf])]))
 for code, value, again in zip(codes, phys, back):
     print(f"  code {code:6d} -> {value:10.4f} uV -> code {again:6d}")

@@ -19,7 +19,7 @@ from eegloop import (
     kfold_cv,
     load_dataset,
     load_model,
-    predict_class,
+    predict_labels,
     save_model,
     train,
 )
@@ -42,7 +42,7 @@ train_config = TrainConfig(rounds=30)
 
 def trainer(train_fvs, train_labels):
     model = train(list(zip(train_fvs, train_labels)), train_config)
-    return lambda fv: predict_class(model, fv)[0]
+    return lambda fv: predict_labels(model, [fv])[0]
 
 
 t0 = time.time()
@@ -64,7 +64,5 @@ print(f"\ntraining loss: {model.training_loss[0]:.3f} -> {model.training_loss[-1
       f"over {train_config.rounds} rounds (non-increasing)")
 blob = save_model(model)
 reloaded = load_model(blob)
-same = all(
-    predict_class(model, fv)[0] == predict_class(reloaded, fv)[0] for fv in fvs
-)
+same = predict_labels(model, fvs) == predict_labels(reloaded, fvs)
 print(f"model file: {len(blob)} bytes; reloaded predictions identical: {same}")

@@ -64,6 +64,8 @@ class CvConfig:
     def __post_init__(self) -> None:
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

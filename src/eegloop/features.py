@@ -37,8 +37,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .pipeline import Epoch
 
-# scipy is imported inside the functions that use it: importing it costs about
-# a second, which the CLI, synth, replay and EDF-only callers would pay for nothing.
+# scipy is imported inside _bandpass, its one user: importing it costs about a
+# second, which the CLI, synth, replay and EDF-only callers would pay for nothing.
 
 BANDS_HZ: dict[str, tuple[float, float]] = {
     "delta": (0.5, 4.0),
@@ -130,7 +130,12 @@ class FeatureVector:
 
 
 @functools.lru_cache(maxsize=16)  # a refused rate raises, so it is never cached
-def _design_sos(rate_hz: float) -> np.ndarray:
+def _bandpass(rate_hz: float) -> functools.partial:
+    """The causal Butterworth band-pass at ``rate_hz``, designed once per rate.
+
+    Raises ``ValueError``, before scipy loads, unless the analysis band
+    ends below half of ``rate_hz``.
+    """
     if not ANALYSIS_BAND_HZ[1] < rate_hz / 2:
         lo, hi = ANALYSIS_BAND_HZ
         raise ValueError(f"band [{lo}, {hi}] Hz invalid for {rate_hz} Hz sampling")
@@ -139,18 +144,7 @@ def _design_sos(rate_hz: float) -> np.ndarray:
     sos = sps.butter(
         FILTER_ORDER, ANALYSIS_BAND_HZ, btype="bandpass", fs=rate_hz, output="sos"
     )
-    sos.flags.writeable = False  # shared by every caller at this rate
-    return sos
-
-
-def bandpass_sos(rate_hz: float) -> np.ndarray:
-    """Design the causal Butterworth band-pass as second-order sections.
-
-    Raises ``ValueError`` unless the analysis band ends below half of
-    ``rate_hz``. The design is cached per rate; each call returns a fresh
-    writable copy of it, since ``sosfilt`` refuses a read-only one.
-    """
-    return _design_sos(rate_hz).copy()
+    return functools.partial(sps.sosfilt, sos)
 
 
 def preprocess(epoch: Epoch, config: PreprocessConfig | None = None) -> Epoch:
@@ -162,12 +156,10 @@ def preprocess(epoch: Epoch, config: PreprocessConfig | None = None) -> Epoch:
     returned filtered only. Raises ``ValueError`` when the analysis band
     does not fit below the epoch's Nyquist frequency.
     """
-    from scipy import signal as sps
-
-    sos = bandpass_sos(epoch.rate_hz)
+    bandpass = _bandpass(epoch.rate_hz)
     if np.ptp(epoch.samples) == 0:
         return replace(epoch, samples=epoch.samples.copy())
-    out = sps.sosfilt(sos, epoch.samples)
+    out = bandpass(epoch.samples)
     # np.std's own steps, with its mean and centred array kept for the z-score.
     centered = out - out.mean()
     std = np.sqrt((centered * centered).sum() / out.size)
@@ -260,17 +252,11 @@ def _ratio(num: float, den: float) -> float:
 def extract(epoch: Epoch) -> FeatureVector:
     """Compute the 21-feature vector for one (preprocessed) epoch.
 
-    Raises ``ValueError`` if the epoch is shorter than one Welch segment.
     On zero-power input the spectral features take their floors: relative
     powers and entropy 0, edge frequency at the analysis band's low edge.
     """
     x = epoch.samples
     nperseg = int(round(WELCH_SEGMENT_S * epoch.rate_hz))
-    if x.size < nperseg:
-        raise ValueError(
-            f"epoch of {x.size} samples is shorter than one "
-            f"{WELCH_SEGMENT_S} s Welch segment ({nperseg})"
-        )
     freqs, psd = _welch(x, epoch.rate_hz, nperseg)
     *bands, (analysis, _) = _welch_setup(epoch.rate_hz, nperseg)[2]
 

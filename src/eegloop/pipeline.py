@@ -81,9 +81,12 @@ class SampleClock:
             time.sleep(wait_ns / 1e9)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Epoch:
-    """A fixed-duration window of physical samples from one stream."""
+    """A fixed-duration window of physical samples from one stream.
+
+    Frozen, so the sample count checked when it is built holds for its life.
+    """
 
     samples: np.ndarray
     start_index: int
@@ -92,7 +95,7 @@ class Epoch:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         expected = samples_per_epoch(self.length_s, self.rate_hz)
         if self.samples.size != expected:
             raise ValueError(

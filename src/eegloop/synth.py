@@ -78,6 +78,8 @@ class SyntheticSpec:
             raise ValueError(f"profiles must cover exactly the classes {CLASS_NAMES}")
         if self.epochs_per_class < 1:
             raise ValueError("epochs_per_class must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Written so that NaN fails each check. The EDF limits are
         # -/+int(_HEADROOM * amplitude_uv); with its sign, a limit of 1 to 7
         # digits fits its 8-character header field.
@@ -166,8 +168,7 @@ def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
             except ArithmeticError as exc:
                 raise ValueError(
                     f"class {label!r} cannot be generated: {exc.args[-1]}") from None
-            header = EdfFileHeader.create(
-                num_signals=1,
+            header = EdfFileHeader(
                 num_records=spec.epochs_per_class,
                 record_duration_s=float(spec.epoch_length_s),
                 recording_id=f"synthetic {label}",

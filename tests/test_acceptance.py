@@ -87,9 +87,7 @@ def write_stream_edf(path, n_epochs, epoch_length_s, seed):
     samples = np.concatenate(
         [generate_epoch_samples("sham_wake", spec, rng) for _ in range(n_epochs)]
     )
-    header = EdfFileHeader.create(
-        num_signals=1, num_records=n_epochs, record_duration_s=float(epoch_length_s)
-    )
+    header = EdfFileHeader(num_records=n_epochs, record_duration_s=float(epoch_length_s))
     sig = EdfSignalHeader(
         physical_min=-2000.0, physical_max=2000.0,
         samples_per_record=spec.samples_per_epoch,
@@ -235,7 +233,7 @@ class TestCriterion7:
         checks = {}
 
         # EDF round-trip bit-exactness
-        header = EdfFileHeader.create(num_signals=1, num_records=4)
+        header = EdfFileHeader(num_records=4)
         sig = EdfSignalHeader(samples_per_record=32)
         signal = rng.uniform(-900, 900, 128)
         data = write_edf(header, [sig], [signal])
@@ -249,8 +247,7 @@ class TestCriterion7:
         codes = np.arange(sig.digital_min, sig.digital_max + 1)
         phys = to_trace(parsed, sig, codes).samples
         endpoints = phys[0] == sig.physical_min and phys[-1] == sig.physical_max
-        every_code = EdfFileHeader.create(num_signals=1,
-                                          num_records=codes.size // sig.samples_per_record)
+        every_code = EdfFileHeader(num_records=codes.size // sig.samples_per_record)
         _, _, (back,) = parse_edf(write_edf(every_code, [sig], [phys]))
         checks["calibration"] = bool(endpoints and np.array_equal(back, codes))
 

@@ -263,7 +263,7 @@ class TestTrain:
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_annotation_only_file_fails_cleanly(self, tmp_path, capsys):
-        header = EdfFileHeader.create(num_signals=1, num_records=3, record_duration_s=4.0)
+        header = EdfFileHeader(num_records=3, record_duration_s=4.0)
         notes = EdfSignalHeader(label="EDF Annotations", samples_per_record=1024)
         (tmp_path / "notes.edf").write_bytes(write_edf(header, [notes], [np.zeros(3072)]))
         (tmp_path / "labels.csv").write_text("file,epoch_index,class\nnotes.edf,0,sham_wake\n")
@@ -1042,8 +1042,9 @@ def test_model_of_another_schema_fails_before_any_work(workspace, tmp_path, caps
     "flags, cause",
     [(["--model", "bad.json"], "missing field"),
      (["--model", "v1.json"], "format_version 1 is no longer read: retrain"),
-     (["--folds", "1"], "folds")],
-    ids=["malformed_model", "format_1_model", "folds"],
+     (["--folds", "1"], "folds"),
+     (["--seed", "-1"], "seed must be >= 0, got -1")],
+    ids=["malformed_model", "format_1_model", "folds", "negative_seed"],
 )
 def test_evaluate_fails_before_featurizing(workspace, tmp_path, capsys, monkeypatch,
                                            flags, cause):
@@ -1058,6 +1059,28 @@ def test_evaluate_fails_before_featurizing(workspace, tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert_one_error_line(err)
     assert cause in err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("synth", ["--out", "out", "--seed", "-1"]),
+     ("synth", ["--out", "out", "--config", "config.json"]),
+     ("bench", ["--model", "{model}", "--out", "out", "--seed", "-1"])],
+    ids=["synth", "synth_config", "bench"],
+)
+def test_negative_seed_fails_first_by_name(workspace, tmp_path, capsys, monkeypatch,
+                                           command, flags):
+    # evaluate's case is in test_evaluate_fails_before_featurizing.
+    _, _, model = workspace
+    (tmp_path / "config.json").write_text('{"seed": -1}')
+    monkeypatch.chdir(tmp_path)
+    featurized = []
+    monkeypatch.setattr(features, "featurize", featurized.append)
+    assert main([command, *(f.format(model=model) for f in flags)]) == 2
+    assert featurized == [] and not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "seed must be >= 0, got -1" in err
 
 
 @pytest.mark.parametrize(
@@ -1227,10 +1250,8 @@ def test_warm_up_featurizes_and_predicts_before_each_run(workspace, tmp_path, mo
 def test_warm_up_runs_the_filter_and_the_branches_of_a_real_epoch(workspace, monkeypatch,
                                                                   length_s, rate_hz):
     # A constant epoch would return before the filter, with zero variance and power.
-    from scipy import signal as sps
-
     _, _, model = workspace
-    sosfilt, moments, extract = sps.sosfilt, features._moments, features.extract
+    bandpass, moments, extract = features._bandpass, features._moments, features.extract
     seen = []
 
     def spied(name, call, record):
@@ -1240,7 +1261,9 @@ def test_warm_up_runs_the_filter_and_the_branches_of_a_real_epoch(workspace, mon
             return result
         return spy
 
-    monkeypatch.setattr(sps, "sosfilt", spied("sosfilt", sosfilt, lambda out: out.size))
+    # The filter binds sosfilt when it is designed, so the spy wraps the filter itself.
+    monkeypatch.setattr(features, "_bandpass", lambda rate_hz: spied(
+        "sosfilt", bandpass(rate_hz), lambda out: out.size))
     monkeypatch.setattr(features, "_moments",
                         spied("variance", moments, lambda m: m[0] > 0))
     monkeypatch.setattr(features, "extract", spied(

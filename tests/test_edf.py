@@ -28,7 +28,7 @@ def make_file(
     num_signals=1, num_records=2, samples_per_record=4, record_duration_s=1.0,
     signals=None, **sig_fields,
 ):
-    header = EdfFileHeader.create(
+    header = EdfFileHeader(
         num_signals=num_signals,
         num_records=num_records,
         record_duration_s=record_duration_s,
@@ -48,7 +48,7 @@ def encoded(values, sig):
     calibration, as ``parse_edf`` reads them back."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     sig = dataclasses.replace(sig, samples_per_record=values.size)
-    _, _, (codes,) = parse_edf(write_edf(EdfFileHeader.create(1, 1), [sig], [values]))
+    _, _, (codes,) = parse_edf(write_edf(EdfFileHeader(num_records=1), [sig], [values]))
     return codes.astype(np.int64)
 
 
@@ -110,7 +110,7 @@ def edf_files(draw):
         x[rng.integers(0, n, len(picks))] = picks
         sig_headers.append(sig)
         signals.append(x)
-    header = EdfFileHeader.create(num_signals=len(rates), num_records=num_records)
+    header = EdfFileHeader(num_signals=len(rates), num_records=num_records)
     return header, sig_headers, signals
 
 
@@ -139,7 +139,7 @@ class TestCodecsMatchReference:
         sig = EdfSignalHeader(physical_min=-187.5, physical_max=312.25)
         codes = np.random.default_rng(n).integers(-32768, 32768, n).astype("<i2")
         codes[0], codes[-1] = sig.digital_min, sig.digital_max
-        trace = to_trace(EdfFileHeader.create(1, 1), sig, codes)
+        trace = to_trace(EdfFileHeader(num_records=1), sig, codes)
         assert trace.samples.tobytes() == reference_digital_to_physical(codes, sig).tobytes()
 
     def test_code_out_of_range_in_a_later_block_raises(self):
@@ -147,7 +147,7 @@ class TestCodecsMatchReference:
         codes = np.zeros(2 * _BLOCK_LEN, dtype="<i2")
         codes[_BLOCK_LEN + 1] = 101
         with pytest.raises(EdfError, match="outside"):
-            to_trace(EdfFileHeader.create(1, 1), sig, codes)
+            to_trace(EdfFileHeader(num_records=1), sig, codes)
 
     def test_rounding_matches_sign_abs_floor(self):
         # A unit scale: each value here lands on the code axis exactly.
@@ -480,7 +480,7 @@ class TestParserFuzz:
 
 class TestAnnotationsAndTraces:
     def test_annotation_signal_skipped_with_warning(self):
-        header = EdfFileHeader.create(num_signals=2, num_records=1)
+        header = EdfFileHeader(num_signals=2, num_records=1)
         sigs = [
             EdfSignalHeader(samples_per_record=4),
             EdfSignalHeader(label="EDF Annotations", samples_per_record=4),
@@ -531,7 +531,7 @@ class TestReadSignal:
             read_signal(data, index)
 
     def test_annotation_signals_are_not_counted(self):
-        header = EdfFileHeader.create(num_signals=1, num_records=1)
+        header = EdfFileHeader(num_records=1)
         sigs = [EdfSignalHeader(label="EDF Annotations", samples_per_record=4)]
         data = write_edf(header, sigs, [np.zeros(4)])
         with pytest.warns(UserWarning, match="annotation"), \

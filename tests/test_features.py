@@ -18,10 +18,10 @@ from eegloop.features import (
     WELCH_OVERLAP,
     FeatureVector,
     PreprocessConfig,
+    _bandpass,
     _moments,
     _welch,
     _welch_setup,
-    bandpass_sos,
     extract,
     featurize,
     preprocess,
@@ -56,35 +56,36 @@ def feat(fv, name):
     return fv.values[FEATURE_NAMES.index(name)]
 
 
+def reference_sos(rate_hz):
+    """The design ``_bandpass`` must filter with, as scipy makes it."""
+    return sps.butter(4, [0.5, 60.0], btype="bandpass", fs=rate_hz, output="sos")
+
+
 class TestBandpass:
     def test_dc_is_rejected(self):
         # direct response oracle at 0 Hz
-        w, h = sps.sosfreqz(bandpass_sos(RATE), worN=[0.0], fs=RATE)
+        w, h = sps.sosfreqz(reference_sos(RATE), worN=[0.0], fs=RATE)
         assert np.abs(h[0]) < 1e-6
         x = np.full(int(64 * RATE), 5.0)
-        y = sps.sosfilt(bandpass_sos(RATE), x)
+        y = _bandpass(RATE)(x)
         steady = y[int(8 * RATE):]
         assert np.mean(steady**2) < 0.01 * np.mean(x**2)
 
     def test_in_band_tone_passes(self):
         x = tone(10.0, length_s=16)
-        y = sps.sosfilt(bandpass_sos(RATE), x)
+        y = _bandpass(RATE)(x)
         x_rms = np.sqrt(np.mean(x[int(2 * RATE):] ** 2))
         y_rms = np.sqrt(np.mean(y[int(2 * RATE):] ** 2))
         assert abs(y_rms - x_rms) / x_rms < 0.2
 
-    def test_design_equals_a_fresh_design(self):
-        fresh = sps.butter(4, [0.5, 60.0], btype="bandpass", fs=RATE, output="sos")
+    @pytest.mark.parametrize("rate_hz", [128.0, 256.0, 512.0])
+    @pytest.mark.parametrize("length_s", [4, 16, 64])
+    def test_bytes_equal_scipy_on_the_first_and_the_cached_call(self, rate_hz, length_s):
+        _bandpass.cache_clear()  # so the first call designs the filter
+        x = np.random.default_rng(length_s).standard_normal(int(length_s * rate_hz)) * 40.0
+        expected = sps.sosfilt(reference_sos(rate_hz), x).tobytes()
         for _ in range(2):  # the design call, then the cached one
-            assert bandpass_sos(RATE).tobytes() == fresh.tobytes()
-
-    def test_callers_get_a_writable_copy_of_the_cached_design(self):
-        first = bandpass_sos(RATE)
-        expected = first.copy()
-        first[:] = 0.0  # a caller's edit must not reach the cache
-        second = bandpass_sos(RATE)
-        assert second.flags.writeable and second is not first
-        np.testing.assert_array_equal(second, expected)
+            assert _bandpass(rate_hz)(x).tobytes() == expected
 
     @pytest.mark.parametrize("rate", [120.0, 100.0])
     def test_refused_rate_raises_on_every_call_before_scipy_loads(self, monkeypatch, rate):
@@ -92,7 +93,7 @@ class TestBandpass:
         message = re.escape(f"band [0.5, 60.0] Hz invalid for {rate} Hz sampling")
         for _ in range(3):  # a refused rate is never cached
             with pytest.raises(ValueError, match=f"^{message}$"):
-                bandpass_sos(rate)
+                _bandpass(rate)
 
     def test_band_edges_validated(self):
         # A constant epoch skips filtering, but not the band check.
@@ -191,12 +192,6 @@ class TestExtract:
         v2 = extract(make_epoch(x.copy())).values
         np.testing.assert_array_equal(v1, v2)
 
-    def test_short_epoch_rejected(self):
-        epoch = make_epoch(np.zeros(1024), length_s=4)
-        epoch.samples = epoch.samples[:100]  # deliberately violate the invariant
-        with pytest.raises(ValueError, match="Welch segment"):
-            extract(epoch)
-
     def test_feature_vector_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
             FeatureVector(np.array([1.0, np.nan]))
@@ -287,7 +282,7 @@ def reference_featurize(epoch):
     moments, and ``np.trapezoid`` over boolean band masks."""
     x = epoch.samples
     if np.ptp(x) != 0:
-        x = sps.sosfilt(bandpass_sos(epoch.rate_hz), x)
+        x = sps.sosfilt(reference_sos(epoch.rate_hz), x)
         std = x.std()
         if std > 0 and np.isfinite(std):
             x = (x - x.mean()) / std

@@ -1,5 +1,6 @@
 """Epoch assembly, queue accounting, live runs, and batch timing."""
 
+import dataclasses
 import json
 import math
 import threading
@@ -124,6 +125,14 @@ class TestEpoch:
     def test_label_checked(self):
         with pytest.raises(ValueError, match="label"):
             Epoch(np.zeros(1024), 0, 4, 256.0, label="awake")
+
+    def test_samples_cannot_be_swapped_after_the_check(self):
+        # The length is checked once, when an epoch is built; a new one is checked again.
+        epoch = Epoch(np.zeros(1024), 0, 4, 256.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            epoch.samples = epoch.samples[:100]
+        with pytest.raises(ValueError, match="samples"):
+            dataclasses.replace(epoch, samples=epoch.samples[:100])
 
 
 class TestAssemble:

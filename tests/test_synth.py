@@ -65,7 +65,8 @@ class TestLabelIndex:
 
     def test_epochs_are_the_files_records(self, tmp_path):
         generate_dataset(SMALL, tmp_path)
-        rows = list(csv.DictReader((tmp_path / "labels.csv").open(newline="")))
+        with (tmp_path / "labels.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         for row, epoch in zip(rows, load_dataset(tmp_path)):
             assert epoch.label == row["class"]
             assert epoch.start_index == int(row["epoch_index"]) * 4 * 256
@@ -81,7 +82,7 @@ class TestLabelIndex:
             load_dataset(tmp_path)
 
     def test_file_with_only_an_annotation_signal_rejected(self, tmp_path):
-        header = EdfFileHeader.create(num_signals=1, num_records=3, record_duration_s=4.0)
+        header = EdfFileHeader(num_records=3, record_duration_s=4.0)
         notes = EdfSignalHeader(label="EDF Annotations", samples_per_record=1024)
         (tmp_path / "notes.edf").write_bytes(write_edf(header, [notes], [np.zeros(3072)]))
         (tmp_path / "labels.csv").write_text("file,epoch_index,class\nnotes.edf,0,sham_wake\n")
@@ -131,7 +132,7 @@ class TestLabelIndex:
             load_dataset(tmp_path / "ds")
 
     def test_record_length_that_is_no_epoch_length_names_the_file(self, tmp_path):
-        header = EdfFileHeader.create(num_signals=1, num_records=2, record_duration_s=8.0)
+        header = EdfFileHeader(num_records=2, record_duration_s=8.0)
         sig = EdfSignalHeader(samples_per_record=2048)
         (tmp_path / "eight.edf").write_bytes(write_edf(header, [sig], [np.zeros(4096)]))
         (tmp_path / "labels.csv").write_text("file,epoch_index,class\neight.edf,0,sham_wake\n")
@@ -140,7 +141,7 @@ class TestLabelIndex:
             load_dataset(tmp_path)
 
     def test_digital_code_outside_the_header_range_names_the_file(self, tmp_path):
-        header = EdfFileHeader.create(num_signals=1, num_records=3, record_duration_s=4.0)
+        header = EdfFileHeader(num_records=3, record_duration_s=4.0)
         sig = EdfSignalHeader(digital_min=-100, digital_max=100, samples_per_record=1024)
         data = bytearray(write_edf(header, [sig], [np.zeros(3072)]))
         data[header.header_bytes:header.header_bytes + 2] = (101).to_bytes(2, "little")
