@@ -45,16 +45,15 @@ def _fits(value, hint) -> bool:
     if hint is float:  # an int must fit a float64
         return isinstance(value, float) or (
             isinstance(value, int) and abs(value) <= sys.float_info.max)
-    return isinstance(value, typing.get_origin(hint) or hint)
+    return isinstance(value, hint)
 
 
-def _settings(cls, path: str | None, args: argparse.Namespace, **parsers):
+def _settings(cls, path: str | None, args: argparse.Namespace):
     """Build the dataclass ``cls`` from a JSON config file, then flags.
 
     The file may set any field of ``cls`` with a value of the field's
-    type; ``parsers`` turn a field's JSON value into the field's value. A
-    flag whose ``dest`` is a field name overrides the file, and ``cls``
-    checks the result.
+    type. A flag whose ``dest`` is a field name overrides the file, and
+    ``cls`` checks the result.
     """
     hints = typing.get_type_hints(cls)
     types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
@@ -71,9 +70,7 @@ def _settings(cls, path: str | None, args: argparse.Namespace, **parsers):
                 raise ValueError(f"config {path}: unknown field {key!r}")
             if not _fits(value, types[key]):
                 raise ValueError(f"config {path}: field {key!r} has the wrong type")
-            if types[key] is float:
-                value = float(value)
-            values[key] = parsers.get(key, lambda v: v)(value)
+            values[key] = float(value) if types[key] is float else value
     for name in types:
         if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
@@ -144,15 +141,11 @@ def _refuse_same_file(flag: str, path: str,
 
 
 def _dataset_inputs(data_dir: str) -> list[tuple[str, Path]]:
-    """``--data``'s label index and the files its ``file`` column names, as far as the
-    index reads; :func:`synth.load_dataset` reports what is wrong with it."""
-    index = Path(data_dir) / synth.LABEL_INDEX_NAME
-    inputs = [("--data", index)]
-    with contextlib.suppress(OSError, ValueError, csv.Error):
-        with index.open(newline="") as fh:
-            names = {row.get("file") for row in csv.DictReader(fh)}
-        inputs += [("--data", index.parent / name) for name in sorted(names - {None})]
-    return inputs
+    """``--data``'s label index and the files its ``file`` column names; a bad
+    index fails here, before any output is opened."""
+    index, rows = synth.read_label_index(data_dir)
+    names = sorted({row["file"] for row in rows})
+    return [("--data", index)] + [("--data", index.parent / name) for name in names]
 
 
 def _timing_row(report: pipeline.TimingReport) -> dict:
@@ -168,26 +161,11 @@ def _timing_row(report: pipeline.TimingReport) -> dict:
 def _parse_acceleration(text: str) -> float:
     if text.lower() in ("max", "inf"):
         return math.inf
-    return float(text)
-
-
-def _parse_profiles(doc: dict) -> dict[str, synth.ClassProfile]:
-    profiles = {}
-    for name, entry in doc.items():
-        if not (isinstance(entry, dict) and "bumps" in entry
-                and entry.keys() <= {"bumps", "power_scale"}):
-            raise ValueError(
-                f"profile {name!r} needs 'bumps' and may set only 'power_scale'"
-            )
-        bumps, power_scale = entry["bumps"], entry.get("power_scale", 1.0)
-        if not isinstance(bumps, list) or not all(
-            isinstance(b, list) and len(b) == 3 and all(_fits(v, float) for v in b)
-            for b in bumps
-        ) or not _fits(power_scale, float):
-            raise ValueError(f"profile {name!r}: bumps must be [center_hz, width_hz, "
-                             "weight] numbers and power_scale a number")
-        profiles[name] = synth.ClassProfile(tuple(map(tuple, bumps)), power_scale)
-    return profiles
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a speed-up factor or 'max', got {text!r}") from None
 
 
 def _featurize_dataset(
@@ -217,7 +195,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = _settings(synth.SyntheticSpec, args.config, args, profiles=_parse_profiles)
+    spec = _settings(synth.SyntheticSpec, args.config, args)
     index_path = synth.generate_dataset(spec, args.out)
     log.info("wrote dataset under %s", args.out)
     print(str(index_path))

@@ -114,7 +114,8 @@ class PreprocessConfig:
     """The fixed preprocessing: no settings."""
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity: an array field has no one truth value.
+@dataclass(frozen=True, eq=False)
 class FeatureVector:
     """Feature values in ``FEATURE_NAMES`` order, kept as a finite read-only copy."""
 

@@ -126,14 +126,17 @@ class VoltageMapping:
         cls, physical_min: float, physical_max: float,
         vref_volts: float = 3.3, span: float = 0.9,
     ) -> "VoltageMapping":
-        """Map [physical_min, physical_max] onto the middle ``span`` of [0, vref].
+        """Map the range between the two limits onto the middle ``span`` of [0, vref].
 
-        The midpoint of the physical range lands on vref/2; the default 90%
-        span leaves headroom against clipping at both rails.
+        The limits may come either way round, as an EDF calibration may run
+        from high to low. The midpoint of the range lands on vref/2; the
+        default 90% span leaves headroom against clipping at both rails.
         """
-        if physical_max <= physical_min:
-            raise ValueError("physical_max must exceed physical_min")
-        gain = span * vref_volts / (physical_max - physical_min)
+        width = abs(physical_max - physical_min)
+        if not width > 0:
+            raise ValueError(f"physical limits must differ and not be NaN, got "
+                             f"{physical_min} and {physical_max}")
+        gain = span * vref_volts / width
         center = 0.5 * (physical_min + physical_max)
         return cls(gain, vref_volts / 2 - gain * center)
 

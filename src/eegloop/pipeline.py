@@ -81,7 +81,8 @@ class SampleClock:
             time.sleep(wait_ns / 1e9)
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity: an array field has no one truth value.
+@dataclass(frozen=True, eq=False)
 class Epoch:
     """A fixed-duration window of physical samples from one stream.
 

@@ -7,7 +7,7 @@ files at 256 Hz, cut into whole-epoch records, with a CSV label index.
 Each epoch is coloured noise shaped in the frequency domain: a sum of
 Gaussian spectral bumps (class-specific centers, widths, and weights)
 plus a flat broadband noise floor, with random phases and a log-normal
-per-epoch amplitude jitter. The default profiles give the wake classes
+per-epoch amplitude jitter. The fixed profiles give the wake classes
 theta/beta-dominant spectra and the sleep classes delta-dominant ones,
 with the injured-group classes shifted toward lower theta (at reduced
 total power) and elevated slow-wave amplitude respectively. Classes
@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ class ClassProfile:
     power_scale: float = 1.0
 
 
-DEFAULT_PROFILES: dict[str, ClassProfile] = {
+PROFILES: dict[str, ClassProfile] = {
     "sham_wake": ClassProfile(bumps=((6.5, 1.5, 1.0), (20.0, 5.0, 0.8))),
     "sham_sleep": ClassProfile(bumps=((1.5, 1.0, 1.6), (6.5, 1.5, 0.3))),
     "tbi_wake": ClassProfile(
@@ -62,9 +62,6 @@ DEFAULT_PROFILES: dict[str, ClassProfile] = {
 class SyntheticSpec:
     """Knobs for the generator; defaults make a moderately hard 4-class task."""
 
-    profiles: dict[str, ClassProfile] = field(
-        default_factory=lambda: dict(DEFAULT_PROFILES)
-    )
     amplitude_uv: float = 100.0
     noise_level: float = 0.4
     amplitude_jitter: float = 0.3
@@ -74,8 +71,6 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if set(self.profiles) != set(CLASS_NAMES):
-            raise ValueError(f"profiles must cover exactly the classes {CLASS_NAMES}")
         if self.epochs_per_class < 1:
             raise ValueError("epochs_per_class must be >= 1")
         if self.seed < 0:
@@ -118,7 +113,7 @@ def generate_epoch_samples(
     label: str, spec: SyntheticSpec, rng: np.random.Generator
 ) -> np.ndarray:
     """One epoch of class-coloured noise, scaled to its jittered target RMS."""
-    profile = spec.profiles[label]
+    profile = PROFILES[label]
     n = spec.samples_per_epoch
     freqs = np.fft.rfftfreq(n, 1.0 / spec.rate_hz)
     envelope = _spectral_envelope(freqs, profile, spec)
@@ -191,6 +186,31 @@ def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     return index_path
 
 
+def read_label_index(dataset_dir: str | Path) -> tuple[Path, list[dict[str, str]]]:
+    """The path of ``dataset_dir``'s label index and its rows, keyed by column.
+
+    ``FileNotFoundError`` if there is none; one ``ValueError`` naming it if it
+    is not CSV text, lacks a column, holds no rows or a row that is too short.
+    """
+    index_path = Path(dataset_dir) / LABEL_INDEX_NAME
+    if not index_path.exists():
+        raise FileNotFoundError(f"label index not found: {index_path}")
+    try:
+        with index_path.open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            columns, rows = reader.fieldnames or (), list(reader)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"label index {index_path} is not CSV text: {exc}") from None
+    if missing := [c for c in _INDEX_COLUMNS if c not in columns]:
+        raise ValueError(f"label index {index_path} lacks column(s) {', '.join(missing)}")
+    if not rows:
+        raise ValueError(f"label index {index_path} holds no entries")
+    for line, row in enumerate(rows, start=2):
+        if None in (row[c] for c in _INDEX_COLUMNS):
+            raise ValueError(f"label index {index_path} line {line}: too few fields")
+    return index_path, rows
+
+
 def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
     """Read a generated dataset back as labelled epochs.
 
@@ -202,19 +222,7 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
     Epochs are returned in index order with physical sample values.
     """
     root = Path(dataset_dir)
-    index_path = root / LABEL_INDEX_NAME
-    if not index_path.exists():
-        raise FileNotFoundError(f"label index not found: {index_path}")
-    with index_path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _INDEX_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(
-                f"label index {index_path} lacks column(s) {', '.join(missing)}"
-            )
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"label index {index_path} holds no entries")
+    index_path, rows = read_label_index(root)
 
     cut: dict[str, list[Epoch]] = {}
     listed: dict[tuple[str, int], int] = {}  # (file, epoch_index) -> its line
@@ -244,7 +252,7 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
         file_epochs = cut[filename]
         try:
             idx = int(row["epoch_index"])
-        except (TypeError, ValueError):
+        except ValueError:
             raise ValueError(
                 f"label index {index_path} line {line}: epoch_index "
                 f"{row['epoch_index']!r} is not an integer"

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import VirtualClock
-from eegloop import cli, features, gbt, pipeline
+from eegloop import cli, features, gbt, pipeline, synth
 from eegloop.classes import CLASS_NAMES
 from eegloop.cli import main
 from eegloop.edf import EdfFileHeader, EdfSignalHeader, write_edf
@@ -145,36 +145,38 @@ class TestSynth:
                      "--config", str(config)]) != 0
         assert capsys.readouterr().err.startswith("error:")
 
-
-    @pytest.mark.parametrize("bump, cause",
-                             [([6.5, 0.0, 1.0], "divide by zero"),
-                              ([6.5, 1e200, 1.0], "out of range")],
-                             ids=["zero_width", "huge_width"])
-    def test_profile_that_overflows_fails_by_its_class(self, tmp_path, capsys, bump,
-                                                        cause):
-        profiles = {name: {"bumps": [[6.5, 1.5, 1.0]]} for name in CLASS_NAMES}
-        profiles["tbi_wake"]["bumps"].append(bump)
+    def test_class_profiles_are_not_a_setting(self, tmp_path, capsys):
         config = tmp_path / "spec.json"
-        config.write_text(json.dumps({"profiles": profiles}))
-        assert main(["synth", "--out", str(tmp_path / "x"), "--config", str(config),
+        config.write_text(json.dumps({"profiles": {}}))
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: config {config}: unknown field 'profiles'\n"
+        assert not out.exists()
+
+    def test_setting_that_overflows_fails_by_its_class(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "x"), "--noise", "1e308",
                      "--epochs-per-class", "1", "--epoch-length", "4"]) == 2
         err = capsys.readouterr().err
         assert_one_error_line(err)
-        assert err.startswith("error: class 'tbi_wake' cannot be generated: ")
-        assert cause in err
+        assert err.startswith("error: class 'sham_wake' cannot be generated: overflow ")
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new_dir", "existing_dir"])
-    def test_class_that_fails_leaves_out_as_found(self, tmp_path, capsys, existing):
+    def test_class_that_fails_leaves_out_as_found(self, tmp_path, capsys, monkeypatch,
+                                                  existing):
         # tbi_sleep is the last class, so the other three are written first.
-        profiles = {name: {"bumps": [[6.5, 1.5, 1.0]]} for name in CLASS_NAMES}
-        profiles["tbi_sleep"]["bumps"].append([6.5, 0.0, 1.0])
-        config = tmp_path / "spec.json"
-        config.write_text(json.dumps({"profiles": profiles}))
+        generate = synth.generate_epoch_samples
+
+        def failing_generate(label, spec, rng):
+            if label == "tbi_sleep":
+                raise FloatingPointError("overflow encountered in multiply")
+            return generate(label, spec, rng)
+
+        monkeypatch.setattr(synth, "generate_epoch_samples", failing_generate)
         out = tmp_path / "ds" / "nested"
         if existing:
             out.mkdir(parents=True)
             (out / "notes.txt").write_text("kept")
-        assert main(["synth", "--out", str(out), "--config", str(config),
+        assert main(["synth", "--out", str(out),
                      "--epochs-per-class", "1", "--epoch-length", "4"]) == 2
         assert "class 'tbi_sleep' cannot be generated" in capsys.readouterr().err
         if existing:
@@ -190,24 +192,6 @@ class TestSynth:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "field 'noise_level' has the wrong type" in err
-
-    @pytest.mark.parametrize(
-        "entry, cause",
-        [({}, "'bumps'"),
-         ({"bumps": [["a", 1.0, 1.0]]}, "bumps must be"),
-         ({"bumps": [[6.5, 1.5]]}, "bumps must be"),
-         ({"bumps": [], "power_scale": "x"}, "power_scale")],
-        ids=["missing_bumps", "non_numeric_bump", "short_bump", "non_numeric_power_scale"],
-    )
-    def test_bad_profiles_entry_rejected(self, tmp_path, capsys, entry, cause):
-        config = tmp_path / "spec.json"
-        config.write_text(json.dumps({"profiles": {"sham_wake": entry}}))
-        assert main(["synth", "--out", str(tmp_path / "x"),
-                     "--config", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert_one_error_line(err)
-        assert "'sham_wake'" in err and cause in err
-
 
     @pytest.mark.parametrize(
         "flags, cause",
@@ -480,6 +464,31 @@ class TestEvaluate:
         assert_one_error_line(err)
         assert f"{index} line 42: epoch 0 of sham_wake.edf is already listed on line 2" in err
 
+    @pytest.mark.parametrize("command", [["train"], ["evaluate", "--folds", "2"]],
+                             ids=["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "tail, cause",
+        [(b'sham_wake.edf,0,"' + b"x" * 131_073 + b'"\n',
+          "is not CSV text: field larger than field limit (131072)"),
+         (b"sham_wake.edf,0,sham_\xffwake\n",
+          "is not CSV text: 'utf-8' codec can't decode byte 0xff"),
+         (b"sham_wake.edf\n", "line 42: too few fields")],
+        ids=["field_too_large", "undecodable_byte", "short_row"],
+    )
+    def test_unreadable_label_index_fails_before_any_output(self, workspace, tmp_path,
+                                                            capsys, command, tail, cause):
+        _, data, _ = workspace
+        copy, out = tmp_path / "ds", tmp_path / "out.json"
+        shutil.copytree(data, copy)
+        index = copy / "labels.csv"
+        index.write_bytes(index.read_bytes() + tail)
+        assert main([*command, "--data", str(copy), "--out", str(out)]) == 2
+        std_out, err = capsys.readouterr()
+        assert std_out == ""
+        assert_one_error_line(err)
+        assert err.startswith(f"error: label index {index} {cause}")
+        assert not out.exists()
+
     def test_cross_validation_predicts_without_a_softmax(self, workspace, tmp_path,
                                                           softmax_calls):
         _, data, _ = workspace
@@ -542,6 +551,22 @@ class TestReplay:
         monkeypatch.chdir(data)  # the report names the EDF as it was given
         assert main(["replay", "--edf", "sham_wake.edf", "--out", str(out), *flags]) == 0
         assert sha256(out) == digest
+
+    def test_calibration_from_high_to_low_replays(self, tmp_path, capsys):
+        # The same samples under the one calibration, written either way round.
+        samples = 100 * np.sin(np.linspace(0, 60, 4096))
+        reports = []
+        for low, high in [(-500.0, 500.0), (500.0, -500.0)]:
+            sig = EdfSignalHeader(physical_min=low, physical_max=high,
+                                  samples_per_record=1024)
+            edf = tmp_path / f"{low:+g}.edf"
+            edf.write_bytes(write_edf(EdfFileHeader(num_records=4, record_duration_s=4.0),
+                                      [sig], [samples]))
+            assert main(["replay", "--edf", str(edf)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        ordered, reversed_ = reports
+        assert reversed_["mse"] <= reversed_["error_bound"] ** 2
+        assert reversed_["error_bound"] == ordered["error_bound"]
 
     def test_signal_out_of_range_fails_cleanly(self, workspace, capsys):
         _, data, _ = workspace
@@ -738,6 +763,16 @@ class TestRun:
         assert out == ""  # no summary
         assert_one_error_line(err)
         assert cause in err
+
+    def test_unparsable_acceleration_names_what_it_expects(self, workspace, capsys):
+        _, data, model = workspace
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--input", str(data / "sham_wake.edf"), "--model", str(model),
+                  "--acceleration", "fast"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "eegloop run: error: argument --acceleration: expected a speed-up factor "
+            "or 'max', got 'fast'")
 
     @pytest.mark.parametrize("flag", ["--log", "--timing"])
     def test_bad_output_path_fails_before_the_run(self, workspace, tmp_path, capsys,
@@ -1397,11 +1432,6 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=10,
 )
-bumps = st.lists(st.lists(st.floats() | st.integers(-5, 200), min_size=3, max_size=3),
-                 max_size=3)
-profiles = st.fixed_dictionaries(
-    {name: st.fixed_dictionaries({"bumps": bumps}, optional={"power_scale": st.floats()})
-     for name in CLASS_NAMES})
 
 
 def config_files(fields):
@@ -1423,11 +1453,9 @@ def assert_result_or_one_error(code, out, err):
 
 class TestFuzzedInput:
     @given(config_files(["amplitude_uv", "noise_level", "amplitude_jitter", "seed",
-                         "profiles", "rate_hz"])
-           | st.builds(lambda p, doc: json.dumps({"profiles": p, **doc}).encode(),
-                       profiles, st.dictionaries(st.sampled_from(["seed", "noise_level"]),
-                                                 json_values, max_size=1)))
+                         "rate_hz"]))
     @example(b'{"noise_level": 0}')
+    @example(b'{"profiles": {}}')
     @FUZZ
     def test_synth_config(self, tmp_path, capsys, config_bytes):
         config, out = tmp_path / "spec.json", tmp_path / "ds"

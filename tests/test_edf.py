@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from eegloop.edf import (
     EdfError,
     EdfFileHeader,
     EdfSignalHeader,
+    SignalTrace,
     parse_edf,
     read_signal,
     to_trace,
@@ -423,6 +425,30 @@ class TestMalformedInput:
         with pytest.raises(EdfError, match="samples"):
             write_edf(header, sigs, [np.zeros(7)])
 
+    @pytest.mark.parametrize(
+        "file_fields, sig_fields, cause",
+        [({"num_signals": 2}, {}, "header.num_signals disagrees with provided signals"),
+         ({"num_records": -1}, {}, "num_records must be >= 1 when writing"),
+         ({"record_duration_s": 1 / 3}, {}, "value 0.3333333333333333 for field "
+          "'record_duration_s' has no exact 8-character representation"),
+         ({"patient_id": "Zo\u00eb"}, {}, "field 'patient_id' is not ASCII"),
+         ({}, {"label": "x" * 17}, "field 'label' longer than 16 bytes: 'xxxxxxxxxxxxxxxxx'")],
+        ids=["signal_count", "unknown_record_count", "inexact_duration", "non_ascii",
+             "long_label"],
+    )
+    def test_writer_refuses_what_it_cannot_encode(self, file_fields, sig_fields, cause):
+        header = EdfFileHeader(**{"num_records": 1, **file_fields})
+        sig = EdfSignalHeader(samples_per_record=4, **sig_fields)
+        with pytest.raises(EdfError, match=f"^{re.escape(cause)}$"):
+            write_edf(header, [sig], [np.zeros(4)])
+
+    def test_unknown_record_count_with_a_partial_record_rejected(self):
+        header, sigs, signals = make_file(num_records=3)
+        data = bytearray(write_edf(header, sigs, signals))
+        data[236:244] = b"-1      "  # num_records
+        with pytest.raises(EdfError, match="^data section is not a whole number of records$"):
+            parse_edf(bytes(data[:-2]))
+
 
 def numeric_fields(num_signals):
     """(offset, width) of each numeric header field for ``num_signals`` signals."""
@@ -499,6 +525,10 @@ class TestAnnotationsAndTraces:
         trace = to_trace(parsed, parsed_sigs[0], digital[0])
         assert trace.rate_hz == 256.0
         assert trace.samples.size == 256
+
+    def test_trace_of_no_rate_rejected(self):
+        with pytest.raises(ValueError, match="^rate_hz must be positive$"):
+            SignalTrace(np.zeros(4), 0.0)
 
     def test_unknown_record_count_inferred_from_length(self):
         header, sigs, signals = make_file(num_records=3)

@@ -204,6 +204,12 @@ class TestExtract:
         source[0] = np.nan
         np.testing.assert_array_equal(fv.values, [1.0, 2.0])
 
+    def test_feature_vectors_compare_by_identity(self):
+        a, b = FeatureVector(np.ones(2)), FeatureVector(np.ones(2))
+        assert a == a and a != b
+        assert b in [a, b]
+        assert len({a, b}) == 2
+
 
 def reference_welch(x, rate_hz, nperseg):
     return sps.welch(x, fs=rate_hz, window="hann", nperseg=nperseg,

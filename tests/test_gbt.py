@@ -601,6 +601,16 @@ class TestModelFormat:
         with pytest.raises(ModelFormatError, match="JSON"):
             load_model(b"\x00\x01not json")
 
+    def test_json_other_than_an_object_rejected(self):
+        with pytest.raises(ModelFormatError, match="^model file must hold a JSON object$"):
+            load_model(b"[]")
+
+    def test_trees_that_are_not_a_list_rejected(self):
+        doc = copy.deepcopy(VALID_DOC)
+        doc["trees"] = {"0": doc["trees"][0]}
+        with pytest.raises(ModelFormatError, match="^trees must be a list of rounds$"):
+            load_model(json.dumps(doc).encode())
+
     def test_format_fields_present(self):
         doc = json.loads(save_model(hand_model([(0.0, 1.0)] * 4)))
         assert sorted(doc) == ["classes", "feature_schema", "format_version", "trees"]

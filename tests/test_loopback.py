@@ -391,3 +391,13 @@ class TestVoltageMapping:
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError):
             VoltageMapping(0.0, 1.0)
+
+    @pytest.mark.parametrize("low, high", [(-100, 100), (-40, 260), (-3.25, 3.25)])
+    def test_centered_limits_may_come_either_way_round(self, low, high):
+        assert VoltageMapping.centered(high, low) == VoltageMapping.centered(low, high)
+
+    @pytest.mark.parametrize("low, high", [(5.0, 5.0), (math.nan, 1.0), (1.0, math.nan)],
+                             ids=["equal", "nan_min", "nan_max"])
+    def test_centered_refuses_equal_or_nan_limits(self, low, high):
+        with pytest.raises(ValueError, match="physical limits must differ and not be NaN"):
+            VoltageMapping.centered(low, high)

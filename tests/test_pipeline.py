@@ -134,6 +134,12 @@ class TestEpoch:
         with pytest.raises(ValueError, match="samples"):
             dataclasses.replace(epoch, samples=epoch.samples[:100])
 
+    def test_epochs_compare_by_identity(self):
+        a, b = Epoch(np.zeros(1024), 0, 4, 256.0), Epoch(np.zeros(1024), 0, 4, 256.0)
+        assert a == a and a != b
+        assert b in [a, b]
+        assert len({a, b}) == 2
+
 
 class TestAssemble:
     def test_64s_epoch_sample_count(self):

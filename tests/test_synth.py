@@ -1,6 +1,7 @@
 """Synthetic dataset determinism, class structure, and the label index."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from eegloop.classes import CLASS_NAMES
 from eegloop.edf import EdfError, EdfFileHeader, EdfSignalHeader, write_edf
 from eegloop.features import FEATURE_NAMES, featurize
-from eegloop.synth import SyntheticSpec, generate_dataset, load_dataset
+from eegloop.synth import SyntheticSpec, generate_dataset, load_dataset, read_label_index
 
 SMALL = SyntheticSpec(epochs_per_class=8, epoch_length_s=4, seed=123)
 
@@ -62,6 +63,31 @@ class TestLabelIndex:
         index.write_text("\n".join(line.rsplit(",", 1)[0] for line in rows) + "\n")
         with pytest.raises(ValueError, match="lacks column\\(s\\) class"):
             load_dataset(tmp_path)
+
+    def test_read_label_index_returns_its_path_and_rows(self, tmp_path):
+        index = generate_dataset(SMALL, tmp_path)
+        with index.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert read_label_index(tmp_path) == (index, rows)
+
+    @pytest.mark.parametrize(
+        "text, cause",
+        [(b"file,epoch_index,class\n", "holds no entries"),
+         (b"file,epoch_index,class\nsham_wake.edf,0,\"" + b"x" * 131_073 + b"\"\n",
+          "is not CSV text: field larger than field limit (131072)"),
+         (b"file,epoch_index,class\nsham_wake.edf,0,sham_\xffwake\n",
+          "is not CSV text: 'utf-8' codec can't decode byte 0xff"),
+         (b"class,epoch_index,file\nsham_wake,0,sham_wake.edf\nsham_wake\n",
+          "line 3: too few fields")],
+        ids=["no_rows", "field_too_large", "undecodable_byte", "short_row"],
+    )
+    def test_unreadable_index_is_one_error_naming_it(self, tmp_path, text, cause):
+        index = generate_dataset(SMALL, tmp_path)
+        index.write_bytes(text)
+        message = "^" + re.escape(f"label index {index} {cause}")
+        for read in (read_label_index, load_dataset):
+            with pytest.raises(ValueError, match=message):
+                read(tmp_path)
 
     def test_epochs_are_the_files_records(self, tmp_path):
         generate_dataset(SMALL, tmp_path)
@@ -140,6 +166,15 @@ class TestLabelIndex:
                                              r"\(4, 16, 32, 64\), got 8$"):
             load_dataset(tmp_path)
 
+    def test_record_duration_of_no_whole_seconds_names_the_file(self, tmp_path):
+        header = EdfFileHeader(num_records=2, record_duration_s=2.5)
+        sig = EdfSignalHeader(samples_per_record=640)
+        (tmp_path / "half.edf").write_bytes(write_edf(header, [sig], [np.zeros(1280)]))
+        (tmp_path / "labels.csv").write_text("file,epoch_index,class\nhalf.edf,0,sham_wake\n")
+        with pytest.raises(ValueError, match="^half.edf: record duration must be whole "
+                                             "seconds$"):
+            load_dataset(tmp_path)
+
     def test_digital_code_outside_the_header_range_names_the_file(self, tmp_path):
         header = EdfFileHeader(num_records=3, record_duration_s=4.0)
         sig = EdfSignalHeader(digital_min=-100, digital_max=100, samples_per_record=1024)
@@ -170,8 +205,6 @@ class TestClassStructure:
         assert 10 < rms < 2000  # near the 100 uV target, with jitter
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match="profiles"):
-            SyntheticSpec(profiles={"sham_wake": None})
         with pytest.raises(ValueError, match="epochs_per_class"):
             SyntheticSpec(epochs_per_class=0)
         with pytest.raises(ValueError, match="epoch length"):
