@@ -144,7 +144,7 @@ def _dataset_inputs(data_dir: str) -> list[tuple[str, Path]]:
     """``--data``'s label index and the files its ``file`` column names; a bad
     index fails here, before any output is opened."""
     index, rows = synth.read_label_index(data_dir)
-    names = sorted({row["file"] for row in rows})
+    names = sorted({row["file"] for _, row in rows})
     return [("--data", index)] + [("--data", index.parent / name) for name in names]
 
 

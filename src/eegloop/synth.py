@@ -186,11 +186,17 @@ def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     return index_path
 
 
-def read_label_index(dataset_dir: str | Path) -> tuple[Path, list[dict[str, str]]]:
-    """The path of ``dataset_dir``'s label index and its rows, keyed by column.
+def read_label_index(
+    dataset_dir: str | Path,
+) -> tuple[Path, list[tuple[int, dict[str, str]]]]:
+    """The path of ``dataset_dir``'s label index and its rows, keyed by column,
+    each after the number of the line it ends on.
 
-    ``FileNotFoundError`` if there is none; one ``ValueError`` naming it if it
-    is not CSV text, lacks a column, holds no rows or a row that is too short.
+    Blank lines are skipped, and a quoted field may span lines, so a row's
+    line is the count of lines read when it ends, not its place in the
+    list. ``FileNotFoundError`` if there is no index; one ``ValueError``
+    naming it if it is not CSV text, lacks a column, holds no rows or a row
+    that is too short.
     """
     index_path = Path(dataset_dir) / LABEL_INDEX_NAME
     if not index_path.exists():
@@ -198,14 +204,15 @@ def read_label_index(dataset_dir: str | Path) -> tuple[Path, list[dict[str, str]
     try:
         with index_path.open(newline="") as fh:
             reader = csv.DictReader(fh)
-            columns, rows = reader.fieldnames or (), list(reader)
+            rows = [(reader.line_num, row) for row in reader]
+            columns = reader.fieldnames or ()
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"label index {index_path} is not CSV text: {exc}") from None
     if missing := [c for c in _INDEX_COLUMNS if c not in columns]:
         raise ValueError(f"label index {index_path} lacks column(s) {', '.join(missing)}")
     if not rows:
         raise ValueError(f"label index {index_path} holds no entries")
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
         if None in (row[c] for c in _INDEX_COLUMNS):
             raise ValueError(f"label index {index_path} line {line}: too few fields")
     return index_path, rows
@@ -228,7 +235,7 @@ def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
     listed: dict[tuple[str, int], int] = {}  # (file, epoch_index) -> its line
     first = None  # (file, record duration, rate) of the first file read
     epochs = []
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
         filename = row["file"]
         if filename not in cut:
             try:

@@ -3,8 +3,14 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from eegloop import gbt
+
+# CI selects this profile with ``--hypothesis-profile=ci``: derandomized
+# examples give one verdict per commit, and a failure prints the blob that
+# reproduces it. Local runs keep the default profile's random examples.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 class VirtualClock:
@@ -41,3 +47,23 @@ def softmax_calls(monkeypatch):
 
     monkeypatch.setattr(gbt, "_softmax", counted)
     return calls
+
+
+# A label index whose row on physical line 5 names an unknown class, after
+# lines that are not one row each: blank lines, or a quoted field (of a
+# column that nothing reads) spanning two lines.
+BAD_CLASS_ON_LINE_5 = {
+    "blank_lines": "file,epoch_index,class\n"
+                   "sham_wake.edf,0,sham_wake\n\n\n"
+                   "sham_wake.edf,1,sham_wak\n",
+    "multi_line_field": "file,epoch_index,class,note\n"
+                        'sham_wake.edf,0,sham_wake,"two\nlines"\n'
+                        "sham_wake.edf,1,sham_wake,\n"
+                        "sham_wake.edf,2,sham_wak,\n",
+}
+
+
+@pytest.fixture(params=sorted(BAD_CLASS_ON_LINE_5))
+def bad_class_on_line_5(request):
+    """The text of a label index whose unknown class is on line 5."""
+    return BAD_CLASS_ON_LINE_5[request.param]

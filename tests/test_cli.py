@@ -450,6 +450,19 @@ class TestEvaluate:
         assert_one_error_line(err)
         assert "tbi_sleep.edf: records of 16 s at 256 Hz differ from" in err
 
+    def test_label_index_error_names_the_physical_line(self, workspace, tmp_path, capsys,
+                                                        bad_class_on_line_5):
+        _, data, _ = workspace
+        copy = tmp_path / "ds"
+        shutil.copytree(data, copy)
+        index = copy / "labels.csv"
+        index.write_text(bad_class_on_line_5)
+        assert main(["evaluate", "--data", str(copy), "--out", str(tmp_path / "m.json"),
+                     "--folds", "2"]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert f"{index} line 5: unknown class label: 'sham_wak'" in err
+
     @pytest.mark.parametrize("label", ["sham_wake", "tbi_sleep"], ids=["same", "other"])
     def test_epoch_listed_twice_fails_cleanly(self, workspace, tmp_path, capsys, label):
         _, data, _ = workspace

@@ -68,7 +68,8 @@ class TestLabelIndex:
         index = generate_dataset(SMALL, tmp_path)
         with index.open(newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert read_label_index(tmp_path) == (index, rows)
+        # Each row after the line it ends on: here one line per row.
+        assert read_label_index(tmp_path) == (index, list(enumerate(rows, start=2)))
 
     @pytest.mark.parametrize(
         "text, cause",
@@ -132,6 +133,13 @@ class TestLabelIndex:
         lines[3] = "sham_wake.edf,1,sham_wak"
         index.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="labels.csv line 4: unknown class "
+                                             "label: 'sham_wak'"):
+            load_dataset(tmp_path)
+
+    def test_error_names_the_physical_line(self, tmp_path, bad_class_on_line_5):
+        index = generate_dataset(SMALL, tmp_path)
+        index.write_text(bad_class_on_line_5)
+        with pytest.raises(ValueError, match="labels.csv line 5: unknown class "
                                              "label: 'sham_wak'"):
             load_dataset(tmp_path)
 
