@@ -140,12 +140,14 @@ def _refuse_same_file(flag: str, path: str,
             raise ValueError(f"{flag} {path} is the same file as {other} {other_path}")
 
 
-def _dataset_inputs(data_dir: str) -> list[tuple[str, Path]]:
-    """``--data``'s label index and the files its ``file`` column names; a bad
-    index fails here, before any output is opened."""
-    index, rows = synth.read_label_index(data_dir)
+def _dataset_inputs(index: tuple[Path, list]) -> list[tuple[str, Path]]:
+    """``--data``'s label index and the files its ``file`` column names.
+
+    ``index`` is ``synth.read_label_index``'s result, read once per command
+    before any output is opened, so a bad index fails first."""
+    path, rows = index
     names = sorted({row["file"] for _, row in rows})
-    return [("--data", index)] + [("--data", index.parent / name) for name in names]
+    return [("--data", path)] + [("--data", path.parent / name) for name in names]
 
 
 def _timing_row(report: pipeline.TimingReport) -> dict:
@@ -169,9 +171,9 @@ def _parse_acceleration(text: str) -> float:
 
 
 def _featurize_dataset(
-    dataset_dir: str,
+    index: tuple[Path, list],
 ) -> tuple[list[features.FeatureVector], list[str], int]:
-    epochs = synth.load_dataset(dataset_dir)
+    epochs = synth.cut_epochs(*index)
     fvs = [features.featurize(e) for e in epochs]
     labels = [e.label for e in epochs]
     return fvs, labels, epochs[0].length_s
@@ -204,10 +206,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _settings(gbt.TrainConfig, args.train_config, args)
-    inputs = [*_dataset_inputs(args.data), ("--train-config", args.train_config)]
+    index = synth.read_label_index(args.data)
+    inputs = [*_dataset_inputs(index), ("--train-config", args.train_config)]
     outputs = {"--out": (args.out, "wb"), "--log": (args.log_file, "w")}
     with _output_files(inputs, outputs) as (model_fh, log_fh):
-        fvs, labels, _ = _featurize_dataset(args.data)
+        fvs, labels, _ = _featurize_dataset(index)
         model = gbt.train(list(zip(fvs, labels)), config)
         model_fh.write(gbt.save_model(model))
         if log_fh:
@@ -235,10 +238,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         train_config = _settings(gbt.TrainConfig, args.train_config, args)
         cv_config = _settings(ev.CvConfig, None, args)
-    inputs = [*_dataset_inputs(args.data), ("--model", args.model),
+    index = synth.read_label_index(args.data)
+    inputs = [*_dataset_inputs(index), ("--model", args.model),
               ("--train-config", args.train_config)]
     with _output_files(inputs, {"--out": (args.out, "wb")}) as (out,):
-        fvs, labels, epoch_length_s = _featurize_dataset(args.data)
+        fvs, labels, epoch_length_s = _featurize_dataset(index)
         if args.model:
             cm = ev.confusion(labels, gbt.predict_labels(model, fvs))
             result = ev.CvResult([], ev.metrics(cm).accuracy, cm)

@@ -30,10 +30,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .pipeline import Epoch
 
@@ -125,7 +126,7 @@ class FeatureVector:
         # A private read-only copy: the values checked here stay the values used.
         values = np.array(self.values, dtype=np.float64)
         values.flags.writeable = False
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "values", values)
 
@@ -148,6 +149,12 @@ def _bandpass(rate_hz: float) -> functools.partial:
     return functools.partial(sps.sosfilt, sos)
 
 
+# The per-epoch steps call numpy's primitives directly, in the order its wrappers
+# would: ``np.add.reduce(a) / a.size`` sums and divides as ``a.mean()`` does. Each
+# operation keeps its operands, so every value is the same to the bit, and arrays
+# the step made itself are updated in place.
+
+
 def preprocess(epoch: Epoch, config: PreprocessConfig | None = None) -> Epoch:
     """Band-pass filter forward-only (causal), then z-score one epoch.
 
@@ -158,28 +165,39 @@ def preprocess(epoch: Epoch, config: PreprocessConfig | None = None) -> Epoch:
     does not fit below the epoch's Nyquist frequency.
     """
     bandpass = _bandpass(epoch.rate_hz)
-    if np.ptp(epoch.samples) == 0:
-        return replace(epoch, samples=epoch.samples.copy())
-    out = bandpass(epoch.samples)
-    # np.std's own steps, with its mean and centred array kept for the z-score.
-    centered = out - out.mean()
-    std = np.sqrt((centered * centered).sum() / out.size)
-    if std > 0 and np.isfinite(std):
-        out = np.divide(centered, std, out=centered)
+    x = epoch.samples
+    if np.maximum.reduce(x) - np.minimum.reduce(x) == 0:  # np.ptp
+        return replace(epoch, samples=x.copy())
+    out = bandpass(x)
+    # np.std's steps, in place on the filter's own output, which is then z-scored.
+    out -= np.add.reduce(out) / out.size
+    std = math.sqrt(np.add.reduce(out * out) / out.size)
+    if not (std > 0 and math.isfinite(std)):
+        return replace(epoch, samples=bandpass(x))  # ``out`` is centred: filter again
+    out /= std
     return replace(epoch, samples=out)
+
+
+def _var(d: np.ndarray) -> float:
+    """``np.var(d)``, to the bit, overwriting ``d`` with its squared deviations."""
+    d -= np.add.reduce(d) / d.size
+    d *= d
+    return float(np.add.reduce(d) / d.size)
 
 
 def _moments(x: np.ndarray) -> tuple[float, float, float]:
     """Population variance, skewness, and excess kurtosis with zero floors."""
-    centered = x - x.mean()
+    centered = x - np.add.reduce(x) / x.size
     # Products, not np.power: an order of magnitude cheaper, last-ulp differences
     # for the cube and the fourth power (numpy squares a float as x * x).
     sq = centered * centered
-    m2 = float(sq.mean())
+    m2 = float(np.add.reduce(sq) / x.size)
     if m2 == 0:
         return 0.0, 0.0, 0.0
-    m3 = float(np.mean(sq * centered))
-    m4 = float(np.mean(sq * sq))
+    cubes = np.multiply(centered, sq, out=centered)
+    m3 = float(np.add.reduce(cubes) / x.size)
+    sq *= sq
+    m4 = float(np.add.reduce(sq) / x.size)
     return m2, m3 / m2**1.5, m4 / m2**2 - 3.0
 
 
@@ -190,13 +208,13 @@ def _hjorth(x: np.ndarray, var0: float) -> tuple[float, float]:
     """
     if var0 == 0:
         return 0.0, 0.0
-    d1 = np.diff(x)
-    var1 = float(np.var(d1))
+    d1 = np.subtract(x[1:], x[:-1])  # np.diff
+    d2 = np.subtract(d1[1:], d1[:-1])  # before _var overwrites d1
+    var1 = _var(d1)
     if var1 == 0:
         return 0.0, 0.0
-    var2 = float(np.var(np.diff(d1)))
-    mobility = np.sqrt(var1 / var0)
-    return float(mobility), float(np.sqrt(var2 / var1) / mobility)
+    mobility = math.sqrt(var1 / var0)
+    return mobility, math.sqrt(_var(d2) / var1) / mobility
 
 
 @functools.lru_cache(maxsize=16)
@@ -237,13 +255,20 @@ def _welch(x: np.ndarray, rate_hz: float, nperseg: int) -> tuple[np.ndarray, np.
     noverlap = int(nperseg * WELCH_OVERLAP)
     hop = nperseg - noverlap
     window, freqs, _ = _welch_setup(rate_hz, nperseg)
-    segments = sliding_window_view(x, nperseg)[::hop][: (x.size - noverlap) // hop]
-    spectra = np.fft.rfft(
-        (segments - segments.mean(axis=-1, keepdims=True)) * window, axis=-1
-    )
-    power = np.ascontiguousarray((spectra.real**2 + spectra.imag**2).T)
+    nseg = (x.size - noverlap) // hop
+    step = x.strides[0]
+    segments = as_strided(x, (nseg, nperseg), (hop * step, step), writeable=False)
+    detrended = segments - np.add.reduce(segments, axis=-1, keepdims=True) / nperseg
+    detrended *= window
+    spectra = np.fft.rfft(detrended, axis=-1)
+    parts = spectra.view(np.float64)  # real and imaginary parts, interleaved
+    np.square(parts, out=parts)
+    power = np.empty((freqs.size, nseg))  # the (frequency, segment) layout
+    np.add(parts[:, 0::2].T, parts[:, 1::2].T, out=power)
     power[1 : -1 if nperseg % 2 == 0 else None] *= 2  # one-sided: fold negative bins
-    return freqs, power.mean(axis=-1)
+    psd = np.add.reduce(power, axis=-1)
+    psd /= nseg
+    return freqs, psd
 
 
 def _ratio(num: float, den: float) -> float:
@@ -265,7 +290,10 @@ def extract(epoch: Epoch) -> FeatureVector:
     for band, spacing in bands:
         y = psd[band]
         # np.trapezoid(y, freqs[band]), formula for formula.
-        band_powers.append(float((spacing * (y[1:] + y[:-1]) / 2.0).sum()))
+        area = np.add(y[1:], y[:-1])
+        area *= spacing
+        area /= 2.0
+        band_powers.append(float(np.add.reduce(area)))
     total = sum(band_powers)
     rel_powers = [_ratio(p, total) for p in band_powers]
     delta, theta, alpha, beta, _ = band_powers
@@ -276,31 +304,31 @@ def extract(epoch: Epoch) -> FeatureVector:
     ]
 
     variance, skewness, kurtosis = _moments(x)
-    zcr = float(np.count_nonzero(x[:-1] * x[1:] < 0)) / max(x.size - 1, 1)
+    zcr = float(np.count_nonzero(np.multiply(x[:-1], x[1:]) < 0)) / max(x.size - 1, 1)
     mobility, complexity = _hjorth(x, variance)
 
     band_psd = psd[analysis]
-    band_freqs = freqs[analysis]
-    psd_sum = float(band_psd.sum())
+    psd_sum = float(np.add.reduce(band_psd))
     if psd_sum > 0:
         p = band_psd / psd_sum
         nonzero = p[p > 0]
-        entropy = float(-(nonzero * np.log(nonzero)).sum() / np.log(p.size))
-        cumulative = np.cumsum(band_psd)
-        edge_idx = int(np.searchsorted(cumulative, SPECTRAL_EDGE_FRACTION * psd_sum))
+        terms = np.log(nonzero)
+        terms *= nonzero
+        entropy = float(-np.add.reduce(terms) / np.log(p.size))
+        cumulative = np.add.accumulate(band_psd)  # np.cumsum
+        edge_idx = int(cumulative.searchsorted(SPECTRAL_EDGE_FRACTION * psd_sum))
+        band_freqs = freqs[analysis]
         edge_hz = float(band_freqs[min(edge_idx, band_freqs.size - 1)])
     else:
         entropy = 0.0
         edge_hz = ANALYSIS_BAND_HZ[0]
 
-    values = np.array(
+    return FeatureVector(
         band_powers
         + rel_powers
         + ratios
-        + [variance, skewness, kurtosis, zcr, mobility, complexity, entropy, edge_hz],
-        dtype=np.float64,
+        + [variance, skewness, kurtosis, zcr, mobility, complexity, entropy, edge_hz]
     )
-    return FeatureVector(values)
 
 
 def featurize(epoch: Epoch, config: PreprocessConfig | None = None) -> FeatureVector:

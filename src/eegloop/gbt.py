@@ -73,7 +73,7 @@ class TrainConfig:
             raise ValueError("min_child_weight must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GbtModel:
     """A trained forest: ``trees[round][class_index]``, one flat tree each.
 
@@ -85,10 +85,20 @@ class GbtModel:
     learning rate as its value; unused thresholds and values are ``0.0``.
     A model reads vectors of this build's feature schema: ``train`` makes
     one from them, and ``load_model`` refuses a file of any other schema.
+
+    Frozen, so the walk built from ``trees`` when the model is made stays
+    its walk: ``_walk`` lists, round-major, each tree's class and its
+    ``_TREE_FIELDS`` lists, and ``predict_margins`` reads no dict.
     """
 
     trees: list[list[dict]]
     training_loss: list[float] = field(default_factory=list, compare=False)
+    _walk: list[tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        walk = [(c, *(tree[name] for name in _TREE_FIELDS))
+                for round_trees in self.trees for c, tree in enumerate(round_trees)]
+        object.__setattr__(self, "_walk", walk)
 
 
 def _softmax(margins: np.ndarray) -> np.ndarray:
@@ -302,13 +312,11 @@ def predict_margins(model: GbtModel, fv: FeatureVector) -> np.ndarray:
     """Per-class margin scores: leaf values added to zero in fixed round-major order."""
     values = fv.values.tolist()
     margins = [0.0] * len(CLASS_NAMES)
-    for round_trees in model.trees:
-        for c, tree in enumerate(round_trees):
-            feature, threshold, left = tree["feature"], tree["threshold"], tree["left"]
-            i = 0
-            while left[i] >= 0:
-                i = left[i] if values[feature[i]] < threshold[i] else tree["right"][i]
-            margins[c] += tree["value"][i]
+    for c, feature, threshold, left, right, value in model._walk:
+        i = 0
+        while left[i] >= 0:
+            i = left[i] if values[feature[i]] < threshold[i] else right[i]
+        margins[c] += value[i]
     return np.array(margins)
 
 

@@ -219,18 +219,23 @@ def read_label_index(
 
 
 def load_dataset(dataset_dir: str | Path) -> list[Epoch]:
-    """Read a generated dataset back as labelled epochs.
+    """Read a generated dataset back as labelled epochs: its label index by
+    :func:`read_label_index`, then the epochs it lists by :func:`cut_epochs`."""
+    return cut_epochs(*read_label_index(dataset_dir))
 
-    Expects the label index CSV next to the EDF files it names. Each file's
-    first signal is cut into epochs of one record by :func:`assemble`, and
-    a row's ``epoch_index`` must be an integer inside its file and its
+
+def cut_epochs(index_path: Path, rows: list[tuple[int, dict[str, str]]]) -> list[Epoch]:
+    """The labelled epochs that the rows of the label index at ``index_path``
+    list, as :func:`read_label_index` returns them.
+
+    The EDF files named are read next to the index. Each file's first
+    signal is cut into epochs of one record by :func:`assemble`, and a
+    row's ``epoch_index`` must be an integer inside its file and its
     ``class`` one of ``CLASS_NAMES``; no epoch may be listed twice. Every
     file must have the first file's record duration and sample rate.
     Epochs are returned in index order with physical sample values.
     """
-    root = Path(dataset_dir)
-    index_path, rows = read_label_index(root)
-
+    root = index_path.parent
     cut: dict[str, list[Epoch]] = {}
     listed: dict[tuple[str, int], int] = {}  # (file, epoch_index) -> its line
     first = None  # (file, record duration, rate) of the first file read

@@ -518,6 +518,26 @@ class TestEvaluate:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["train", "--rounds", "2"],
+                                     ["evaluate", "--folds", "2", "--rounds", "2"],
+                                     ["evaluate", "--model"]],
+                         ids=["train", "evaluate", "evaluate_model"])
+def test_dataset_commands_read_the_label_index_once(workspace, tmp_path, monkeypatch,
+                                                    command):
+    _, data, model = workspace
+    read, reads = synth.read_label_index, []
+
+    def counted(dataset_dir):
+        reads.append(dataset_dir)
+        return read(dataset_dir)
+
+    monkeypatch.setattr(synth, "read_label_index", counted)
+    if command[-1] == "--model":
+        command = [*command, str(model)]
+    assert main([*command, "--data", str(data), "--out", str(tmp_path / "out")]) == 0
+    assert reads == [str(data)]
+
+
 class TestReplay:
     def test_high_resolution_mse_below_variance_fraction(self, workspace, tmp_path, capsys):
         _, data, _ = workspace

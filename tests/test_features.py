@@ -284,8 +284,9 @@ class TestMoments:
 
 def reference_featurize(epoch):
     """``featurize`` as first written, kept as its reference: ``np.std`` then
-    the z-score, ``np.var`` in Hjorth, ``np.mean(centered**2)`` in the
-    moments, and ``np.trapezoid`` over boolean band masks."""
+    the z-score, scipy's Welch PSD, ``np.var`` and ``np.diff`` in Hjorth,
+    ``np.mean(centered**2)`` in the moments, and ``np.trapezoid`` over
+    boolean band masks."""
     x = epoch.samples
     if np.ptp(x) != 0:
         x = sps.sosfilt(reference_sos(epoch.rate_hz), x)
@@ -296,7 +297,7 @@ def reference_featurize(epoch):
     def ratio(num, den):
         return num / den if den > 0 else 0.0
 
-    freqs, psd = _welch(x, epoch.rate_hz, int(round(4.0 * epoch.rate_hz)))
+    freqs, psd = reference_welch(x, epoch.rate_hz, int(round(4.0 * epoch.rate_hz)))
     masks = [(freqs >= lo) & (freqs <= hi) for lo, hi in [*BANDS_HZ.values(), (0.5, 60.0)]]
     powers = [float(np.trapezoid(psd[mask], freqs[mask])) for mask in masks[:-1]]
     delta, theta, alpha, beta, _ = powers
@@ -333,18 +334,25 @@ def reference_featurize(epoch):
 
 
 class TestAgainstTheReference:
-    @pytest.mark.parametrize("length_s", [4, 16, 64])
-    @pytest.mark.parametrize("rate_hz", [128.0, 256.0, 512.0])
+    @pytest.mark.parametrize("length_s", [4, 16, 32, 64])
+    @pytest.mark.parametrize("rate_hz", [128.0, 200.0, 256.0, 512.0, 1000.0])
     def test_featurize_equals_the_reference_bit_for_bit(self, rate_hz, length_s):
         spec = SyntheticSpec(epochs_per_class=1, epoch_length_s=length_s, rate_hz=rate_hz,
                              seed=length_s)
         rng = np.random.default_rng(spec.seed)
         signals = [generate_epoch_samples(label, spec, rng) for label in CLASS_NAMES]
         n = signals[0].size
-        signals += [np.full(n, 3.7), np.zeros(n)]  # constant, and zero power
+        signals += [
+            np.full(n, 3.7),  # constant
+            np.zeros(n),  # zero power
+            np.cumsum(rng.standard_normal(n)),  # drift
+            np.eye(1, n, n // 3)[0],  # a unit impulse
+            signals[0] + 1e3,  # DC offsets
+            signals[1] - 1e3,
+        ]
         for x in signals:
             epoch = make_epoch(x, length_s, rate_hz)
-            assert np.array_equal(featurize(epoch).values, reference_featurize(epoch))
+            assert featurize(epoch).values.tobytes() == reference_featurize(epoch).tobytes()
 
 
 class TestSchema:

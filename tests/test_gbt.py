@@ -1,6 +1,7 @@
 """Boosted-tree training, prediction, determinism, and the JSON model format."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -384,12 +385,20 @@ def pinned_data(tmp_path_factory):
     return pinned_datasets(tmp_path_factory.mktemp("pinned"))
 
 
-def model_digest(data, case):
-    name, config_index = case
-    X, y = data[name]
-    model = train([(FeatureVector(x), CLASS_NAMES[c]) for x, c in zip(X, y)],
-                  PINNED_CONFIGS[config_index])
-    return hashlib.sha256(save_model(model)).hexdigest()
+@pytest.fixture(scope="module")
+def pinned_models(pinned_data):
+    """The model of each pinned case, trained on first use."""
+    models = {}
+
+    def model(case):
+        if case not in models:
+            name, config_index = case
+            X, y = pinned_data[name]
+            models[case] = train([(FeatureVector(x), CLASS_NAMES[c]) for x, c in zip(X, y)],
+                                 PINNED_CONFIGS[config_index])
+        return models[case]
+
+    return model
 
 
 def case_id(case):
@@ -398,12 +407,64 @@ def case_id(case):
 
 class TestPinnedModelBytes:
     @pytest.mark.parametrize("case", sorted(PINNED_MODEL_DIGESTS), ids=case_id)
-    def test_model_bytes_match_the_pin(self, pinned_data, case):
-        assert model_digest(pinned_data, case) == PINNED_MODEL_DIGESTS[case]
+    def test_model_bytes_match_the_pin(self, pinned_models, case):
+        digest = hashlib.sha256(save_model(pinned_models(case))).hexdigest()
+        assert digest == PINNED_MODEL_DIGESTS[case]
 
     @pytest.mark.parametrize("case", sorted(PINNED_EMPTY_LEAF_DIGESTS), ids=case_id)
-    def test_model_with_an_empty_leaf_matches_the_pin(self, pinned_data, case):
-        assert model_digest(pinned_data, case) == PINNED_EMPTY_LEAF_DIGESTS[case]
+    def test_model_with_an_empty_leaf_matches_the_pin(self, pinned_models, case):
+        digest = hashlib.sha256(save_model(pinned_models(case))).hexdigest()
+        assert digest == PINNED_EMPTY_LEAF_DIGESTS[case]
+
+
+def dict_walk_margins(model, fv):
+    """``predict_margins`` as it walked each tree's dict, kept as its reference."""
+    values = fv.values.tolist()
+    margins = [0.0] * len(CLASS_NAMES)
+    for round_trees in model.trees:
+        for c, tree in enumerate(round_trees):
+            i = 0
+            while tree["left"][i] >= 0:
+                goes_left = values[tree["feature"][i]] < tree["threshold"][i]
+                i = tree["left"][i] if goes_left else tree["right"][i]
+            margins[c] += tree["value"][i]
+    return np.array(margins)
+
+
+def threshold_probes(model, X):
+    """Vectors that sit exactly on split thresholds: for each tree's first
+    split, a training row with that feature set to the threshold."""
+    probes = []
+    for k, tree in enumerate(t for round_trees in model.trees for t in round_trees):
+        if tree["left"][0] >= 0:
+            x = X[k % len(X)].copy()
+            x[tree["feature"][0]] = tree["threshold"][0]
+            probes.append(x)
+    return probes
+
+
+class TestPredictorOracle:
+    @pytest.mark.parametrize("case", sorted([*PINNED_MODEL_DIGESTS, *PINNED_EMPTY_LEAF_DIGESTS]),
+                             ids=case_id)
+    def test_margins_equal_the_dict_walk_byte_for_byte(self, pinned_data, pinned_models,
+                                                       case):
+        model = pinned_models(case)
+        loaded = load_model(save_model(model))
+        X = pinned_data[case[0]][0]
+        for x in [*X, *threshold_probes(model, X)]:
+            probe = FeatureVector(x)
+            expected = dict_walk_margins(model, probe).tobytes()
+            assert predict_margins(model, probe).tobytes() == expected
+            assert predict_margins(loaded, probe).tobytes() == expected
+
+    def test_a_value_on_the_threshold_routes_right(self):
+        model = hand_model([(0.5, -0.5), (1.0, 0.25), (-1.5, 1.5), (0.0, 0.125)])
+        assert predict_margins(model, fv(0.5)).tolist() == [-0.5, 0.25, 1.5, 0.125]
+
+    def test_trees_cannot_be_reassigned(self):
+        model = hand_model([(0.5, -0.5)] * 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.trees = []
 
 
 def per_node_sort_build_tree(X, order, tie_rows, g, h, config, leaf_values):
