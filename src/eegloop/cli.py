@@ -7,9 +7,10 @@ and every value is checked by the class or constructor that uses it.
 ``synth``, ``evaluate`` and ``bench`` take ``--seed``. Every command
 exits nonzero with a single ``error: ...``
 line on stderr when anything fails, and a library warning is one
-``warning: ...`` line. A command opens its output files once its flags
-and model are checked and before any other work, and a failure removes
-them again; an output that is the same file as an input or as another
+``warning: ...`` line. A command stages its output files once its flags
+and model are checked and before any other work, and commits them only
+if it succeeds, so a failure, Ctrl-C, SIGTERM or SIGHUP leaves each
+output path as it was; an output that resolves to an input or to another
 output is refused. Verbosity is controlled only by the
 ``EEGLOOP_LOG`` environment variable.
 """
@@ -17,13 +18,13 @@ output is refused. Verbosity is controlled only by the
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import json
 import logging
 import math
 import os
+import signal
 import sys
 import typing
 import warnings
@@ -99,45 +100,18 @@ def _write_csv(fh: typing.TextIO, rows: list[dict]) -> None:
     writer.writerows(rows)
 
 
-@contextlib.contextmanager
 def _output_files(inputs: list[tuple[str, str | Path | None]],
                   outputs: dict[str, tuple[str | None, str]]):
-    """Open the output files ``{flag: (path, mode)}`` at once, so a bad path fails
-    before any work, and yield their handles in order (None for a path of None).
-
-    An output that is the same file as an input ``(flag, path or None)`` or as an
-    earlier output is refused before any is opened, and again as it is opened, since
-    an earlier output may have created it. If the block raises, the regular files
-    opened (not a device such as /dev/null) are removed: a failed command leaves no
-    output behind.
-    """
+    """Refuse an output ``{flag: (path, mode)}`` whose path resolves to that of an input
+    ``(flag, path or None)`` or an earlier output, naming both flags (a device such as
+    /dev/null may repeat), then stage them all, before any work, with ``synth._staged``."""
     named = [(flag, path) for flag, (path, _) in outputs.items() if path is not None]
     for i, (flag, path) in enumerate(named):
-        _refuse_same_file(flag, path, inputs + named[:i])
-    with contextlib.ExitStack() as unfinished, contextlib.ExitStack() as files:
-        handles, opened = [], []
-        for flag, (path, mode) in outputs.items():
-            if path is None:
-                handles.append(None)
-                continue
-            _refuse_same_file(flag, path, opened)
-            handles.append(files.enter_context(
-                open(path, mode, newline=None if "b" in mode else "")))
-            if os.path.isfile(path):
-                unfinished.callback(Path(path).unlink, missing_ok=True)
-            opened.append((flag, path))
-        yield handles
-        unfinished.pop_all()
-
-
-def _refuse_same_file(flag: str, path: str,
-                      others: list[tuple[str, str | Path | None]]) -> None:
-    """Raise ``ValueError`` naming both flags if ``path`` is the same regular file as
-    one of ``others``; a device such as /dev/null may repeat."""
-    for other, other_path in others:
-        if (other_path is not None and os.path.isfile(path) and os.path.isfile(other_path)
-                and os.path.samefile(path, other_path)):
-            raise ValueError(f"{flag} {path} is the same file as {other} {other_path}")
+        for other, other_path in inputs + named[:i]:
+            if (other_path is not None and (os.path.isfile(path) or not os.path.exists(path))
+                    and os.path.realpath(path) == os.path.realpath(other_path)):
+                raise ValueError(f"{flag} {path} is the same file as {other} {other_path}")
+    return synth._staged(list(outputs.values()))
 
 
 def _dataset_inputs(index: tuple[Path, list]) -> list[tuple[str, Path]]:
@@ -472,6 +446,10 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _interrupt(signum: int, frame) -> None:
+    raise KeyboardInterrupt(signal.Signals(signum).name)
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=os.environ.get("EEGLOOP_LOG", "WARNING").upper(),
@@ -479,6 +457,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A service manager's stop, or a closed terminal, acts like Ctrl-C; one that is
+    # ignored, as under nohup, stays ignored.
+    previous = {sig: signal.signal(sig, _interrupt) for sig in (signal.SIGTERM, signal.SIGHUP)
+                if signal.getsignal(sig) != signal.SIG_IGN}
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
@@ -486,9 +468,12 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except KeyboardInterrupt:  # Ctrl-C outside the live loop, which reports its own
-            print("error: interrupted", file=sys.stderr)
+        except KeyboardInterrupt as exc:  # outside the live loop, which reports its own
+            print(f"error: interrupted{f' by {exc}' if exc.args else ''}", file=sys.stderr)
             return 2
+        finally:
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -139,13 +140,47 @@ def _signal_header(spec: SyntheticSpec) -> EdfSignalHeader:
     )
 
 
+@contextlib.contextmanager
+def _staged(targets: list[tuple[str | Path | None, str]]):
+    """Yield a handle on each ``(path, mode)`` (None for a path of None). A regular or
+    new file is written to a temp file beside the file a symlink names; if the block
+    returns, each is fsynced and renamed onto that file in order, keeping its mode, and
+    if it raises, KeyboardInterrupt included, each is removed. A device is opened as is."""
+    with contextlib.ExitStack() as files:
+        handles, staged = [], []
+        try:
+            for path, mode in targets:
+                if path is None or os.path.exists(path) and not os.path.isfile(path):
+                    handles.append(path and files.enter_context(open(path, mode)))
+                    continue
+                real = Path(path).resolve()
+                temp = real.with_name(f".eegloop-{os.urandom(4).hex()}-{real.name}")
+                try:  # "x" gives a new file the permissions that "w" would
+                    handles.append(files.enter_context(open(
+                        temp, mode.replace("w", "x"), newline=None if "b" in mode else "")))
+                except OSError as exc:  # named by its target, as open() names it
+                    raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+                staged.append((handles[-1], temp, real))
+                if real.is_file():
+                    temp.chmod(real.stat().st_mode & 0o7777)
+            yield handles
+            for fh, temp, real in staged:
+                fh.flush()
+                os.fsync(fh.fileno())
+                os.replace(temp, real)
+        except BaseException:
+            for _, temp, _ in staged:
+                temp.unlink(missing_ok=True)
+            raise
+
+
 def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     """Write one EDF per class plus the label index CSV; returns the CSV path.
 
     Each EDF data record holds exactly one epoch. Deterministic: equal
-    specs (including the seed) produce byte-identical files. Classes are
-    generated and written one at a time; if any step fails, the files
-    this call wrote and the directories it made are removed.
+    specs (including the seed) produce byte-identical files. Each class is
+    generated and staged in turn, and all five files are renamed at the end;
+    if a step fails, every file stays as it was and new directories are removed.
     """
     out = Path(out_dir)
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
@@ -153,37 +188,30 @@ def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     with contextlib.ExitStack() as unfinished:
         for d in reversed(made):
             unfinished.callback(d.rmdir)
-        rng = np.random.default_rng(spec.seed)
-        rows = []
-        for label in CLASS_NAMES:
-            try:  # settings whose numbers overflow fail by the class, not with warnings
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    samples = np.concatenate([generate_epoch_samples(label, spec, rng)
-                                              for _ in range(spec.epochs_per_class)])
-            except ArithmeticError as exc:
-                raise ValueError(
-                    f"class {label!r} cannot be generated: {exc.args[-1]}") from None
-            header = EdfFileHeader(
-                num_records=spec.epochs_per_class,
-                record_duration_s=float(spec.epoch_length_s),
-                recording_id=f"synthetic {label}",
-            )
-            filename = f"{label}.edf"
-            unfinished.callback((out / filename).unlink, missing_ok=True)
-            (out / filename).write_bytes(
-                write_edf(header, [_signal_header(spec)], [samples])
-            )
-            rows.extend(
-                (filename, idx, label) for idx in range(spec.epochs_per_class)
-            )
-        index_path = out / LABEL_INDEX_NAME
-        unfinished.callback(index_path.unlink, missing_ok=True)
-        with index_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
+        # The index is renamed last, so it never names an EDF that is not in place.
+        with _staged([(out / f"{label}.edf", "wb") for label in CLASS_NAMES]
+                     + [(out / LABEL_INDEX_NAME, "w")]) as (*edfs, index):
+            rng = np.random.default_rng(spec.seed)
+            writer = csv.writer(index)
             writer.writerow(_INDEX_COLUMNS)
-            writer.writerows(rows)
+            for label, fh in zip(CLASS_NAMES, edfs):
+                try:  # settings whose numbers overflow fail by the class, not with warnings
+                    with np.errstate(over="raise", divide="raise", invalid="raise"):
+                        samples = np.concatenate([generate_epoch_samples(label, spec, rng)
+                                                  for _ in range(spec.epochs_per_class)])
+                except ArithmeticError as exc:
+                    raise ValueError(
+                        f"class {label!r} cannot be generated: {exc.args[-1]}") from None
+                header = EdfFileHeader(
+                    num_records=spec.epochs_per_class,
+                    record_duration_s=float(spec.epoch_length_s),
+                    recording_id=f"synthetic {label}",
+                )
+                fh.write(write_edf(header, [_signal_header(spec)], [samples]))
+                writer.writerows((f"{label}.edf", idx, label)
+                                 for idx in range(spec.epochs_per_class))
         unfinished.pop_all()
-    return index_path
+    return out / LABEL_INDEX_NAME
 
 
 def read_label_index(

@@ -8,6 +8,7 @@ import math
 import os
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,13 @@ def seed7_data(tmp_path_factory):
     data = tmp_path_factory.mktemp("seed7") / "ds"
     assert main(["synth", "--out", str(data), "--seed", "7"]) == 0
     return data
+
+
+@pytest.fixture(autouse=True)
+def no_staged_file_left(tmp_path):
+    """After each test, no output's temp file (``synth._staged``'s) is left."""
+    yield
+    assert sorted(tmp_path.rglob(".eegloop-*")) == []
 
 
 def sha256(path):
@@ -160,9 +168,17 @@ class TestSynth:
         assert_one_error_line(err)
         assert err.startswith("error: class 'sham_wake' cannot be generated: overflow ")
 
-    @pytest.mark.parametrize("existing", [False, True], ids=["new_dir", "existing_dir"])
+    @pytest.mark.parametrize("found", ["new_dir", "existing_dir", "existing_dataset"])
     def test_class_that_fails_leaves_out_as_found(self, tmp_path, capsys, monkeypatch,
-                                                  existing):
+                                                  found):
+        out = tmp_path / "ds" / "nested"
+        flags = ["synth", "--out", str(out), "--epochs-per-class", "1", "--epoch-length", "4"]
+        if found == "existing_dir":
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept")
+        if found == "existing_dataset":  # a later run of other settings fails
+            assert main([*flags, "--seed", "3"]) == 0
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
         # tbi_sleep is the last class, so the other three are written first.
         generate = synth.generate_epoch_samples
 
@@ -172,17 +188,15 @@ class TestSynth:
             return generate(label, spec, rng)
 
         monkeypatch.setattr(synth, "generate_epoch_samples", failing_generate)
-        out = tmp_path / "ds" / "nested"
-        if existing:
-            out.mkdir(parents=True)
-            (out / "notes.txt").write_text("kept")
-        assert main(["synth", "--out", str(out),
-                     "--epochs-per-class", "1", "--epoch-length", "4"]) == 2
+        capsys.readouterr()
+        assert main(flags) == 2
         assert "class 'tbi_sleep' cannot be generated" in capsys.readouterr().err
-        if existing:
-            assert [path.name for path in out.iterdir()] == ["notes.txt"]
-        else:
+        after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        assert after == before
+        if found == "new_dir":
             assert not (tmp_path / "ds").exists()
+        if found == "existing_dataset":
+            assert len(before) == 5
 
     def test_number_too_large_for_a_float_rejected(self, tmp_path, capsys):
         config = tmp_path / "spec.json"
@@ -822,10 +836,12 @@ class TestRun:
         assert_one_error_line(err)
         assert "No such file" in err
 
-    def test_interrupt_ends_the_run_under_the_failure_rule(self, workspace, tmp_path):
-        # Ctrl-C in a terminal: SIGINT once the paced loop reads epoch 2, by
-        # which time it has classified epoch 0 (while epoch 1 was not yet
-        # due). The child announces that read on stdout, ahead of the summary.
+    @staticmethod
+    def assert_interrupted_run(workspace, tmp_path, sig, acceleration, cause):
+        """Send ``sig`` to a paced ``run`` once its loop reads epoch 2, by which
+        time it has classified epoch 0 (while epoch 1 was not yet due), and
+        check that the run ends under the failure rule with ``cause``. The
+        child announces that read on stdout, ahead of the summary."""
         _, data, model = workspace
         log_path, timing = tmp_path / "log.jsonl", tmp_path / "timing.csv"
         code = "\n".join([
@@ -843,20 +859,20 @@ class TestRun:
         ])
         proc = subprocess.Popen(
             [sys.executable, "-c", code, "run", "--input", str(data / "sham_wake.edf"),
-             "--model", str(model), "--epoch-length", "4", "--acceleration", "4",
+             "--model", str(model), "--epoch-length", "4", "--acceleration", acceleration,
              "--log", str(log_path), "--timing", str(timing)],
             env=fresh_interpreter_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True)
         try:
             assert proc.stdout.readline() == "epoch 2 read\n"
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(sig)
             out, err = proc.communicate(timeout=30)
         finally:
             proc.kill()
         assert proc.returncode == 2
-        assert err == "error: run incomplete: KeyboardInterrupt\n"
+        assert err == f"error: run incomplete: {cause}\n"
         summary = json.loads(out.strip().splitlines()[-1])
-        assert summary["complete"] is False and summary["error"] == "KeyboardInterrupt"
+        assert summary["complete"] is False and summary["error"] == cause
         entries = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert entries[0]["label"] in CLASS_NAMES
         assert summary["consumed"] == len(entries)
@@ -864,6 +880,17 @@ class TestRun:
             summary["consumed"] + summary["dropped"] + summary["queued"])
         assert timing.read_text().strip().splitlines()[1].split(",")[0] == str(
             summary["produced"])
+
+    def test_interrupt_ends_the_run_under_the_failure_rule(self, workspace, tmp_path):
+        # Ctrl-C in a terminal.
+        self.assert_interrupted_run(workspace, tmp_path, signal.SIGINT, "4",
+                                    "KeyboardInterrupt")
+
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP], ids=["TERM", "HUP"])
+    def test_stop_signal_ends_the_run_like_ctrl_c(self, workspace, tmp_path, sig):
+        # A service manager's stop, or a closed terminal, names its signal.
+        self.assert_interrupted_run(workspace, tmp_path, sig, "8",
+                                    f"KeyboardInterrupt: {sig.name}")
 
     def test_interrupt_before_the_run_gives_one_error_line(self, workspace, capsys,
                                                             monkeypatch):
@@ -1177,22 +1204,149 @@ def test_bad_output_path_fails_before_any_work(workspace, tmp_path, capsys, monk
     assert "No such file" in err
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate", "replay"])
-def test_failure_after_the_outputs_opened_removes_them(tmp_path, capsys, command):
-    # An empty dataset directory, or an EDF that is not one, fails once the
-    # outputs are open; bench's processor failure is in TestBench.
-    (tmp_path / "empty").mkdir()
-    (tmp_path / "bad.edf").write_bytes(b"not an EDF")
+@pytest.mark.parametrize(
+    "command, existing",
+    [(command, existing) for existing in (False, True)
+     for command in ("train", "evaluate", "replay")],
+    ids=["train", "evaluate", "replay", "train_existing", "evaluate_existing",
+         "replay_existing"],
+)
+def test_failure_after_the_outputs_opened_removes_them(tmp_path, capsys, command,
+                                                       existing):
+    # A dataset whose one file is not an EDF, or that file, fails once the
+    # outputs are open; bench's processor failure is in TestBench. An output
+    # that was already there is left as it was.
+    (tmp_path / "bad").mkdir()
+    (tmp_path / "bad" / "labels.csv").write_text("file,epoch_index,class\n"
+                                                 "bad.edf,0,sham_wake\n")
+    (tmp_path / "bad" / "bad.edf").write_bytes(b"not an EDF")
     outputs = [tmp_path / "out.json", tmp_path / "log.json"]
+    if existing:
+        for path in outputs:
+            path.write_text(f"kept {path.name}\n")
+    before = {path: path.read_bytes() for path in outputs if path.exists()}
     args = {
-        "train": ["--data", str(tmp_path / "empty"), "--out", str(outputs[0]),
+        "train": ["--data", str(tmp_path / "bad"), "--out", str(outputs[0]),
                   "--log", str(outputs[1])],
-        "evaluate": ["--data", str(tmp_path / "empty"), "--out", str(outputs[0])],
-        "replay": ["--edf", str(tmp_path / "bad.edf"), "--out", str(outputs[0])],
+        "evaluate": ["--data", str(tmp_path / "bad"), "--out", str(outputs[0])],
+        "replay": ["--edf", str(tmp_path / "bad" / "bad.edf"), "--out", str(outputs[0])],
     }[command]
     assert main([command, *args]) == 2
-    assert_one_error_line(capsys.readouterr().err)
-    assert not any(path.exists() for path in outputs)
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "EDF header" in err
+    assert {path: path.read_bytes() for path in outputs if path.exists()} == before
+
+
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP], ids=["TERM", "HUP"])
+def test_stop_signal_during_train_leaves_the_outputs_as_found(workspace, tmp_path, sig):
+    # The child announces on stdout that training has started, then waits
+    # in it for the signal.
+    _, data, model = workspace
+    out, log_path = tmp_path / "model.json", tmp_path / "log.json"
+    shutil.copy(model, out)
+    code = "\n".join([
+        "import sys, time",
+        "from eegloop import cli, gbt",
+        "def waiting_train(*args):",
+        "    print('training', flush=True)",
+        "    time.sleep(60)",
+        "gbt.train = waiting_train",
+        "sys.exit(cli.main(sys.argv[1:]))",
+    ])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "train", "--data", str(data), "--out", str(out),
+         "--log", str(log_path)],
+        env=fresh_interpreter_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    try:
+        assert proc.stdout.readline() == "training\n"
+        proc.send_signal(sig)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2
+    assert err == f"error: interrupted by {sig.name}\n"
+    assert out.read_bytes() == model.read_bytes()
+    assert [path.name for path in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_stop_signals_are_caught_only_while_main_runs(tmp_path, capsys, monkeypatch):
+    # A signal that is ignored, as under nohup, stays ignored.
+    stops = (signal.SIGTERM, signal.SIGHUP)
+    seen = []
+
+    def record(spec, out):
+        seen.extend(signal.getsignal(sig) for sig in stops)
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(synth, "generate_dataset", record)
+    hup = signal.signal(signal.SIGHUP, signal.SIG_IGN)
+    try:
+        before = [signal.getsignal(sig) for sig in stops]
+        assert main(["synth", "--out", str(tmp_path / "ds")]) == 2
+        after = [signal.getsignal(sig) for sig in stops]
+    finally:
+        signal.signal(signal.SIGHUP, hup)
+    assert capsys.readouterr().err == "error: recorded\n"
+    assert seen == [cli._interrupt, signal.SIG_IGN]
+    assert after == before
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "dangling"])
+def test_output_through_a_symlink_replaces_the_file_it_names(workspace, tmp_path, capsys,
+                                                             existing):
+    _, data, _ = workspace
+    (tmp_path / "reports").mkdir()
+    target, link = tmp_path / "reports" / "replay.json", tmp_path / "replay.json"
+    if existing:
+        target.write_text("old\n")
+    link.symlink_to(target)
+    assert main(["replay", "--edf", str(data / "sham_wake.edf"), "--out", str(link)]) == 0
+    assert link.is_symlink() and link.readlink() == target
+    assert json.loads(target.read_text())["edf"] == str(data / "sham_wake.edf")
+
+
+@pytest.mark.parametrize("old_mode", [None, 0o604], ids=["new", "replaced"])
+def test_output_has_the_mode_that_open_gives(workspace, tmp_path, capsys, old_mode):
+    # A new file gets 0o666 less the umask, not a temp file's 0o600; a
+    # replaced one keeps its mode.
+    _, data, _ = workspace
+    out = tmp_path / "replay.json"
+    if old_mode is not None:
+        out.write_text("old\n")
+        out.chmod(old_mode)
+    umask = os.umask(0o027)
+    try:
+        assert main(["replay", "--edf", str(data / "sham_wake.edf"), "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == (0o640 if old_mode is None else old_mode)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("train", ["--data", "{data}", "--out", "{dir}"]),
+     ("evaluate", ["--data", "{data}", "--out", "{dir}"]),
+     ("replay", ["--edf", "{data}/sham_wake.edf", "--out", "{dir}"]),
+     ("run", ["--input", "{data}/sham_wake.edf", "--model", "{model}", "--log", "{dir}"]),
+     ("bench", ["--model", "{model}", "--out", "{dir}", "--epoch-lengths", "16",
+                "--batch-sizes", "2"])],
+    ids=["train", "evaluate", "replay", "run", "bench"],
+)
+def test_directory_at_an_output_path_fails_before_any_work(workspace, tmp_path, capsys,
+                                                           monkeypatch, command, flags):
+    _, data, model = workspace
+    (tmp_path / "out").mkdir()
+    paths = {"data": data, "model": model, "dir": tmp_path / "out"}
+    featurized = []
+    monkeypatch.setattr(features, "featurize", featurized.append)
+    assert main([command, *(flag.format(**paths) for flag in flags)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and featurized == []
+    assert_one_error_line(err)
+    assert f"Is a directory: '{tmp_path / 'out'}'" in err
+    assert [path.name for path in tmp_path.rglob("*")] == ["out"]
 
 
 @pytest.mark.parametrize(
@@ -1250,6 +1404,17 @@ def test_a_device_may_be_named_twice(workspace, capsys):
     assert main(["run", "--input", str(data / "sham_wake.edf"), "--model", str(model),
                  "--epoch-length", "4", "--acceleration", "max",
                  "--log", os.devnull, "--timing", os.devnull]) == 0
+
+
+def test_an_output_piped_through_dev_stdout_is_written_directly(workspace):
+    # /dev/stdout resolves to a pipe that no file can be renamed onto.
+    _, data, _ = workspace
+    proc = subprocess.run([sys.executable, "-m", "eegloop.cli", "replay",
+                           "--edf", str(data / "sham_wake.edf"), "--out", "/dev/stdout"],
+                          env=fresh_interpreter_env(), capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    report, summary = proc.stdout.split("}\n", 1)
+    assert json.loads(report + "}") == json.loads(summary)
 
 
 @pytest.mark.parametrize("flag", ["--folds", "--seed", "--train-config", "--rounds",

@@ -94,6 +94,19 @@ class AdmissionQueue(EpochQueue):
         return [t for _, t, admitted in self.offers if admitted]
 
 
+class SleepRecordingClock(VirtualClock):
+    """A ``VirtualClock`` that records each ``sleep_until`` as ``(time before
+    the sleep, time slept to)`` in ns."""
+
+    def __init__(self, acceleration):
+        super().__init__(acceleration)
+        self.sleeps = []
+
+    def sleep_until(self, t_ns):
+        self.sleeps.append((self.t_ns, t_ns))
+        super().sleep_until(t_ns)
+
+
 def encode(log):
     return "\n".join(json.dumps(entry, sort_keys=True) for entry in log)
 
@@ -520,6 +533,63 @@ class TestRunLive:
         assert log[-1]["label"] is None
         assert q.counters() == {"produced": 1, "consumed": 1, "dropped": 0, "queued": 0}
         assert_accounted(q, log)
+
+    @given(lengths=st.lists(st.sampled_from([4, 16, 64]), max_size=12),
+           costs_us=st.lists(st.integers(0, 300_000), min_size=12, max_size=12),
+           capacity=st.integers(1, 4),
+           acceleration=st.one_of(st.just(math.inf), st.floats(10.0, 1000.0)),
+           failure=st.one_of(st.none(), st.tuples(
+               st.sampled_from(["source", "processor"]), st.integers(0, 12),
+               st.sampled_from([RuntimeError, KeyboardInterrupt]))))
+    @settings(max_examples=200, deadline=None)
+    def test_virtual_schedule_keeps_the_identities_and_the_deadlines(
+            self, lengths, costs_us, capacity, acceleration, failure):
+        # Epochs are read at no cost, and call k of the processor spends
+        # costs_us[k]. A drawn failure stops the source before epoch `at`, or
+        # the processor in its call `at` if the run gets that far.
+        where, at, kind = failure or (None, None, None)
+        clock = SleepRecordingClock(acceleration)
+        q = AdmissionQueue(clock, capacity)
+        read, spent, causes = [], [], []
+
+        def fail(name):
+            exc = kind() if kind is KeyboardInterrupt else kind(f"{name} failed")
+            causes.append("KeyboardInterrupt" if kind is KeyboardInterrupt
+                          else f"RuntimeError: {name} failed")
+            raise exc
+
+        def source():
+            for i, length_s in enumerate(lengths):
+                if where == "source" and i == at % (len(lengths) + 1):
+                    break
+                read.append(i)
+                yield make_epoch(i, length_s)
+            if where == "source":
+                fail("source")
+
+        def processor(epoch):
+            spent.append(costs_us[len(spent) % len(costs_us)])
+            clock.spend(spent[-1] / 1e6)
+            if where == "processor" and len(spent) - 1 == at:
+                fail("processor")
+            return "sham_wake"
+
+        log, report = run_live(source(), processor, clock=clock, queue=q)
+        assert_accounted(q, log)
+        assert report.error == (causes[0] if causes else None)
+        assert [entry["processing_us"] for entry in log] == spent
+        processor_failed = where == "processor" and bool(causes)
+        assert [entry["label"] for entry in log] == (
+            ["sham_wake"] * (len(log) - processor_failed) + [None] * processor_failed)
+        if not processor_failed:  # every epoch read is offered, and none is left
+            assert q.produced == len(read) and len(q) == 0
+        # Epoch i is offered once the clock has slept to its deadline: the
+        # start plus the recording up to its end, divided by the acceleration.
+        deadlines = [round(float(sum(lengths[:i + 1])) * 1e9 / acceleration)
+                     for i in range(q.produced)]
+        assert [deadline for _, deadline in clock.sleeps] == deadlines
+        assert [t for _, t, _ in q.offers] == [
+            max(before, deadline) / MS for before, deadline in clock.sleeps]
 
     def test_timing_report_ratio(self):
         report = TimingReport(num_epochs=1, collection_time_s=64.0,
