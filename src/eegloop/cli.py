@@ -1,12 +1,10 @@
 """Command-line surface: synth, train, evaluate, replay, run, bench.
 
-Settings are the library's own dataclasses: ``synth``, ``train`` and
-``evaluate`` read an optional JSON config file of dataclass fields
-(checked before any work starts) and let flags override file values,
-and every value is checked by the class or constructor that uses it.
-``synth``, ``evaluate`` and ``bench`` take ``--seed``. Every command
-exits nonzero with a single ``error: ...``
-line on stderr when anything fails, and a library warning is one
+Settings are the library's own dataclasses: each field is set by its
+flag alone, and every value is checked by the class or constructor that
+uses it. ``synth``, ``evaluate`` and ``bench`` take ``--seed``. Every
+command exits nonzero with a single ``error: ...`` line on stderr when
+anything fails, naming the input file it refuses, and a library warning is one
 ``warning: ...`` line. A command stages its output files once its flags
 and model are checked and before any other work, and commits them only
 if it succeeds, so a failure, Ctrl-C, SIGTERM or SIGHUP leaves each
@@ -39,43 +37,21 @@ from .edf import read_signal
 log = logging.getLogger("eegloop")
 
 
-def _fits(value, hint) -> bool:
-    """Whether the JSON value ``value`` can set a field annotated ``hint``."""
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:  # an int must fit a float64
-        return isinstance(value, float) or (
-            isinstance(value, int) and abs(value) <= sys.float_info.max)
-    return isinstance(value, hint)
+def _settings(cls, args: argparse.Namespace):
+    """The dataclass ``cls`` built from the flags given whose ``dest`` is a field
+    name; ``cls`` holds every default and checks every value."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)}
+    return cls(**{name: value for name, value in given.items() if value is not None})
 
 
-def _settings(cls, path: str | None, args: argparse.Namespace):
-    """Build the dataclass ``cls`` from a JSON config file, then flags.
-
-    The file may set any field of ``cls`` with a value of the field's
-    type. A flag whose ``dest`` is a field name overrides the file, and
-    ``cls`` checks the result.
-    """
-    hints = typing.get_type_hints(cls)
-    types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
-    values = {}
-    if path is not None:
-        try:
-            doc = json.loads(Path(path).read_text())
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
-            raise ValueError(f"config {path} is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ValueError(f"config {path} must hold a JSON object")
-        for key, value in doc.items():
-            if key not in types:
-                raise ValueError(f"config {path}: unknown field {key!r}")
-            if not _fits(value, types[key]):
-                raise ValueError(f"config {path}: field {key!r} has the wrong type")
-            values[key] = float(value) if types[key] is float else value
-    for name in types:
-        if getattr(args, name, None) is not None:
-            values[name] = getattr(args, name)
-    return cls(**values)
+def _read(path: str, parse, *args):
+    """``parse(bytes of the file at path, *args)``; a ``ValueError`` it raises is
+    prefixed with ``path`` as given, so every refused input names its file."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data, *args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _flag(name: str) -> str:
@@ -171,7 +147,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = _settings(synth.SyntheticSpec, args.config, args)
+    spec = _settings(synth.SyntheticSpec, args)
     index_path = synth.generate_dataset(spec, args.out)
     log.info("wrote dataset under %s", args.out)
     print(str(index_path))
@@ -179,11 +155,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _settings(gbt.TrainConfig, args.train_config, args)
+    config = _settings(gbt.TrainConfig, args)
     index = synth.read_label_index(args.data)
-    inputs = [*_dataset_inputs(index), ("--train-config", args.train_config)]
     outputs = {"--out": (args.out, "wb"), "--log": (args.log_file, "w")}
-    with _output_files(inputs, outputs) as (model_fh, log_fh):
+    with _output_files(_dataset_inputs(index), outputs) as (model_fh, log_fh):
         fvs, labels, _ = _featurize_dataset(index)
         model = gbt.train(list(zip(fvs, labels)), config)
         model_fh.write(gbt.save_model(model))
@@ -203,18 +178,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # The model or the settings fail before the dataset is featurized.
     if args.model:
-        ignored = ["train_config", *(f.name for cls in (ev.CvConfig, gbt.TrainConfig)
-                                     for f in dataclasses.fields(cls))]
-        for name in ignored:
+        for name in (f.name for cls in (ev.CvConfig, gbt.TrainConfig)
+                     for f in dataclasses.fields(cls)):
             if getattr(args, name) is not None:
                 raise ValueError(f"{_flag(name)} does not apply with --model")
-        model, cv_config = gbt.load_model(Path(args.model).read_bytes()), None
+        model, cv_config = _read(args.model, gbt.load_model), None
     else:
-        train_config = _settings(gbt.TrainConfig, args.train_config, args)
-        cv_config = _settings(ev.CvConfig, None, args)
+        config = _settings(gbt.TrainConfig, args)
+        cv_config = _settings(ev.CvConfig, args)
     index = synth.read_label_index(args.data)
-    inputs = [*_dataset_inputs(index), ("--model", args.model),
-              ("--train-config", args.train_config)]
+    inputs = [*_dataset_inputs(index), ("--model", args.model)]
     with _output_files(inputs, {"--out": (args.out, "wb")}) as (out,):
         fvs, labels, epoch_length_s = _featurize_dataset(index)
         if args.model:
@@ -222,7 +195,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             result = ev.CvResult([], ev.metrics(cm).accuracy, cm)
         else:
             def trainer(train_fvs, train_labels):
-                model = gbt.train(list(zip(train_fvs, train_labels)), train_config)
+                model = gbt.train(list(zip(train_fvs, train_labels)), config)
                 return lambda fv: gbt.predict_labels(model, [fv])[0]
 
             result = ev.kfold_cv(fvs, labels, trainer, cv_config)
@@ -238,7 +211,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.offset is not None and args.gain is None:
         raise ValueError("--offset applies only with --gain")
     with _output_files([("--edf", args.edf)], {"--out": (args.out, "w")}) as (out,):
-        _, sig, trace = read_signal(Path(args.edf).read_bytes(), args.signal)
+        _, sig, trace = _read(args.edf, read_signal, args.signal)
         if args.gain is not None:
             offset = args.vref / 2 if args.offset is None else args.offset
             mapping = loopback.VoltageMapping(args.gain, offset)
@@ -272,7 +245,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.input != "-" and args.rate_hz is not None:
         raise ValueError("--rate does not apply with an EDF --input")
     queue = pipeline.EpochQueue(capacity=args.capacity)
-    model = gbt.load_model(Path(args.model).read_bytes())
+    model = _read(args.model, gbt.load_model)
     # stdin is read to its end before epoch 0, so it is its own clock.
     acceleration = args.acceleration
     if acceleration is None:
@@ -294,7 +267,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 raise ValueError(f"stdin sample {i} is not finite: {samples[i]}")
             rate_hz = 256.0 if args.rate_hz is None else args.rate_hz
         else:
-            _, _, trace = read_signal(Path(args.input).read_bytes(), args.signal or 0)
+            _, _, trace = _read(args.input, read_signal, args.signal or 0)
             samples, rate_hz = trace.samples, trace.rate_hz
         per_epoch = pipeline.samples_per_epoch(args.epoch_length_s, rate_hz)
         if samples.size < per_epoch:
@@ -330,7 +303,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     specs = [synth.SyntheticSpec(epochs_per_class=1, epoch_length_s=length_s,
                                  rate_hz=args.rate_hz, seed=args.seed)
              for length_s in epoch_lengths]
-    model = gbt.load_model(Path(args.model).read_bytes())
+    model = _read(args.model, gbt.load_model)
     clock = pipeline.SampleClock(acceleration=math.inf)
     predict_ns: list[int] = []
 
@@ -374,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a labelled synthetic EDF dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON generator spec")
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs-per-class", dest="epochs_per_class", type=int)
     p.add_argument("--epoch-length", dest="epoch_length_s", type=int)
@@ -387,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a boosted-tree model on a dataset directory")
     p.add_argument("--data", required=True, help="dataset directory (EDFs + labels.csv)")
     p.add_argument("--out", required=True, help="output model JSON path")
-    p.add_argument("--train-config", dest="train_config", help="JSON training config")
     p.add_argument("--log", dest="log_file", help="write a JSON training log here")
     _add_field_flags(p, gbt.TrainConfig)
     p.set_defaults(func=cmd_train)
@@ -397,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output metrics JSON path")
     p.add_argument("--model", help="score this model instead of cross-validating")
     _add_field_flags(p, ev.CvConfig)
-    p.add_argument("--train-config", dest="train_config")
     _add_field_flags(p, gbt.TrainConfig)
     p.set_defaults(func=cmd_evaluate)
 

@@ -80,6 +80,9 @@ _MAX_SAMPLES_PER_RECORD = (
     10 ** next(w for n, w, _ in _SIGNAL_FIELDS if n == "samples_per_record") - 1
 )
 
+# The most records a file can declare: as many digits as its field is wide.
+_MAX_RECORDS = 10 ** next(w for n, w, _ in _FIXED_FIELDS if n == "num_records") - 1
+
 # The plain ASCII decimals a numeric field may hold.
 _NUMBER = {
     int: re.compile(r"[+-]?[0-9]+"),
@@ -116,6 +119,11 @@ class EdfFileHeader:
     def __post_init__(self) -> None:
         if self.num_signals < 1:
             raise EdfError(f"num_signals must be >= 1, got {self.num_signals}")
+        if not (self.num_records == -1 or 0 <= self.num_records <= _MAX_RECORDS):
+            raise EdfError(
+                f"num_records must be -1 (unknown) or 0 to {_MAX_RECORDS}, "
+                f"got {self.num_records}"
+            )
         if not 0 < self.record_duration_s < math.inf:
             raise EdfError("record duration must be positive and finite")
 

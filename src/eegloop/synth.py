@@ -93,9 +93,10 @@ class SyntheticSpec:
             raise ValueError(
                 f"amplitude_jitter must be >= 0 and finite, got {self.amplitude_jitter}"
             )
-        # Checks the epoch length, and that one epoch fits one EDF record,
-        # before any sample is allocated.
+        # Checks the epoch length, that one epoch fits one EDF record and that
+        # the record count fits its field, before any sample is allocated.
         _signal_header(self)
+        _file_header(self, CLASS_NAMES[0])
 
     @property
     def samples_per_epoch(self) -> int:
@@ -137,6 +138,14 @@ def _signal_header(spec: SyntheticSpec) -> EdfSignalHeader:
         digital_min=-32768,
         digital_max=32767,
         samples_per_record=spec.samples_per_epoch,
+    )
+
+
+def _file_header(spec: SyntheticSpec, label: str) -> EdfFileHeader:
+    return EdfFileHeader(
+        num_records=spec.epochs_per_class,
+        record_duration_s=float(spec.epoch_length_s),
+        recording_id=f"synthetic {label}",
     )
 
 
@@ -202,12 +211,8 @@ def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
                 except ArithmeticError as exc:
                     raise ValueError(
                         f"class {label!r} cannot be generated: {exc.args[-1]}") from None
-                header = EdfFileHeader(
-                    num_records=spec.epochs_per_class,
-                    record_duration_s=float(spec.epoch_length_s),
-                    recording_id=f"synthetic {label}",
-                )
-                fh.write(write_edf(header, [_signal_header(spec)], [samples]))
+                fh.write(write_edf(_file_header(spec, label), [_signal_header(spec)],
+                                   [samples]))
                 writer.writerows((f"{label}.edf", idx, label)
                                  for idx in range(spec.epochs_per_class))
         unfinished.pop_all()
@@ -299,8 +304,8 @@ def cut_epochs(index_path: Path, rows: list[tuple[int, dict[str, str]]]) -> list
             ) from None
         if not 0 <= idx < len(file_epochs):
             raise ValueError(
-                f"{filename}: epoch_index {idx} is outside the file's "
-                f"{len(file_epochs)} epochs"
+                f"label index {index_path} line {line}: epoch_index {idx} is outside "
+                f"{filename}'s {len(file_epochs)} epochs"
             )
         try:
             class_index(row["class"])

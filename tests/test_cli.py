@@ -1,11 +1,14 @@
 """End-to-end command-line behaviour: outputs, determinism, error paths."""
 
+import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import stat
@@ -15,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import VirtualClock
 from eegloop import cli, features, gbt, pipeline, synth
+from eegloop import evaluate as ev
 from eegloop.classes import CLASS_NAMES
 from eegloop.cli import main
 from eegloop.edf import EdfFileHeader, EdfSignalHeader, write_edf
@@ -123,43 +127,12 @@ class TestSynth:
         for cls in CLASS_NAMES:
             assert (again / f"{cls}.edf").read_bytes() == (data / f"{cls}.edf").read_bytes()
 
-    def test_config_file_with_flag_override(self, tmp_path):
-        config = tmp_path / "spec.json"
-        config.write_text(json.dumps({"seed": 1, "epochs_per_class": 2,
-                                      "epoch_length_s": 4}))
+    def test_flags_set_the_spec(self, tmp_path):
         out = tmp_path / "ds"
-        assert main(["synth", "--out", str(out), "--config", str(config),
+        assert main(["synth", "--out", str(out), "--seed", "1", "--epoch-length", "4",
                      "--epochs-per-class", "3"]) == 0
         rows = (out / "labels.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 3 * 4  # header + epochs
-
-    def test_integer_for_a_float_field_equals_its_flag(self, tmp_path):
-        config = tmp_path / "spec.json"
-        config.write_text(json.dumps({"noise_level": 0}))
-        flagged, configured = tmp_path / "flagged", tmp_path / "configured"
-        size = ["--epochs-per-class", "1", "--epoch-length", "4"]
-        assert main(["synth", "--out", str(flagged), "--noise", "0", *size]) == 0
-        assert main(["synth", "--out", str(configured), "--config", str(config),
-                     *size]) == 0
-        names = sorted(p.name for p in flagged.iterdir())
-        assert names == sorted(p.name for p in configured.iterdir())
-        for name in names:
-            assert (configured / name).read_bytes() == (flagged / name).read_bytes()
-
-    def test_unknown_config_field_rejected(self, tmp_path, capsys):
-        config = tmp_path / "spec.json"
-        config.write_text(json.dumps({"epochz": 5}))
-        assert main(["synth", "--out", str(tmp_path / "x"),
-                     "--config", str(config)]) != 0
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_class_profiles_are_not_a_setting(self, tmp_path, capsys):
-        config = tmp_path / "spec.json"
-        config.write_text(json.dumps({"profiles": {}}))
-        out = tmp_path / "x"
-        assert main(["synth", "--out", str(out), "--config", str(config)]) == 2
-        assert capsys.readouterr().err == f"error: config {config}: unknown field 'profiles'\n"
-        assert not out.exists()
 
     def test_setting_that_overflows_fails_by_its_class(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "x"), "--noise", "1e308",
@@ -197,15 +170,6 @@ class TestSynth:
             assert not (tmp_path / "ds").exists()
         if found == "existing_dataset":
             assert len(before) == 5
-
-    def test_number_too_large_for_a_float_rejected(self, tmp_path, capsys):
-        config = tmp_path / "spec.json"
-        config.write_text('{"noise_level": 1' + "0" * 400 + "}")
-        assert main(["synth", "--out", str(tmp_path / "x"),
-                     "--config", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert_one_error_line(err)
-        assert "field 'noise_level' has the wrong type" in err
 
     @pytest.mark.parametrize(
         "flags, cause",
@@ -285,7 +249,8 @@ class TestTrain:
         assert main(["train", "--data", str(copy), "--out", str(tmp_path / "m.json")]) == 2
         err = capsys.readouterr().err
         assert_one_error_line(err)
-        assert f"sham_wake.edf: epoch_index {epoch_index} is outside" in err
+        assert (f"error: label index {index} line 2: epoch_index {epoch_index} "
+                f"is outside sham_wake.edf's 10 epochs\n") == err
 
     def test_epoch_index_that_is_not_an_integer_fails_cleanly(self, workspace, tmp_path,
                                                               capsys):
@@ -356,47 +321,39 @@ class TestTrain:
         assert len(losses) == 7
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    def test_train_config_file_with_flag_override(self, workspace, tmp_path):
+    def test_flags_set_the_logged_config(self, workspace, tmp_path):
         _, data, _ = workspace
-        config = tmp_path / "train.json"
-        config.write_text(json.dumps({"rounds": 5, "max_depth": 2}))
         log_path = tmp_path / "train_log.json"
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
-                     "--train-config", str(config), "--rounds", "3",
+                     "--max-depth", "2", "--rounds", "3",
                      "--log", str(log_path)]) == 0
         doc = json.loads(log_path.read_text())
         assert doc["config"]["rounds"] == 3
         assert doc["config"]["max_depth"] == 2
         assert len(doc["log_loss_per_round"]) == 1 + 3
 
-    def test_integer_for_a_float_field_logs_as_the_default(self, workspace, tmp_path):
+    def test_integer_for_a_float_flag_logs_as_the_default(self, workspace, tmp_path):
         _, data, _ = workspace
-        config = tmp_path / "train.json"
-        config.write_text(json.dumps({"l2_lambda": 1, "rounds": 2}))
-        default_log, config_log = tmp_path / "default.json", tmp_path / "config.json"
+        default_log, flag_log = tmp_path / "default.json", tmp_path / "flag.json"
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "a.json"),
                      "--rounds", "2", "--log", str(default_log)]) == 0
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "b.json"),
-                     "--train-config", str(config), "--log", str(config_log)]) == 0
-        assert config_log.read_bytes() == default_log.read_bytes()
+                     "--rounds", "2", "--l2-lambda", "1", "--log", str(flag_log)]) == 0
+        assert flag_log.read_bytes() == default_log.read_bytes()
         assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
 
     @pytest.mark.parametrize(
-        "entry",
-        [{"seed": 0}, {"roundz": 3}, {"rounds": "3"}, {"rounds": 3.0},
-         {"learning_rate": True}, {"l2_lambda": math.nan}, {"min_child_weight": math.nan},
-         {"min_child_weight": -5}, "[" * 100_000],
-        ids=["seed", "unknown", "string", "float_for_int", "bool", "nan_l2_lambda",
-             "nan_min_child_weight", "negative_min_child_weight", "deep_nesting"],
+        "flags, cause",
+        [(["--l2-lambda", "nan"], "l2_lambda must be >= 0"),
+         (["--min-child-weight", "nan"], "min_child_weight must be >= 0"),
+         (["--min-child-weight", "-5"], "min_child_weight must be >= 0")],
+        ids=["nan_l2_lambda", "nan_min_child_weight", "negative_min_child_weight"],
     )
-    def test_bad_train_config_rejected(self, workspace, tmp_path, capsys, entry):
+    def test_bad_train_setting_rejected(self, workspace, tmp_path, capsys, flags, cause):
         _, data, _ = workspace
-        config = tmp_path / "train.json"
-        config.write_text(entry if isinstance(entry, str) else json.dumps(entry))
         out = tmp_path / "m.json"
-        assert main(["train", "--data", str(data), "--out", str(out),
-                     "--train-config", str(config)]) == 2
-        assert_one_error_line(capsys.readouterr().err)
+        assert main(["train", "--data", str(data), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {cause}\n"
         assert not out.exists()
 
 
@@ -1129,8 +1086,8 @@ def test_model_of_another_schema_fails_before_any_work(workspace, tmp_path, caps
     assert stdout == ""
     assert not any(path.exists() for path in outputs)
     assert featurized == []
-    assert_one_error_line(err)
-    assert other in err and SCHEMA_ID in err
+    assert err == (f"error: {edited}: model feature schema {other} "
+                   f"is not this build's schema {SCHEMA_ID}\n")
 
 
 @pytest.mark.parametrize(
@@ -1159,15 +1116,13 @@ def test_evaluate_fails_before_featurizing(workspace, tmp_path, capsys, monkeypa
 @pytest.mark.parametrize(
     "command, flags",
     [("synth", ["--out", "out", "--seed", "-1"]),
-     ("synth", ["--out", "out", "--config", "config.json"]),
      ("bench", ["--model", "{model}", "--out", "out", "--seed", "-1"])],
-    ids=["synth", "synth_config", "bench"],
+    ids=["synth", "bench"],
 )
 def test_negative_seed_fails_first_by_name(workspace, tmp_path, capsys, monkeypatch,
                                            command, flags):
     # evaluate's case is in test_evaluate_fails_before_featurizing.
     _, _, model = workspace
-    (tmp_path / "config.json").write_text('{"seed": -1}')
     monkeypatch.chdir(tmp_path)
     featurized = []
     monkeypatch.setattr(features, "featurize", featurized.append)
@@ -1354,8 +1309,6 @@ def test_directory_at_an_output_path_fails_before_any_work(workspace, tmp_path, 
     [("train", ["--data", "ds", "--out", "ds/labels.csv"], ("--out", "--data")),
      ("train", ["--data", "ds", "--out", "m.json", "--log", "ds/tbi_wake.edf"],
       ("--log", "--data")),
-     ("train", ["--data", "ds", "--train-config", "config.json", "--out", "config.json"],
-      ("--out", "--train-config")),
      ("evaluate", ["--data", "ds", "--out", "ds/sham_sleep.edf"], ("--out", "--data")),
      ("evaluate", ["--data", "ds", "--model", "model.json", "--out", "model.json"],
       ("--out", "--model")),
@@ -1371,7 +1324,7 @@ def test_directory_at_an_output_path_fails_before_any_work(workspace, tmp_path, 
      ("run", ["--input", "ds/sham_wake.edf", "--model", "model.json",
               "--log", "new.csv", "--timing", "./new.csv"], ("--timing", "--log")),
      ("bench", ["--model", "model.json", "--out", "model.json"], ("--out", "--model"))],
-    ids=["train_labels", "train_log_edf", "train_config", "evaluate_edf", "evaluate_model",
+    ids=["train_labels", "train_log_edf", "evaluate_edf", "evaluate_model",
          "replay", "replay_symlink", "run_input", "run_model", "run_outputs",
          "run_new_outputs", "bench"],
 )
@@ -1381,7 +1334,6 @@ def test_output_that_is_an_input_or_output_is_refused(workspace, tmp_path, capsy
     shutil.copytree(data, tmp_path / "ds")
     shutil.copy(model, tmp_path / "model.json")
     (tmp_path / "kept.csv").write_text("kept\n")
-    (tmp_path / "config.json").write_text("{}")
     (tmp_path / "link.edf").symlink_to(tmp_path / "ds" / "sham_wake.edf")
 
     def files():
@@ -1417,20 +1369,89 @@ def test_an_output_piped_through_dev_stdout_is_written_directly(workspace):
     assert json.loads(report + "}") == json.loads(summary)
 
 
-@pytest.mark.parametrize("flag", ["--folds", "--seed", "--train-config", "--rounds",
-                                  "--max-depth", "--learning-rate", "--l2-lambda",
-                                  "--min-child-weight"])
+@pytest.mark.parametrize("flag", ["--folds", "--seed", "--rounds", "--max-depth",
+                                  "--learning-rate", "--l2-lambda", "--min-child-weight"])
 def test_evaluate_model_refuses_the_flags_it_ignores(workspace, tmp_path, capsys,
                                                      monkeypatch, flag):
     _, data, model = workspace
     featurized = []
     monkeypatch.setattr(features, "featurize", featurized.append)
     out = tmp_path / "out.json"
-    value = "/nonexistent.json" if flag == "--train-config" else "1"
     assert main(["evaluate", "--data", str(data), "--model", str(model),
-                 "--out", str(out), flag, value]) == 2
+                 "--out", str(out), flag, "1"]) == 2
     assert capsys.readouterr().err == f"error: {flag} does not apply with --model\n"
     assert featurized == [] and not out.exists()
+
+
+def subcommands() -> dict:
+    """Each subcommand's parser, by name."""
+    (sub,) = [action for action in cli.build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@pytest.mark.parametrize("command, cls", [("synth", synth.SyntheticSpec),
+                                          ("train", gbt.TrainConfig),
+                                          ("evaluate", ev.CvConfig),
+                                          ("evaluate", gbt.TrainConfig)])
+def test_every_setting_is_the_dest_of_a_flag(command, cls):
+    # A field without a flag could not be set at all: flags are the one way in.
+    dests = {action.dest for action in subcommands()[command]._actions
+             if action.option_strings}
+    assert {f.name for f in dataclasses.fields(cls)} <= dests
+
+
+def test_readme_names_only_flags_the_parser_accepts():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    accepted = {option for parser in subcommands().values()
+                for action in parser._actions for option in action.option_strings}
+    assert "--seed" in named and named - accepted == set()
+
+
+@pytest.mark.parametrize("argv", [["synth", "--out", "ds", "--config", "x.json"],
+                                  ["train", "--data", "ds", "--out", "m.json",
+                                   "--train-config", "x.json"],
+                                  ["evaluate", "--data", "ds", "--out", "r.json",
+                                   "--train-config", "x.json"]],
+                         ids=["synth", "train", "evaluate"])
+def test_config_file_flags_are_gone(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, flags, named, cause",
+    [("replay", ["--edf", "{short}"], "short", "file too short for EDF header: 10 bytes"),
+     ("run", ["--input", "{short}", "--model", "{model}"], "short",
+      "file too short for EDF header: 10 bytes"),
+     ("run", ["--input", "{edf}", "--model", "{model}", "--signal", "2"], "edf",
+      "no signal 2; the file has 1 signal(s)"),
+     ("evaluate", ["--data", "{data}", "--out", "out", "--model", "{short}"], "short",
+      "model file is not valid JSON: "),
+     ("run", ["--input", "{edf}", "--model", "{short}"], "short",
+      "model file is not valid JSON: "),
+     ("bench", ["--out", "out", "--model", "{short}"], "short",
+      "model file is not valid JSON: ")],
+    ids=["replay_edf", "run_edf", "run_signal", "evaluate_model", "run_model",
+         "bench_model"],
+)
+def test_refused_input_names_its_file(workspace, tmp_path, capsys, monkeypatch,
+                                      command, flags, named, cause):
+    _, data, model = workspace
+    monkeypatch.chdir(tmp_path)
+    Path("bad.edf").write_bytes(b"0123456789")  # named as given, relative
+    paths = {"short": "bad.edf", "model": model, "data": data, "edf": data / "sham_wake.edf"}
+    assert main([command, *(flag.format(**paths) for flag in flags)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert_one_error_line(err)
+    assert err.startswith(f"error: {paths[named]}: {cause}")
 
 
 @pytest.mark.parametrize("source, flag, value, applies",
@@ -1616,29 +1637,12 @@ class TestBench:
             assert_one_error_line(capsys.readouterr().err)
 
 
-# Fuzzed untrusted input: a config file, a label index, stdin floats. Each
+# Fuzzed untrusted input: a label index, stdin floats. Each
 # input gives a valid result or exactly one error line with exit 2, and
 # never a traceback, since main() turns only ValueError and OSError into
 # that line.
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.just(10**400)
-    | st.floats() | st.text(max_size=6),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=6), children, max_size=4),
-    max_leaves=10,
-)
-
-
-def config_files(fields):
-    """Config file bytes: JSON objects over ``fields`` and other keys, other
-    JSON, or neither."""
-    key = st.sampled_from(fields) | st.text(max_size=6)
-    docs = st.dictionaries(key, json_values, max_size=4) | json_values
-    return (docs.map(json.dumps).map(str.encode) | st.binary(max_size=40)
-            | st.text(max_size=40).map(str.encode))
 
 
 def assert_result_or_one_error(code, out, err):
@@ -1650,30 +1654,6 @@ def assert_result_or_one_error(code, out, err):
 
 
 class TestFuzzedInput:
-    @given(config_files(["amplitude_uv", "noise_level", "amplitude_jitter", "seed",
-                         "rate_hz"]))
-    @example(b'{"noise_level": 0}')
-    @example(b'{"profiles": {}}')
-    @FUZZ
-    def test_synth_config(self, tmp_path, capsys, config_bytes):
-        config, out = tmp_path / "spec.json", tmp_path / "ds"
-        config.write_bytes(config_bytes)
-        shutil.rmtree(out, ignore_errors=True)
-        code = main(["synth", "--out", str(out), "--config", str(config),
-                     "--epochs-per-class", "1", "--epoch-length", "4"])
-        assert_result_or_one_error(code, *capsys.readouterr())
-
-    @given(config_files(["rounds", "max_depth", "learning_rate", "l2_lambda",
-                         "min_child_weight"]))
-    @FUZZ
-    def test_train_config(self, workspace, tmp_path, capsys, config_bytes):
-        _, data, _ = workspace
-        config = tmp_path / "train.json"
-        config.write_bytes(config_bytes)
-        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
-                     "--train-config", str(config), "--rounds", "1", "--max-depth", "1"])
-        assert_result_or_one_error(code, *capsys.readouterr())
-
     @given(st.lists(st.tuples(st.sampled_from([f"{c}.edf" for c in CLASS_NAMES])
                               | st.text(max_size=6),
                               st.integers(-2, 12).map(str) | st.text(max_size=4),

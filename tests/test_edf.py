@@ -317,15 +317,25 @@ class TestHeadersCheckThemselves:
          ({"record_duration_s": 0.0}, "record duration must be positive and finite"),
          ({"record_duration_s": -1.0}, "record duration must be positive and finite"),
          ({"record_duration_s": math.inf}, "record duration must be positive and finite"),
-         ({"record_duration_s": math.nan}, "record duration must be positive and finite")],
+         ({"record_duration_s": math.nan}, "record duration must be positive and finite"),
+         ({"num_records": -2}, "num_records must be -1 (unknown) or 0 to 99999999, got -2"),
+         ({"num_records": 10**8},
+          "num_records must be -1 (unknown) or 0 to 99999999, got 100000000"),
+         ({"num_records": 10**9},
+          "num_records must be -1 (unknown) or 0 to 99999999, got 1000000000")],
         ids=["no_signals", "negative_signals", "zero_duration", "negative_duration",
-             "infinite_duration", "nan_duration"],
+             "infinite_duration", "nan_duration", "negative_records", "records_past_field",
+             "billion_records"],
     )
     def test_invalid_file_header_refused(self, fields, cause):
-        with pytest.raises(EdfError, match=f"^{cause}$"):
+        with pytest.raises(EdfError, match=f"^{re.escape(cause)}$"):
             EdfFileHeader(**fields)
-        with pytest.raises(EdfError, match=f"^{cause}$"):
+        with pytest.raises(EdfError, match=f"^{re.escape(cause)}$"):
             dataclasses.replace(EdfFileHeader(), **fields)
+
+    @pytest.mark.parametrize("num_records", [-1, 0, 1, 99_999_999])
+    def test_record_count_that_fits_its_field_accepted(self, num_records):
+        assert EdfFileHeader(num_records=num_records).num_records == num_records
 
     @pytest.mark.parametrize(
         "fields, cause",

@@ -104,8 +104,9 @@ class TestLabelIndex:
         lines = index.read_text().splitlines()
         lines[1] = f"sham_wake.edf,{epoch_index},sham_wake"
         index.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"sham_wake.edf: epoch_index {epoch_index} "
-                                             f"is outside the file's 8 epochs"):
+        cause = (f"label index {index} line 2: epoch_index {epoch_index} "
+                 f"is outside sham_wake.edf's 8 epochs")
+        with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
             load_dataset(tmp_path)
 
     def test_file_with_only_an_annotation_signal_rejected(self, tmp_path):
@@ -231,6 +232,13 @@ class TestClassStructure:
     def test_non_finite_or_out_of_range_setting_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SyntheticSpec(**{field: value})
+
+    @pytest.mark.parametrize("epochs_per_class", [10**8, 10**9])
+    def test_record_count_past_its_edf_field_rejected(self, epochs_per_class):
+        # Refused by the spec, before any sample is generated.
+        cause = f"num_records must be -1 (unknown) or 0 to 99999999, got {epochs_per_class}"
+        with pytest.raises(EdfError, match=f"^{re.escape(cause)}$"):
+            SyntheticSpec(epochs_per_class=epochs_per_class)
 
     def test_epoch_past_one_edf_record_rejected(self):
         # 4e9 samples: rejected by arithmetic on the spec, before any allocation.
