@@ -176,7 +176,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    # The model or the settings fail before the dataset is featurized.
+    # The model, the settings or a fold count past the epoch count fail before
+    # the dataset is featurized.
     if args.model:
         for name in (f.name for cls in (ev.CvConfig, gbt.TrainConfig)
                      for f in dataclasses.fields(cls)):
@@ -187,6 +188,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         config = _settings(gbt.TrainConfig, args)
         cv_config = _settings(ev.CvConfig, args)
     index = synth.read_label_index(args.data)
+    if cv_config is not None:
+        ev.fold_indices(len(index[1]), cv_config)
     inputs = [*_dataset_inputs(index), ("--model", args.model)]
     with _output_files(inputs, {"--out": (args.out, "wb")}) as (out,):
         fvs, labels, epoch_length_s = _featurize_dataset(index)
@@ -351,9 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs-per-class", dest="epochs_per_class", type=int)
     p.add_argument("--epoch-length", dest="epoch_length_s", type=int)
     p.add_argument("--rate", dest="rate_hz", type=float)
-    p.add_argument("--amplitude", dest="amplitude_uv", type=float)
-    p.add_argument("--noise", dest="noise_level", type=float)
-    p.add_argument("--jitter", dest="amplitude_jitter", type=float)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a boosted-tree model on a dataset directory")

@@ -1,6 +1,7 @@
 """Synthetic dataset determinism, class structure, and the label index."""
 
 import csv
+import dataclasses
 import re
 
 import numpy as np
@@ -221,26 +222,25 @@ class TestClassStructure:
         with pytest.raises(ValueError, match="whole number"):
             SyntheticSpec(epoch_length_s=4, rate_hz=100.1)
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("amplitude_uv", float("nan")), ("amplitude_uv", 0.0),
-         ("amplitude_uv", float("inf")), ("amplitude_uv", 0.04),
-         ("amplitude_uv", 1e7), ("noise_level", float("nan")),
-         ("noise_level", -0.1), ("amplitude_jitter", float("nan")),
-         ("amplitude_jitter", -1.0), ("amplitude_jitter", float("inf"))],
-    )
-    def test_non_finite_or_out_of_range_setting_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SyntheticSpec(**{field: value})
+    def test_amplitude_noise_and_jitter_are_constants(self):
+        assert [f.name for f in dataclasses.fields(SyntheticSpec)] == [
+            "epochs_per_class", "epoch_length_s", "rate_hz", "seed"]
+        spec = SyntheticSpec()
+        assert (spec.amplitude_uv, spec.noise_level, spec.amplitude_jitter) == (100.0, 0.4, 0.3)
+        with pytest.raises(TypeError, match="noise_level"):
+            SyntheticSpec(noise_level=0.4)
 
     @pytest.mark.parametrize("epochs_per_class", [10**8, 10**9])
     def test_record_count_past_its_edf_field_rejected(self, epochs_per_class):
         # Refused by the spec, before any sample is generated.
-        cause = f"num_records must be -1 (unknown) or 0 to 99999999, got {epochs_per_class}"
-        with pytest.raises(EdfError, match=f"^{re.escape(cause)}$"):
+        cause = (f"epochs_per_class overflows its EDF field: num_records must be "
+                 f"-1 (unknown) or 0 to 99999999, got {epochs_per_class}")
+        with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
             SyntheticSpec(epochs_per_class=epochs_per_class)
 
     def test_epoch_past_one_edf_record_rejected(self):
         # 4e9 samples: rejected by arithmetic on the spec, before any allocation.
-        with pytest.raises(ValueError, match="samples_per_record must be 1 to 99999999"):
+        cause = ("epoch_length_s and rate_hz overflow one EDF record: "
+                 "samples_per_record must be 1 to 99999999, got 4000000000")
+        with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
             SyntheticSpec(epoch_length_s=4, rate_hz=1e9)
