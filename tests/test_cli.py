@@ -479,6 +479,13 @@ class TestEvaluate:
         # Each fold's train runs one per round plus one; its predictor runs none.
         assert softmax_calls == [(20, len(CLASS_NAMES))] * 2 * (3 + 1)
 
+    def test_more_folds_than_epochs_fails(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        code = main(["evaluate", "--data", str(data), "--out",
+                     str(tmp_path / "m.json"), "--folds", "100"])
+        assert code != 0
+        assert "error:" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", [["train", "--rounds", "2"],
                                      ["evaluate", "--folds", "2", "--rounds", "2"],
@@ -1384,17 +1391,28 @@ def subcommands() -> dict:
     return sub.choices
 
 
+@pytest.mark.parametrize("command, cls", [("synth", synth.SyntheticSpec),
+                                          ("train", gbt.TrainConfig),
+                                          ("evaluate", ev.CvConfig),
+                                          ("evaluate", gbt.TrainConfig)])
+def test_every_setting_is_the_dest_of_a_flag(command, cls):
+    # A field without a flag could not be set at all: flags are the one way in.
+    dests = {action.dest for action in subcommands()[command]._actions
+             if action.option_strings}
+    assert {f.name for f in dataclasses.fields(cls)} <= dests
+
+
 @pytest.mark.parametrize("command, classes",
                          [("synth", [synth.SyntheticSpec]), ("train", [gbt.TrainConfig]),
                           ("evaluate", [ev.CvConfig, gbt.TrainConfig])],
                          ids=["synth", "train", "evaluate"])
-def test_every_setting_is_the_dest_of_a_flag(command, classes):
-    # A field without a flag could not be set at all: flags are the one way in.
+def test_every_setting_flag_is_a_setting(command, classes):
     # A flag that is no field would be read by nothing: it would do nothing.
+    # With the test above, a command's setting flags are its classes' fields.
     aside = {"-h", "--out", "--data", "--log", "--model"}  # help and the file flags
     dests = {action.dest for action in subcommands()[command]._actions
              if action.option_strings and aside.isdisjoint(action.option_strings)}
-    assert dests == {f.name for cls in classes for f in dataclasses.fields(cls)}
+    assert dests <= {f.name for cls in classes for f in dataclasses.fields(cls)}
 
 
 def test_readme_names_only_flags_the_parser_accepts():

@@ -10,7 +10,13 @@ import pytest
 from eegloop.classes import CLASS_NAMES
 from eegloop.edf import EdfError, EdfFileHeader, EdfSignalHeader, write_edf
 from eegloop.features import FEATURE_NAMES, featurize
-from eegloop.synth import SyntheticSpec, generate_dataset, load_dataset, read_label_index
+from eegloop.synth import (
+    SyntheticSpec,
+    generate_dataset,
+    generate_epoch_samples,
+    load_dataset,
+    read_label_index,
+)
 
 SMALL = SyntheticSpec(epochs_per_class=8, epoch_length_s=4, seed=123)
 
@@ -222,13 +228,28 @@ class TestClassStructure:
         with pytest.raises(ValueError, match="whole number"):
             SyntheticSpec(epoch_length_s=4, rate_hz=100.1)
 
-    def test_amplitude_noise_and_jitter_are_constants(self):
+    def test_settings_are_size_rate_and_seed(self):
         assert [f.name for f in dataclasses.fields(SyntheticSpec)] == [
             "epochs_per_class", "epoch_length_s", "rate_hz", "seed"]
-        spec = SyntheticSpec()
-        assert (spec.amplitude_uv, spec.noise_level, spec.amplitude_jitter) == (100.0, 0.4, 0.3)
-        with pytest.raises(TypeError, match="noise_level"):
-            SyntheticSpec(noise_level=0.4)
+
+    @pytest.mark.parametrize("name, value", [("amplitude_uv", 100.0), ("noise_level", 0.4),
+                                             ("amplitude_jitter", 0.3)])
+    def test_amplitude_noise_and_jitter_are_constants(self, name, value):
+        assert getattr(SyntheticSpec(), name) == value
+        with pytest.raises(TypeError, match=name):
+            SyntheticSpec(**{name: value})
+
+    @pytest.mark.parametrize("label", CLASS_NAMES)
+    def test_generation_neither_overflows_nor_leaves_non_finite_samples(self, label):
+        # The amplitude, noise floor and jitter are fixed, so no setting can
+        # push a sample past the float range: from one sample to 400 000.
+        for rate_hz in (0.25, 1.0, 256.0, 1e5):
+            spec = SyntheticSpec(epochs_per_class=1, epoch_length_s=4, rate_hz=rate_hz)
+            for seed in range(3):
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    x = generate_epoch_samples(label, spec, np.random.default_rng(seed))
+                assert x.shape == (spec.samples_per_epoch,)
+                assert np.isfinite(x).all()
 
     @pytest.mark.parametrize("epochs_per_class", [10**8, 10**9])
     def test_record_count_past_its_edf_field_rejected(self, epochs_per_class):
@@ -237,6 +258,13 @@ class TestClassStructure:
                  f"-1 (unknown) or 0 to 99999999, got {epochs_per_class}")
         with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
             SyntheticSpec(epochs_per_class=epochs_per_class)
+
+    @pytest.mark.parametrize("settings", [{"epochs_per_class": 99_999_999},
+                                          {"epoch_length_s": 4, "rate_hz": 24_999_999.75}],
+                             ids=["record_count", "record_length"])
+    def test_largest_size_that_fits_its_edf_field_accepted(self, settings):
+        # 99 999 999 records, or samples in one record: the fields' largest.
+        SyntheticSpec(**settings)
 
     def test_epoch_past_one_edf_record_rejected(self):
         # 4e9 samples: rejected by arithmetic on the spec, before any allocation.
